@@ -1,0 +1,71 @@
+package kpbs
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"redistgo/internal/bipartite"
+	"redistgo/internal/trafficgen"
+)
+
+// scheduleDigestWant is the SHA-256 of every schedule TestBottleneckScheduleDigest
+// solves. It was recorded before the bottleneck matcher learned to skip
+// searches that cannot succeed (DESIGN.md §2), and pins that those skips —
+// and any later change to the bottleneck matcher — leave every OGGP and
+// MinSteps schedule byte-identical.
+const scheduleDigestWant = "10e97f24ca5ebfca7ea0aa9bfad0d7ce01bba821a0023690165c235b1b0ac8a7"
+
+type digestInstance struct {
+	name string
+	g    *bipartite.Graph
+	k    int
+}
+
+// digestCorpus is the fixed-seed instance set of the digest: power-law,
+// sparse, dense and block-diagonal families, sized so that the bottleneck
+// matcher's failed searches (which dominate power-law OGGP) are exercised
+// while the whole test stays well under two seconds.
+func digestCorpus(t *testing.T) []digestInstance {
+	t.Helper()
+	var out []digestInstance
+	add := func(name string, k int, m [][]int64) {
+		out = append(out, digestInstance{name, mustGraph(t, m), k})
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		add(fmt.Sprintf("powerlaw128/%d", seed), 16, trafficgen.PowerLawSparse(rng, 128, 128, 900, 1.3, 1, 1000))
+		add(fmt.Sprintf("sparse40/%d", seed), 8, trafficgen.SparseUniform(rng, 40, 36, 0.12, 1, 500))
+		add(fmt.Sprintf("dense16/%d", seed), 6, trafficgen.DenseUniform(rng, 16, 16, 1, 60))
+		add(fmt.Sprintf("blockdiag4x12/%d", seed), 10, trafficgen.BlockDiagonal(rng, 4, 12, 0.02, 1, 200))
+	}
+	rng := rand.New(rand.NewSource(256))
+	add("powerlaw256", 32, trafficgen.PowerLawSparse(rng, 256, 256, 2000, 1.3, 1, 1000))
+	return out
+}
+
+// TestBottleneckScheduleDigest hashes the schedules of OGGP and MinSteps —
+// the two algorithms that peel with the bottleneck matcher — under both
+// kernel arms and both shard modes into one SHA-256 and compares it to the
+// recorded constant.
+func TestBottleneckScheduleDigest(t *testing.T) {
+	h := sha256.New()
+	for _, in := range digestCorpus(t) {
+		for _, alg := range []Algorithm{OGGP, MinSteps} {
+			for _, eng := range []MatcherEngine{EngineScalar, EngineBitset} {
+				for _, shard := range []ShardMode{ShardOff, ShardAuto} {
+					s, err := Solve(in.g, in.k, 1, Options{Algorithm: alg, Engine: eng, Shard: shard})
+					if err != nil {
+						t.Fatalf("%s %v %v %v: %v", in.name, alg, eng, shard, err)
+					}
+					fmt.Fprintf(h, "%s %v %v %v\n%s", in.name, alg, eng, shard, s.String())
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != scheduleDigestWant {
+		t.Fatalf("schedule digest changed:\n got %s\nwant %s", got, scheduleDigestWant)
+	}
+}

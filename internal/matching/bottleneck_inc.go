@@ -25,6 +25,20 @@ import (
 //     growing any valid matching inside that prefix with augmenting paths
 //     reaches that size (Berge), so the minimum matched weight still equals
 //     the optimal bottleneck value.
+//   - Searches that cannot succeed are skipped. A failed search marks a
+//     dead region: the right nodes it visited and the left nodes it entered
+//     (its root and the partners of those right nodes). Every inserted edge
+//     of a dead left node ends at a dead right node, and every dead right
+//     node is matched to a dead left node, so no augmenting path leaves the
+//     region. The marks therefore persist across later roots and later
+//     weight groups: a dead root is not searched again, and no search
+//     enters a dead right node. A successful augmentation resets the
+//     region; an inserted edge from a dead left node to a live right node r
+//     first tries to extend the region from r's partner (extendDead) and
+//     resets it only if that search reaches a free right node. Skipped
+//     searches would all have failed without side effects, so the chosen
+//     augmenting paths — and the schedules — are exactly those of the
+//     unpruned search (DESIGN.md §2).
 //
 // Augmentation traverses candidates in the same canonical order as
 // Incremental — right endpoint ascending, lowest inserted edge index per
@@ -81,7 +95,15 @@ type BottleneckInc struct {
 	// below replace O(n) recursion frames (which overflow goroutine stacks
 	// on the large sparse instances component sharding unlocks; see
 	// TestBottleneckIncDeepAugmentingPath).
+	//
+	// The marks of the current stamp are the dead region plus the nodes of
+	// the search in progress: visited[r] == stamp (scalar arm) or the
+	// visMask bit (bitset arm) for right nodes, markL[l] == stamp for free
+	// left roots whose search failed. A matched left node is dead exactly
+	// when its partner is, so it needs no mark of its own. resetDead starts
+	// a new stamp.
 	visited   []int
+	markL     []int
 	stamp     int
 	stackL    []int // left node at each DFS depth
 	stackIter []int // scalar arm: next adjacency slot to try at that depth
@@ -90,8 +112,8 @@ type BottleneckInc struct {
 	// Bitset kernel state (allocated only when useBits). rows holds the
 	// inserted cells of each left node; cellEdge the minimum inserted edge
 	// index per cell (bit-guarded: read only while the row bit is set).
-	// visMask replaces the visit stamps, stackR the per-depth candidate
-	// cursor (last right tried at that depth).
+	// visMask replaces the right-node visit stamps, stackR the per-depth
+	// candidate cursor (last right tried at that depth).
 	useBits  bool
 	words    int
 	rows     []uint64
@@ -101,8 +123,9 @@ type BottleneckInc struct {
 
 	// Growth gating: an augmenting path must start at a free left node with
 	// inserted edges and end at a free right node with inserted edges, so
-	// growth is skipped while either count is zero.
-	lTouched   []bool
+	// growth is skipped while either count is zero. roots is the bitset of
+	// those free left nodes, the candidates grow sweeps in ascending order.
+	roots      []uint64
 	rTouched   []bool
 	freeTouchL int
 	freeTouchR int
@@ -138,7 +161,8 @@ func NewBottleneckIncEngine(nL, nR int, edgeL, edgeR []int, w []int64, engine En
 		matchR:   make([]int, nR),
 		isPrev:   make([]bool, m),
 		visited:  make([]int, nR),
-		lTouched: make([]bool, nL),
+		markL:    make([]int, nL),
+		roots:    make([]uint64, rowWords(nL)),
 		rTouched: make([]bool, nR),
 	}
 	depth := nL
@@ -299,7 +323,6 @@ func (b *BottleneckInc) Rematch(target int) bool {
 	for l := 0; l < b.nL; l++ {
 		b.matchL[l] = -1
 		b.fill[l] = 0
-		b.lTouched[l] = false
 	}
 	for r := 0; r < b.nR; r++ {
 		b.matchR[r] = -1
@@ -310,9 +333,13 @@ func (b *BottleneckInc) Rematch(target int) bool {
 			b.rows[i] = 0
 		}
 	}
+	for i := range b.roots {
+		b.roots[i] = 0
+	}
 	b.size = 0
 	b.freeTouchL = 0
 	b.freeTouchR = 0
+	b.resetDead()
 
 	// Figure-6 insertion loop: whole equal-weight groups at a time, growing
 	// after each group, stopping at the earliest prefix reaching target.
@@ -338,11 +365,20 @@ func (b *BottleneckInc) Rematch(target int) bool {
 // it belonged to the previous matching and both endpoints are still free.
 // The scalar arm shifts the insertion-sorted tail to keep canonical
 // (right, edge) order; the bitset arm sets the cell bit and keeps the
-// cell's minimum inserted edge index.
+// cell's minimum inserted edge index. An edge from a dead left node to a
+// live right node breaks the dead region's closure; extendDead restores it.
+// Adoption needs no such repair: a dead left node that adopts is a failed
+// root, no dead right node's partner, so it simply leaves the region.
 //
 //redistlint:hotpath
 func (b *BottleneckInc) insert(e int) {
 	l, r := b.edgeL[e], b.edgeR[e]
+	if b.fill[l] == 0 {
+		// First edge of l in this Rematch. l is free: only inserted edges
+		// match, and none of l's has been inserted yet.
+		b.freeTouchL++
+		b.roots[l>>6] |= 1 << uint(l&63)
+	}
 	if b.useBits {
 		wi := l*b.words + r>>6
 		bit := uint64(1) << uint(r&63)
@@ -370,17 +406,10 @@ func (b *BottleneckInc) insert(e int) {
 		b.adj[lo] = e
 		b.fill[l]++
 	}
-	if !b.lTouched[l] {
-		b.lTouched[l] = true
-		if b.matchL[l] < 0 {
-			b.freeTouchL++
-		}
-	}
 	if !b.rTouched[r] {
+		// First edge of r in this Rematch; r is free for the same reason.
 		b.rTouched[r] = true
-		if b.matchR[r] < 0 {
-			b.freeTouchR++
-		}
+		b.freeTouchR++
 	}
 	if b.isPrev[e] && b.matchL[l] < 0 && b.matchR[r] < 0 {
 		b.matchL[l] = e
@@ -388,48 +417,142 @@ func (b *BottleneckInc) insert(e int) {
 		b.size++
 		b.freeTouchL--
 		b.freeTouchR--
+		b.roots[l>>6] &^= 1 << uint(l&63)
+	}
+	if b.deadLeft(l) && !b.deadRight(r) {
+		b.extendDead(r)
 	}
 }
 
-// grow runs Kuhn augmentation rounds over the inserted edges until the
-// matching is maximum for the current prefix or reaches target.
+// extendDead restores the dead region's closure after a dead left node
+// gained an edge to the live right node r. If r is matched and no
+// augmenting path leaves its partner, r and everything that search marks
+// join the region: it is again closed and free of free right nodes.
+// Otherwise some dead nodes may now reach a free right node, and the
+// region is reset. The search never flips an edge.
+//
+//redistlint:hotpath
+func (b *BottleneckInc) extendDead(r int) {
+	b.markRight(r)
+	me := b.matchR[r]
+	if me < 0 || b.search(b.edgeL[me]) >= 0 {
+		b.resetDead()
+	}
+}
+
+// grow runs one Kuhn pass over the free left nodes with inserted edges, in
+// ascending order, until the matching is maximum for the current prefix or
+// reaches target. One pass suffices: a root without an augmenting path
+// still has none after augmentations along other roots' paths on the same
+// edge set (the region a failed search marks stays closed and free of
+// free right nodes, and every later path avoids it), so a second pass
+// could only fail again.
 //
 //redistlint:hotpath
 func (b *BottleneckInc) grow(target int) {
-	for b.size < target {
-		progress := false
-		for l := 0; l < b.nL && b.size < target; l++ {
-			if b.matchL[l] >= 0 || b.fill[l] == 0 {
+	for w := range b.roots {
+		for word := b.roots[w]; word != 0; word &= word - 1 {
+			if b.size >= target || b.freeTouchR == 0 {
+				return
+			}
+			l := w<<6 + bits.TrailingZeros64(word)
+			if b.markL[l] == b.stamp {
+				continue // dead root: its search would fail again
+			}
+			top := b.search(l)
+			if top < 0 {
+				b.markL[l] = b.stamp
 				continue
 			}
-			var ok bool
-			if b.useBits {
-				ok = b.augmentBits(l)
-			} else {
-				b.stamp++
-				ok = b.augment(l)
-			}
-			if ok {
-				b.size++
-				b.freeTouchL-- // l was free and touched (fill[l] > 0)
-				progress = true
-			}
-		}
-		if !progress {
-			return
+			b.flip(top)
+			b.roots[w] &^= 1 << uint(l&63)
+			b.size++
+			b.freeTouchL--
+			b.freeTouchR--
+			b.resetDead()
 		}
 	}
 }
 
-// augment searches an augmenting path from free left node root over the
-// inserted edges (Kuhn DFS with visit stamps), iteratively with an
+// flip applies the augmenting path recorded on the stacks down to depth
+// top. Each stack level t holds the edge from stackL[t] to the right node
+// level t+1 came down through (or to the free right node at the top), so
+// assigning every level's edge rematches the whole alternating path.
+//
+//redistlint:hotpath
+func (b *BottleneckInc) flip(top int) {
+	for t := top; t >= 0; t-- {
+		pe := b.stackEdge[t]
+		b.matchL[b.stackL[t]] = pe
+		b.matchR[b.edgeR[pe]] = pe
+	}
+}
+
+// resetDead empties the dead region by starting a new stamp.
+//
+//redistlint:hotpath
+func (b *BottleneckInc) resetDead() {
+	b.stamp++
+	if b.useBits {
+		for w := range b.visMask {
+			b.visMask[w] = 0
+		}
+	}
+}
+
+// deadRight reports whether right node r is marked in the current stamp.
+//
+//redistlint:hotpath
+func (b *BottleneckInc) deadRight(r int) bool {
+	if b.useBits {
+		return b.visMask[r>>6]&(1<<uint(r&63)) != 0
+	}
+	return b.visited[r] == b.stamp
+}
+
+// markRight marks right node r in the current stamp.
+//
+//redistlint:hotpath
+func (b *BottleneckInc) markRight(r int) {
+	if b.useBits {
+		b.visMask[r>>6] |= 1 << uint(r&63)
+	} else {
+		b.visited[r] = b.stamp
+	}
+}
+
+// deadLeft reports whether left node l lies in the dead region: a matched
+// node when its partner does, a free one when its search failed.
+//
+//redistlint:hotpath
+func (b *BottleneckInc) deadLeft(l int) bool {
+	if e := b.matchL[l]; e >= 0 {
+		return b.deadRight(b.edgeR[e])
+	}
+	return b.markL[l] == b.stamp
+}
+
+// search runs the Kuhn DFS from left node root over the inserted edges,
+// skipping marked right nodes and marking every right node it visits. It
+// returns the stack depth at which it reached a free right node, with the
+// path on stackL/stackEdge for flip, or -1 if none is reachable.
+//
+//redistlint:hotpath
+func (b *BottleneckInc) search(root int) int {
+	if b.useBits {
+		return b.searchBits(root)
+	}
+	return b.searchScalar(root)
+}
+
+// searchScalar is search over the scalar adjacency, iteratively with an
 // explicit stack. The traversal tries adjacency slots in canonical order,
 // descending into the matched left node of each newly visited right node;
 // the path is recorded on preallocated stacks instead of the goroutine
 // stack, whose growth a 50k-deep recursion used to exhaust.
 //
 //redistlint:hotpath
-func (b *BottleneckInc) augment(root int) bool {
+func (b *BottleneckInc) searchScalar(root int) int {
 	top := 0
 	b.stackL[0] = root
 	b.stackIter[0] = b.base[root]
@@ -450,40 +573,25 @@ func (b *BottleneckInc) augment(root int) bool {
 		b.stackEdge[top] = e
 		me := b.matchR[r]
 		if me < 0 {
-			// Free right endpoint: flip the recorded path. Each stack level t
-			// holds the edge from stackL[t] to the right node level t+1 came
-			// down through (or to r itself at the top), so assigning every
-			// level's edge rematches the whole alternating path.
-			if b.rTouched[r] {
-				b.freeTouchR--
-			}
-			for t := top; t >= 0; t-- {
-				pe := b.stackEdge[t]
-				b.matchL[b.stackL[t]] = pe
-				b.matchR[b.edgeR[pe]] = pe
-			}
-			return true
+			return top
 		}
 		top++
 		nl := b.edgeL[me]
 		b.stackL[top] = nl
 		b.stackIter[top] = b.base[nl]
 	}
-	return false
+	return -1
 }
 
-// augmentBits mirrors augment over the bitset rows: the per-depth cursor
-// stackR replaces the slot iterator, nextCell finds the smallest inserted,
-// unvisited right above it with word sweeps, and cellEdge supplies the
-// canonical (minimum inserted) edge of the cell — exactly the first slot
-// the scalar scan would try, and the only one it ever uses per cell thanks
-// to the visit stamp, so the two arms take identical paths.
+// searchBits mirrors searchScalar over the bitset rows: the per-depth
+// cursor stackR replaces the slot iterator, nextCell finds the smallest
+// inserted, unmarked right above it with word sweeps, and cellEdge
+// supplies the canonical (minimum inserted) edge of the cell — exactly the
+// first slot the scalar scan would try, and the only one it ever uses per
+// cell thanks to the visit stamp, so the two arms take identical paths.
 //
 //redistlint:hotpath
-func (b *BottleneckInc) augmentBits(root int) bool {
-	for w := range b.visMask {
-		b.visMask[w] = 0
-	}
+func (b *BottleneckInc) searchBits(root int) int {
 	top := 0
 	b.stackL[0] = root
 	b.stackR[0] = -1
@@ -500,22 +608,14 @@ func (b *BottleneckInc) augmentBits(root int) bool {
 		b.stackEdge[top] = e
 		me := b.matchR[r]
 		if me < 0 {
-			if b.rTouched[r] {
-				b.freeTouchR--
-			}
-			for t := top; t >= 0; t-- {
-				pe := b.stackEdge[t]
-				b.matchL[b.stackL[t]] = pe
-				b.matchR[b.edgeR[pe]] = pe
-			}
-			return true
+			return top
 		}
 		top++
 		nl := b.edgeL[me]
 		b.stackL[top] = nl
 		b.stackR[top] = -1
 	}
-	return false
+	return -1
 }
 
 // nextCell returns the smallest inserted, unvisited right neighbor of l

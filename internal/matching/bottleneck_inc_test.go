@@ -91,3 +91,172 @@ func TestBottleneckIncIterativeMatchesRecursiveOrder(t *testing.T) {
 		t.Fatalf("left 2 matched to edge %d, want free", b.MatchedEdge(2))
 	}
 }
+
+// --- dead-region transitions --------------------------------------------
+//
+// Each test below drives one transition of the dead region (see the
+// BottleneckInc doc comment) on both kernel arms. The matchings are
+// derived by hand from the insertion order (weight desc, index asc), the
+// single ascending root pass after each weight group, and the canonical
+// candidate order (right ascending). Because skipped searches never change
+// the result, the transitions are otherwise invisible, so the tests also
+// count stamps: one per Rematch, one per successful augmentation and one
+// per region reset.
+
+// forEachArm runs body on a fresh matcher over a private copy of the
+// weights for each kernel arm.
+func forEachArm(t *testing.T, nL, nR int, el, er []int, w []int64, body func(t *testing.T, b *BottleneckInc, live []int64)) {
+	t.Helper()
+	for _, eng := range []Engine{EngineScalar, EngineBitset} {
+		t.Run(eng.String(), func(t *testing.T) {
+			live := append([]int64(nil), w...)
+			b := NewBottleneckIncEngine(nL, nR, el, er, live, eng)
+			if b.UsesBitset() != (eng == EngineBitset) {
+				t.Fatalf("engine %v not pinned", eng)
+			}
+			body(t, b, live)
+		})
+	}
+}
+
+// rematchStamps runs Rematch and reports how many stamps it consumed.
+func rematchStamps(b *BottleneckInc, target int) (bool, int) {
+	before := b.stamp
+	ok := b.Rematch(target)
+	return ok, b.stamp - before
+}
+
+func wantMatched(t *testing.T, b *BottleneckInc, want []int) {
+	t.Helper()
+	for l, e := range want {
+		if got := b.MatchedEdge(l); got != e {
+			t.Fatalf("left %d matched to edge %d, want %d (want matching %v)", l, got, e, want)
+		}
+	}
+}
+
+// TestDeadRegionResetAfterAugment: a successful search marks nodes that
+// are not dead, so the region must be emptied before the next root.
+//
+// One weight group: e0 (0,0), e1 (0,1), e2 (1,0). Root 0 takes right 0
+// via e0 and marks it. Root 1 reaches right 0 only if that mark is gone:
+// then it descends to left 0, which moves to right 1, so left 1 takes e2.
+// Without the reset root 1 would find nothing and the target 2 fail.
+func TestDeadRegionResetAfterAugment(t *testing.T) {
+	el := []int{0, 0, 1}
+	er := []int{0, 1, 0}
+	w := []int64{5, 5, 5}
+	forEachArm(t, 2, 2, el, er, w, func(t *testing.T, b *BottleneckInc, _ []int64) {
+		ok, stamps := rematchStamps(b, 2)
+		if !ok {
+			t.Fatal("perfect matching not found")
+		}
+		wantMatched(t, b, []int{1, 2})
+		if stamps != 3 { // Rematch + two augmentations
+			t.Fatalf("%d stamps, want 3", stamps)
+		}
+	})
+}
+
+// TestDeadRegionRevivedByFreeRight: a dead root gains, in a later weight
+// group, an edge to a free right node; the region resets and the root is
+// searched again.
+//
+// Group 5: e0 (0,1), e1 (0,2), e2 (1,0), e3 (2,0). Root 0 takes right 1
+// (e0), root 1 takes right 0 (e2), and root 2 fails through right 0 and
+// left 1: the region is {right 0; left 1, left 2}, while right 2 stays
+// free. Group 3: e4 (2,2) joins dead left 2 to free right 2, which resets
+// the region, and root 2 then takes right 2.
+func TestDeadRegionRevivedByFreeRight(t *testing.T) {
+	el := []int{0, 0, 1, 2, 2}
+	er := []int{1, 2, 0, 0, 2}
+	w := []int64{5, 5, 5, 5, 3}
+	forEachArm(t, 3, 3, el, er, w, func(t *testing.T, b *BottleneckInc, _ []int64) {
+		ok, stamps := rematchStamps(b, 3)
+		if !ok {
+			t.Fatal("perfect matching not found: the dead root was never revived")
+		}
+		wantMatched(t, b, []int{0, 2, 4})
+		if stamps != 5 { // Rematch + three augmentations + one reset
+			t.Fatalf("%d stamps, want 5", stamps)
+		}
+	})
+}
+
+// TestDeadRegionExtendsToMatchedRight: a dead left node gains an edge to a
+// matched right node outside the region whose partner reaches no free
+// right node; the region grows instead of resetting.
+//
+// Group 5: e0 (0,2), e1 (0,3), e2 (1,1), e3 (2,0), e4 (3,0). Roots 0, 1
+// and 2 take rights 2, 1 and 0; root 3 fails through right 0 and left 2
+// (right 3, free, hangs off left 0 only). Group 3: e5 (3,1) joins dead
+// left 3 to right 1, matched to left 1, whose only edge leads back to
+// right 1: the region becomes {rights 0, 1; lefts 1, 2, 3} and root 3 is
+// skipped. Lefts 1, 2 and 3 share rights 0 and 1, so no perfect matching
+// exists.
+func TestDeadRegionExtendsToMatchedRight(t *testing.T) {
+	el := []int{0, 0, 1, 2, 3, 3}
+	er := []int{2, 3, 1, 0, 0, 1}
+	w := []int64{5, 5, 5, 5, 5, 3}
+	forEachArm(t, 4, 4, el, er, w, func(t *testing.T, b *BottleneckInc, _ []int64) {
+		ok, stamps := rematchStamps(b, 4)
+		if ok {
+			t.Fatal("perfect matching reported where none exists")
+		}
+		wantMatched(t, b, []int{0, 2, 3, -1})
+		if stamps != 4 { // Rematch + three augmentations, no reset
+			t.Fatalf("%d stamps, want 4", stamps)
+		}
+		for _, r := range []int{0, 1} {
+			if !b.deadRight(r) {
+				t.Fatalf("right %d not in the extended region", r)
+			}
+		}
+		for _, l := range []int{1, 2, 3} {
+			if !b.deadLeft(l) {
+				t.Fatalf("left %d not in the extended region", l)
+			}
+		}
+		if b.deadLeft(0) || b.deadRight(2) || b.deadRight(3) {
+			t.Fatal("region spread beyond the nodes the extension reached")
+		}
+	})
+}
+
+// TestDeadRegionAdoptsDeadLeft: a previous pair is adopted while its left
+// node is dead. The left node was a failed root, partner of no dead right
+// node, so once matched to the live right node it just leaves the region:
+// the rest stays closed and nothing is reset.
+//
+// The first Rematch(1) matches the heaviest edge e4 (2,3) alone; the peel
+// then lowers it from 7 to 2. In the second Rematch, group 5 — e0 (0,1),
+// e1 (0,2), e2 (1,0), e3 (2,0) — gives roots 0 and 1 rights 1 and 0,
+// and root 2 fails through right 0 and left 1. Group 2 re-inserts e4,
+// still a previous pair with both endpoints free, so dead left 2 adopts
+// it; the region shrinks to {right 0; left 1}.
+func TestDeadRegionAdoptsDeadLeft(t *testing.T) {
+	el := []int{0, 0, 1, 2, 2}
+	er := []int{1, 2, 0, 0, 3}
+	w := []int64{5, 5, 5, 5, 7}
+	forEachArm(t, 3, 4, el, er, w, func(t *testing.T, b *BottleneckInc, live []int64) {
+		if !b.Rematch(1) {
+			t.Fatal("first Rematch(1) failed")
+		}
+		wantMatched(t, b, []int{-1, -1, 4})
+		live[4] -= 5
+		ok, stamps := rematchStamps(b, 3)
+		if !ok {
+			t.Fatal("second Rematch(3) failed")
+		}
+		wantMatched(t, b, []int{0, 2, 4})
+		if stamps != 3 { // Rematch + two augmentations; adoption resets nothing
+			t.Fatalf("%d stamps, want 3", stamps)
+		}
+		if b.deadLeft(2) || b.deadRight(3) {
+			t.Fatal("adopted pair still in the region")
+		}
+		if !b.deadRight(0) || !b.deadLeft(1) {
+			t.Fatal("adoption emptied the rest of the region")
+		}
+	})
+}

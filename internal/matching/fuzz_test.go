@@ -1,0 +1,113 @@
+package matching
+
+import (
+	"testing"
+
+	"redistgo/internal/bipartite"
+)
+
+// fuzzBytes hands out the fuzzer's input one byte at a time, then zeros.
+type fuzzBytes []byte
+
+func (d *fuzzBytes) next() int {
+	if len(*d) == 0 {
+		return 0
+	}
+	v := (*d)[0]
+	*d = (*d)[1:]
+	return int(v)
+}
+
+// FuzzBottleneckIncPeel drives both BottleneckInc arms through a random
+// graph and a random sequence of peels, deactivations and Resorts — every
+// mutation the matcher's contract allows between two Rematch calls — and
+// after each Rematch requires that (a) the arms matched the same edges and
+// (b) the minimum matched weight equals the cold BottleneckPerfect's on
+// the live residual graph. Small weights make equal-weight groups, and
+// with them the dead-region transitions, common.
+func FuzzBottleneckIncPeel(f *testing.F) {
+	f.Add([]byte{3, 9, 0, 0, 1, 0, 1, 1, 2, 2, 1, 0, 1, 2, 2, 0, 1, 1, 0, 2, 2, 1, 1, 0, 2, 1, 3, 0, 1, 2})
+	f.Add([]byte{5, 20, 0, 1, 2, 1, 2, 3, 2, 3, 4, 3, 4, 0, 4, 0, 1, 0, 2, 2, 1, 3, 1, 2, 0, 4, 3, 4, 1, 1, 2, 4, 0, 3, 3, 3, 2, 1, 1, 4, 4, 4, 2, 0, 1, 3, 0, 5, 1, 0, 2, 1, 0, 3})
+	f.Add([]byte{8, 40, 7, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 5, 5, 5, 6, 6, 6, 7, 7, 7, 0, 2, 0, 1, 3, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := fuzzBytes(data)
+		n := 1 + d.next()%10
+		m := d.next() % (3*n + 1)
+		var el, er []int
+		var w0 []int64
+		// A permutation keeps a perfect matching available at the start.
+		for i := 0; i < n; i++ {
+			el = append(el, i)
+			er = append(er, (i+d.next())%n)
+			w0 = append(w0, int64(1+d.next()%6))
+		}
+		for i := 0; i < m; i++ {
+			el = append(el, d.next()%n)
+			er = append(er, d.next()%n)
+			w0 = append(w0, int64(1+d.next()%6))
+		}
+		wS := append([]int64(nil), w0...)
+		wB := append([]int64(nil), w0...)
+		sc := NewBottleneckIncEngine(n, n, el, er, wS, EngineScalar)
+		bs := NewBottleneckIncEngine(n, n, el, er, wB, EngineBitset)
+		alive := make([]bool, len(el))
+		for i := range alive {
+			alive[i] = true
+		}
+		for round := 0; round < 4*len(el)+8; round++ {
+			switch d.next() % 8 {
+			case 0: // drop an arbitrary edge
+				e := d.next() % len(el)
+				alive[e] = false
+				sc.Deactivate(e)
+				bs.Deactivate(e)
+			case 1: // patch every weight and re-sort, as delta reruns do
+				for i := range wS {
+					v := int64(1 + d.next()%6)
+					wS[i], wB[i], alive[i] = v, v, true
+				}
+				sc.Resort()
+				bs.Resort()
+			}
+			res := bipartite.New(n, n)
+			for i, a := range alive {
+				if a {
+					res.AddEdge(el[i], er[i], wS[i])
+				}
+			}
+			coldM, coldOK := BottleneckPerfect(res)
+			okS, okB := sc.Rematch(n), bs.Rematch(n)
+			if okS != okB || okS != coldOK {
+				t.Fatalf("round %d: Rematch %v (scalar), %v (bitset), cold %v", round, okS, okB, coldOK)
+			}
+			if !okS {
+				return
+			}
+			var minW int64 = -1
+			for l := 0; l < n; l++ {
+				e := sc.MatchedEdge(l)
+				if e != bs.MatchedEdge(l) {
+					t.Fatalf("round %d: left %d matched to %d (scalar) vs %d (bitset)", round, l, e, bs.MatchedEdge(l))
+				}
+				if minW < 0 || wS[e] < minW {
+					minW = wS[e]
+				}
+			}
+			if cold := bottleneckValue(res, coldM); minW != cold {
+				t.Fatalf("round %d: bottleneck %d, cold %d", round, minW, cold)
+			}
+			// Peel a uniform amount, at most the bottleneck, off the matching.
+			amount := 1 + int64(d.next())%minW
+			for l := 0; l < n; l++ {
+				e := sc.MatchedEdge(l)
+				wS[e] -= amount
+				wB[e] -= amount
+				if wS[e] == 0 {
+					alive[e] = false
+					sc.Deactivate(e)
+					bs.Deactivate(e)
+				}
+			}
+		}
+	})
+}

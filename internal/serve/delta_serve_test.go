@@ -133,6 +133,8 @@ func TestServeDeltaChain(t *testing.T) {
 				d.verifyDelta(t, id, raw, wire.TraceContext{})
 				base = id
 			}
+			cl.Close()
+			waitSessionsDrained(t, o)
 			snap := o.Metrics.Snapshot()
 			var deltaTotal int64
 			for name, v := range snap.Counters {

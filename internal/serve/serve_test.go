@@ -18,6 +18,23 @@ import (
 	"redistgo/internal/wire"
 )
 
+// waitSessionsDrained waits until the server has torn down every session.
+// Teardown is asynchronous with the client's Close, and a session bumps
+// its response counter only after writing the response, so tests read
+// counters and gauges after this returns, never straight after the last
+// reply arrives.
+func waitSessionsDrained(t *testing.T, o *obs.Observer) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for o.Metrics.Snapshot().Gauges["serve.sessions_active"] != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("sessions_active = %d after all clients closed, want 0",
+				o.Metrics.Snapshot().Gauges["serve.sessions_active"])
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // newServer starts a server with the config (Addr forced to an ephemeral
 // loopback port) and registers its teardown.
 func newServer(t *testing.T, cfg Config) *Server {
@@ -110,16 +127,7 @@ func TestServeEndToEnd(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	// Session teardown is asynchronous with the client's Close: wait for
-	// the server to notice the goodbyes before reading the gauges.
-	deadline := time.Now().Add(5 * time.Second)
-	for o.Metrics.Snapshot().Gauges["serve.sessions_active"] != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("sessions_active = %d after all clients closed, want 0",
-				o.Metrics.Snapshot().Gauges["serve.sessions_active"])
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitSessionsDrained(t, o)
 	snap := o.Metrics.Snapshot()
 	if got := snap.Counters["serve.sessions_total"]; got != clients {
 		t.Errorf("sessions_total = %d, want %d", got, clients)
@@ -177,10 +185,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 
 	cl.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for o.Metrics.Snapshot().Gauges["serve.sessions_active"] != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	waitSessionsDrained(t, o)
 	snap := o.Metrics.Snapshot()
 	if got := snap.Counters["spans.finished_total"]; got != 1 {
 		t.Errorf("spans.finished_total = %d, want 1", got)
@@ -471,13 +476,7 @@ func TestMalformedClient(t *testing.T) {
 		_ = conn.Close()
 	})
 
-	deadline := time.Now().Add(5 * time.Second)
-	for o.Metrics.Snapshot().Gauges["serve.sessions_active"] != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("sessions did not close after misbehavior")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitSessionsDrained(t, o)
 	snap := o.Metrics.Snapshot()
 	if got := snap.Counters["serve.protocol_errors_total"]; got != 3 {
 		t.Errorf("protocol_errors_total = %d, want 3", got)
