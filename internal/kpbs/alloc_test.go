@@ -104,6 +104,34 @@ func TestBitsetSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestColdSolveAllocs bounds what one cold solve allocates. The steady-
+// state tests above cover warm reruns only; a cold solve allocates its
+// instance, matcher, peel output and schedule afresh, but each a fixed
+// number of times, never once per step. A dense 64×64 GGP instance at
+// k = 32 and β = 1 peels 1,288 steps and must stay within 200 allocations
+// under both shard modes.
+func TestColdSolveAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	g := denseGraph(rng, 64, 20)
+	for _, shard := range []ShardMode{ShardOff, ShardAuto} {
+		t.Run(shard.String(), func(t *testing.T) {
+			var solveErr error
+			avg := testing.AllocsPerRun(3, func() {
+				if _, err := Solve(g, 32, 1, Options{Algorithm: GGP, Shard: shard}); err != nil {
+					solveErr = err
+				}
+			})
+			if solveErr != nil {
+				t.Fatal(solveErr)
+			}
+			t.Logf("%.0f allocs per cold solve", avg)
+			if avg > 200 {
+				t.Fatalf("cold dense 64x64 GGP solve makes %.0f allocations, want at most 200", avg)
+			}
+		})
+	}
+}
+
 // TestPeelerRerunIsReproducible checks that reusing a peeler through reset
 // yields byte-identical step sequences — the property the zero-alloc reuse
 // path must not trade away.
@@ -121,17 +149,11 @@ func TestPeelerRerunIsReproducible(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Deep-copy: the second run overwrites the arenas.
-		type flatComm struct {
-			orig  int
-			alloc int64
-		}
-		var flatA []flatComm
+		var flatA []int32
 		var peelsA []int64
 		for _, st := range first {
 			peelsA = append(peelsA, st.peel)
-			for _, c := range st.comms {
-				flatA = append(flatA, flatComm{c.orig, c.alloc})
-			}
+			flatA = append(flatA, st.comms...)
 		}
 		p.reset()
 		second, err := p.run()
@@ -147,8 +169,8 @@ func TestPeelerRerunIsReproducible(t *testing.T) {
 				t.Fatalf("kind %v: step %d peel %d, want %d", kind, si, st.peel, peelsA[si])
 			}
 			for _, c := range st.comms {
-				if flatA[i].orig != c.orig || flatA[i].alloc != c.alloc {
-					t.Fatalf("kind %v: comm %d = %+v, want %+v", kind, i, c, flatA[i])
+				if flatA[i] != c {
+					t.Fatalf("kind %v: comm %d = edge %d, want %d", kind, i, c, flatA[i])
 				}
 				i++
 			}

@@ -66,7 +66,9 @@ func buildInstance(g *bipartite.Graph, k int, beta int64, unitWeights bool) (*in
 	for i := range compactR {
 		compactR[i] = -1
 	}
-	for _, e := range g.Edges() {
+	m := g.EdgeCount()
+	for i := 0; i < m; i++ {
+		e := g.Edge(i)
 		if compactL[e.L] < 0 {
 			compactL[e.L] = len(in.mapL)
 			in.mapL = append(in.mapL, e.L)
@@ -91,19 +93,20 @@ func buildInstance(g *bipartite.Graph, k int, beta int64, unitWeights bool) (*in
 		in.k = in.realR
 	}
 
-	for i, e := range g.Edges() {
+	// One allocation for the whole working edge list: the real edges, then
+	// at most k fillers and, per side, at most one top-up edge per node plus
+	// one per fresh node (see topUp), which with nL, nR ≤ real + k bounds
+	// the augmentation by 2·(realL + realR) + 5k edges.
+	in.edges = make([]workEdge, m, m+2*(in.realL+in.realR)+5*in.k)
+	for i := range in.edges {
+		e := g.Edge(i)
 		w := e.Weight
 		if unitWeights {
 			w = 1
 		} else {
 			w = normalizeWeight(w, beta)
 		}
-		in.edges = append(in.edges, workEdge{
-			l:    compactL[e.L],
-			r:    compactR[e.R],
-			w:    w,
-			orig: i,
-		})
+		in.edges[i] = workEdge{l: compactL[e.L], r: compactR[e.R], w: w, orig: i}
 	}
 
 	in.augment()

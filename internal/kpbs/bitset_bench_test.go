@@ -29,7 +29,7 @@ func solvePeelingOldArm(g *bipartite.Graph, k int, beta int64, kind matcherKind)
 	if err != nil {
 		return nil, err
 	}
-	return denormalize(g, in, steps, beta, false), nil
+	return coldSchedule(g, steps, beta, false), nil
 }
 
 func chainGraph(b *testing.B, seed int64, n int) *bipartite.Graph {

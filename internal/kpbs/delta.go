@@ -8,7 +8,6 @@ import (
 	"redistgo/internal/bipartite"
 	"redistgo/internal/matching"
 	"redistgo/internal/obs"
-	"redistgo/internal/safemath"
 )
 
 // Cross-instance delta solving (SolveDelta). Real redistribution traffic
@@ -176,12 +175,9 @@ type Result struct {
 	sumL, sumR []int64 // accumulated normalized node-sum deltas
 	tL, tR     []int   // touched node lists, to re-zero the sums
 
-	// Output arenas for the simple path (denormalizeInto).
-	remArena  []int64
-	commArena []Comm
-	stepArena []Step
-	offArena  []int
-	sched     Schedule
+	// Output arenas for the simple path, retained across deltas.
+	out   denormArena
+	sched Schedule
 
 	lastSched *Schedule
 	stats     DeltaStats
@@ -613,7 +609,7 @@ func (r *Result) recompute() error {
 	}
 	r.sh.split(r.g)
 	r.compStamp = ensureInts(r.compStamp, r.sh.nComp)
-	r.denormalizeInto(steps)
+	r.sched = r.out.denormalize(r.g, steps, r.beta, r.unit)
 	r.finishSimple(so)
 	return nil
 }
@@ -628,7 +624,7 @@ func (r *Result) redenormalize() error {
 		return r.recompute()
 	}
 	so := r.opts.Obs.Solver(r.opts.Algorithm.String())
-	r.denormalizeInto(r.p.steps)
+	r.sched = r.out.denormalize(r.g, r.p.steps, r.beta, r.unit)
 	r.finishSimple(so)
 	return nil
 }
@@ -661,7 +657,7 @@ func (r *Result) repeel(replay bool) error {
 	if err != nil {
 		return err
 	}
-	r.denormalizeInto(steps)
+	r.sched = r.out.denormalize(r.g, steps, r.beta, r.unit)
 	r.finishSimple(so)
 	return nil
 }
@@ -715,67 +711,29 @@ func (r *Result) indexNodes() {
 	r.tR = r.tR[:0]
 }
 
-// denormalizeInto is denormalize (solve.go) into retained arenas: same
-// amounts, same clamping, same step dropping, zero steady-state
-// allocations. The result lands in r.sched.
-//
-//redistlint:hotpath
-func (r *Result) denormalizeInto(steps []normStep) {
-	n := r.g.EdgeCount()
-	r.remArena = ensureInt64s(r.remArena, n)
-	for i := 0; i < n; i++ {
-		r.remArena[i] = r.g.Edge(i).Weight
-	}
-	r.commArena = r.commArena[:0]
-	r.stepArena = r.stepArena[:0]
-	r.offArena = r.offArena[:0]
-	for _, ns := range steps {
-		start := len(r.commArena)
-		for _, c := range ns.comms {
-			amount := c.alloc
-			if r.unit {
-				amount = r.remArena[c.orig]
-			} else if r.beta > 0 {
-				amount = safemath.Mul(c.alloc, r.beta)
-			}
-			if amount > r.remArena[c.orig] {
-				amount = r.remArena[c.orig]
-			}
-			if amount <= 0 {
-				continue
-			}
-			r.remArena[c.orig] -= amount
-			e := r.g.Edge(c.orig)
-			//redistlint:allow hotpath arena append; capacity is retained across deltas and TestDeltaSteadyStateAllocs asserts zero steady-state allocations
-			r.commArena = append(r.commArena, Comm{L: e.L, R: e.R, Amount: amount})
-		}
-		if len(r.commArena) > start {
-			//redistlint:allow hotpath arena append; capacity is retained across deltas and TestDeltaSteadyStateAllocs asserts zero steady-state allocations
-			r.offArena = append(r.offArena, start)
-			//redistlint:allow hotpath arena append; capacity is retained across deltas and TestDeltaSteadyStateAllocs asserts zero steady-state allocations
-			r.stepArena = append(r.stepArena, Step{})
-		}
-	}
-	for i := range r.stepArena {
-		end := len(r.commArena)
-		if i+1 < len(r.stepArena) {
-			end = r.offArena[i+1]
-		}
-		st := &r.stepArena[i]
-		st.Comms = r.commArena[r.offArena[i]:end:end]
-		st.recomputeDuration()
-	}
-	r.sched = Schedule{Beta: r.beta}
-	if len(r.stepArena) > 0 {
-		r.sched.Steps = r.stepArena
-	}
-}
-
 // ensureInt64s returns buf resized to n, reallocating only on growth.
 func ensureInt64s(buf []int64, n int) []int64 {
 	if cap(buf) < n {
 		//redistlint:allow hotpath-interproc grow-only scratch reallocation; amortized zero at steady state, asserted by AllocsPerRun in delta_test.go
 		return make([]int64, n)
+	}
+	return buf[:n]
+}
+
+// ensureComms returns buf resized to n, reallocating only on growth.
+func ensureComms(buf []Comm, n int) []Comm {
+	if cap(buf) < n {
+		//redistlint:allow hotpath-interproc grow-only arena reallocation; amortized zero at steady state, asserted by AllocsPerRun in delta_allocs_test.go
+		return make([]Comm, n)
+	}
+	return buf[:n]
+}
+
+// ensureSteps returns buf resized to n, reallocating only on growth.
+func ensureSteps(buf []Step, n int) []Step {
+	if cap(buf) < n {
+		//redistlint:allow hotpath-interproc grow-only arena reallocation; amortized zero at steady state, asserted by AllocsPerRun in delta_allocs_test.go
+		return make([]Step, n)
 	}
 	return buf[:n]
 }

@@ -18,6 +18,14 @@ import (
 // MinSteps schedule byte-identical.
 const scheduleDigestWant = "10e97f24ca5ebfca7ea0aa9bfad0d7ce01bba821a0023690165c235b1b0ac8a7"
 
+// ggpScheduleDigestWant is the SHA-256 of every schedule
+// TestGGPScheduleDigest solves. It was recorded before the GGP peel output
+// became edge indices and the forced-edge pass went word-parallel
+// (DESIGN.md §2, §11), and pins that those changes — and any later change
+// to the GGP peel, the Incremental matcher or denormalization — leave every
+// GGP schedule byte-identical.
+const ggpScheduleDigestWant = "b3c1d2a032ae14ada211b53b66edec40fea7fc6f1b4d11a2155620aca8a8f1af"
+
 type digestInstance struct {
 	name string
 	g    *bipartite.Graph
@@ -67,5 +75,30 @@ func TestBottleneckScheduleDigest(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != scheduleDigestWant {
 		t.Fatalf("schedule digest changed:\n got %s\nwant %s", got, scheduleDigestWant)
+	}
+}
+
+// TestGGPScheduleDigest hashes the GGP schedules of the digest corpus plus
+// one dense 64×64 instance at k = 32 and β = 1 (the shape of the served
+// dense GGP benchmark) under both kernel arms and both shard modes into one
+// SHA-256 and compares it to the recorded constant.
+func TestGGPScheduleDigest(t *testing.T) {
+	corpus := digestCorpus(t)
+	rng := rand.New(rand.NewSource(64))
+	corpus = append(corpus, digestInstance{"dense64", mustGraph(t, trafficgen.DenseUniform(rng, 64, 64, 1, 20)), 32})
+	h := sha256.New()
+	for _, in := range corpus {
+		for _, eng := range []MatcherEngine{EngineScalar, EngineBitset} {
+			for _, shard := range []ShardMode{ShardOff, ShardAuto} {
+				s, err := Solve(in.g, in.k, 1, Options{Algorithm: GGP, Engine: eng, Shard: shard})
+				if err != nil {
+					t.Fatalf("%s %v %v: %v", in.name, eng, shard, err)
+				}
+				fmt.Fprintf(h, "%s %v %v\n%s", in.name, eng, shard, s.String())
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != ggpScheduleDigestWant {
+		t.Fatalf("GGP schedule digest changed:\n got %s\nwant %s", got, ggpScheduleDigestWant)
 	}
 }

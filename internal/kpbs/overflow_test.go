@@ -8,7 +8,7 @@ import (
 )
 
 // Regression tests for int64-boundary overflows in the arithmetic core:
-// ceil-div near MaxInt64, β·ηs in the lower bound, alloc·β in
+// ceil-div near MaxInt64, β·ηs in the lower bound, peel·β in
 // denormalize, and β·steps in the schedule cost. Before the switch to
 // safemath these all wrapped negative.
 

@@ -8,18 +8,12 @@ import (
 	"redistgo/internal/obs"
 )
 
-// normComm is one real communication inside a normalized step: allocate
-// alloc normalized time units to original edge orig.
-type normComm struct {
-	orig  int
-	alloc int64
-}
-
 // normStep is a peeled step in normalized units. peel is the amount
 // subtracted from every matched edge (virtual ones included); comms lists
-// only the real edges.
+// the original-edge indices of the real ones, each allotted peel
+// normalized time units.
 type normStep struct {
-	comms []normComm
+	comms []int32
 	peel  int64
 }
 
@@ -51,13 +45,13 @@ func (in *instance) peel(kind matcherKind, eng matching.Engine, so *obs.SolverOb
 // wrgpGraph runs plain WRGP on an already weight-regular balanced graph
 // without any augmentation or normalization (paper §4.1: k unbounded,
 // β ignored). Exposed through SolveWRGP for completeness and tests.
-func wrgpGraph(g *bipartite.Graph, kind matcherKind) ([]normStep, *instance, error) {
+func wrgpGraph(g *bipartite.Graph, kind matcherKind) ([]normStep, error) {
 	r, ok := g.RegularWeight()
 	if !ok {
-		return nil, nil, fmt.Errorf("kpbs: WRGP requires a weight-regular graph")
+		return nil, fmt.Errorf("kpbs: WRGP requires a weight-regular graph")
 	}
 	if g.LeftCount() != g.RightCount() {
-		return nil, nil, fmt.Errorf("kpbs: WRGP requires a balanced graph, got %dx%d", g.LeftCount(), g.RightCount())
+		return nil, fmt.Errorf("kpbs: WRGP requires a balanced graph, got %dx%d", g.LeftCount(), g.RightCount())
 	}
 	in := &instance{
 		nL:      g.LeftCount(),
@@ -75,9 +69,10 @@ func wrgpGraph(g *bipartite.Graph, kind matcherKind) ([]normStep, *instance, err
 	for i := range in.mapR {
 		in.mapR[i] = i
 	}
-	for i, e := range g.Edges() {
-		in.edges = append(in.edges, workEdge{l: e.L, r: e.R, w: e.Weight, orig: i})
+	in.edges = make([]workEdge, g.EdgeCount())
+	for i := range in.edges {
+		e := g.Edge(i)
+		in.edges[i] = workEdge{l: e.L, r: e.R, w: e.Weight, orig: i}
 	}
-	steps, err := in.peel(kind, matching.EngineAuto, nil)
-	return steps, in, err
+	return in.peel(kind, matching.EngineAuto, nil)
 }

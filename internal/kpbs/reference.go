@@ -55,7 +55,7 @@ func (in *instance) peelReference(kind matcherKind) ([]normStep, error) {
 			we := idx[ge]
 			in.edges[we].w -= w
 			if orig := in.edges[we].orig; orig >= 0 {
-				step.comms = append(step.comms, normComm{orig: orig, alloc: w})
+				step.comms = append(step.comms, int32(orig))
 			}
 		}
 		if len(step.comms) > 0 {
@@ -86,7 +86,7 @@ func solvePeelingReference(g *bipartite.Graph, k int, beta int64, kind matcherKi
 	if err != nil {
 		return nil, err
 	}
-	return denormalize(g, in, steps, beta, unitWeights), nil
+	return coldSchedule(g, steps, beta, unitWeights), nil
 }
 
 // solveReference dispatches an Algorithm to the reference pipeline,

@@ -90,7 +90,7 @@ func (p *peeler) runTracked(old, rec *trajectory, st *DeltaStats) ([]normStep, e
 				p.w[e] -= w
 				if orig := p.in.edges[e].orig; orig >= 0 {
 					//redistlint:allow hotpath arena append; capacity is retained across runs and TestDeltaSteadyStateAllocs asserts zero steady-state allocations
-					p.comms = append(p.comms, normComm{orig: orig, alloc: w})
+					p.comms = append(p.comms, int32(orig))
 				}
 				if p.w[e] == 0 {
 					p.deactivate(e)
@@ -164,7 +164,7 @@ func (p *peeler) runTracked(old, rec *trajectory, st *DeltaStats) ([]normStep, e
 			p.w[e] -= w
 			if orig := p.in.edges[e].orig; orig >= 0 {
 				//redistlint:allow hotpath arena append; capacity is retained across runs and TestDeltaSteadyStateAllocs asserts zero steady-state allocations
-				p.comms = append(p.comms, normComm{orig: orig, alloc: w})
+				p.comms = append(p.comms, int32(orig))
 			}
 			if p.w[e] == 0 {
 				p.deactivate(e)

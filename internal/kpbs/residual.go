@@ -60,7 +60,7 @@ type peeler struct {
 	// starts, and run resolves the final sub-slices once the arena has
 	// stopped growing.
 	steps []normStep
-	comms []normComm
+	comms []int32
 	offs  []int
 
 	// Trajectory-replay scratch (runTracked; see replay.go). Unused — and
@@ -196,7 +196,7 @@ func (p *peeler) run() ([]normStep, error) {
 			p.w[e] -= w
 			if orig := p.in.edges[e].orig; orig >= 0 {
 				//redistlint:allow hotpath arena append; capacity is retained across runs and TestPeelSteadyStateAllocs asserts zero steady-state allocations
-				p.comms = append(p.comms, normComm{orig: orig, alloc: w})
+				p.comms = append(p.comms, int32(orig))
 			}
 			if p.w[e] == 0 {
 				p.deactivate(e)

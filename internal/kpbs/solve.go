@@ -253,51 +253,86 @@ func solvePeeling(g *bipartite.Graph, k int, beta int64, kind matcherKind, unitW
 	if err != nil {
 		return nil, err
 	}
-	return denormalize(g, in, steps, beta, unitWeights), nil
+	return coldSchedule(g, steps, beta, unitWeights), nil
+}
+
+// denormArena holds what denormalize writes: the remaining raw weight per
+// edge, one Comm arena shared by every step, and the steps themselves. A
+// Result retains one across deltas; a cold solve starts from an empty one
+// (coldSchedule), so each buffer is allocated once, at the size the peel
+// output gives.
+type denormArena struct {
+	rem   []int64
+	comms []Comm
+	steps []Step
+}
+
+// coldSchedule denormalizes a cold solve's peel output into fresh arenas.
+func coldSchedule(g *bipartite.Graph, steps []normStep, beta int64, unitWeights bool) *Schedule {
+	var a denormArena
+	s := a.denormalize(g, steps, beta, unitWeights)
+	return &s
 }
 
 // denormalize converts normalized peeled steps back into original time
 // units. For β > 0 each edge was allotted ⌈w/β⌉ normalized units; the real
-// transfer per step is min(remaining, alloc·β), so the final chunk shrinks
+// transfer per step is min(remaining, peel·β), so the final chunk shrinks
 // to exactly exhaust the edge and the real cost is never above the
 // normalized cost. In unit-weight mode (MinSteps) each edge appears in
-// exactly one step and carries its full weight.
-func denormalize(g *bipartite.Graph, in *instance, steps []normStep, beta int64, unitWeights bool) *Schedule {
-	rem := make([]int64, g.EdgeCount())
-	for i := 0; i < g.EdgeCount(); i++ {
-		rem[i] = g.Edge(i).Weight
+// exactly one step and carries its full weight. Steps left without a
+// communication are dropped. The schedule aliases the arena, whose buffers
+// grow only when the peel output outgrows them.
+//
+//redistlint:hotpath
+func (a *denormArena) denormalize(g *bipartite.Graph, steps []normStep, beta int64, unitWeights bool) Schedule {
+	n := g.EdgeCount()
+	a.rem = ensureInt64s(a.rem, n)
+	for i := 0; i < n; i++ {
+		a.rem[i] = g.Edge(i).Weight
 	}
-	out := &Schedule{Beta: beta}
+	total := 0
 	for _, ns := range steps {
-		var st Step
-		for _, c := range ns.comms {
-			amount := c.alloc
-			if unitWeights {
-				amount = rem[c.orig]
-			} else if beta > 0 {
-				// Saturating: alloc·β can exceed MaxInt64 when a weight near
-				// the int64 boundary was rounded up by normalization; the
-				// min(remaining) clamp below then restores the exact amount,
-				// whereas an unchecked product would go negative and emit a
-				// corrupt (or dropped) communication.
-				amount = safemath.Mul(c.alloc, beta)
-			}
-			if amount > rem[c.orig] {
-				amount = rem[c.orig]
+		total += len(ns.comms)
+	}
+	a.comms = ensureComms(a.comms, total)
+	a.steps = ensureSteps(a.steps, len(steps))
+	nc, nst := 0, 0
+	for _, ns := range steps {
+		alloc := ns.peel
+		if beta > 0 {
+			// Saturating: peel·β can exceed MaxInt64 when a weight near the
+			// int64 boundary was rounded up by normalization; the
+			// min(remaining) clamp below then restores the exact amount,
+			// whereas an unchecked product would go negative and emit a
+			// corrupt (or dropped) communication.
+			alloc = safemath.Mul(alloc, beta)
+		}
+		start := nc
+		for _, orig := range ns.comms {
+			amount := a.rem[orig]
+			if !unitWeights && alloc < amount {
+				amount = alloc
 			}
 			if amount <= 0 {
 				continue
 			}
-			rem[c.orig] -= amount
-			e := g.Edge(c.orig)
-			st.Comms = append(st.Comms, Comm{L: e.L, R: e.R, Amount: amount})
+			a.rem[orig] -= amount
+			e := g.Edge(int(orig))
+			a.comms[nc] = Comm{L: e.L, R: e.R, Amount: amount}
+			nc++
 		}
-		if len(st.Comms) > 0 {
+		if nc > start {
+			st := &a.steps[nst]
+			*st = Step{Comms: a.comms[start:nc:nc]}
 			st.recomputeDuration()
-			out.Steps = append(out.Steps, st)
+			nst++
 		}
 	}
-	return out
+	s := Schedule{Beta: beta}
+	if nst > 0 {
+		s.Steps = a.steps[:nst]
+	}
+	return s
 }
 
 // SolveWRGP runs the plain WRGP peeler (paper §4.1) on a weight-regular
@@ -314,11 +349,11 @@ func SolveWRGP(g *bipartite.Graph, bottleneck bool) (*Schedule, error) {
 		}
 		return &Schedule{}, nil
 	}
-	steps, in, err := wrgpGraph(g, kind)
+	steps, err := wrgpGraph(g, kind)
 	if err != nil {
 		return nil, err
 	}
-	return denormalize(g, in, steps, 0, false), nil
+	return coldSchedule(g, steps, 0, false), nil
 }
 
 // solveGreedy is a non-preemptive list-scheduling baseline: edges sorted

@@ -173,6 +173,12 @@ func TestAugmentationProducesRegularGraph(t *testing.T) {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
+		// The augmentation stays within the edge bound buildInstance
+		// allocates for up front.
+		if bound := g.EdgeCount() + 2*(in.realL+in.realR) + 5*in.k; len(in.edges) > bound {
+			t.Logf("seed %d: %d working edges > bound %d", seed, len(in.edges), bound)
+			return false
+		}
 		// R must be max(W', padded P'/k).
 		if in.regular < in.maxNodeWeight() {
 			return false

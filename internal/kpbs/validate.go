@@ -35,7 +35,8 @@ func validateInstance(g *bipartite.Graph, k int, beta int64) error {
 	lw := make([]int64, g.LeftCount())
 	rw := make([]int64, g.RightCount())
 	activeL, activeR := 0, 0
-	for _, e := range g.Edges() {
+	for i := 0; i < g.EdgeCount(); i++ {
+		e := g.Edge(i)
 		w := normalizeWeight(e.Weight, beta)
 		var ok bool
 		if total, ok = safemath.AddChecked(total, w); !ok {

@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"math/rand"
 	"testing"
 
 	"redistgo/internal/bipartite"
@@ -106,6 +107,101 @@ func FuzzBottleneckIncPeel(f *testing.F) {
 					alive[e] = false
 					sc.Deactivate(e)
 					bs.Deactivate(e)
+				}
+			}
+		}
+	})
+}
+
+// FuzzIncrementalPeel is the Incremental counterpart of
+// FuzzBottleneckIncPeel. It drives both Incremental arms through a random
+// multigraph — parallel edges included, the case where the bitset arm's
+// forced-edge pass must read the cell chain rather than the row bit — and
+// a random sequence of deactivations (peel-like drops of matched edges,
+// arbitrary edges, whole cells) and Resets, calling Augment between them.
+// After each Augment the arms must agree on the matched edge of every left
+// node and on the number of BFS phases run, and the matching must be as
+// large as a cold Maximum over the live edges. The input's leading bytes
+// set the shape (up to 96 nodes a side, so row and column sweeps cross a
+// word boundary), the average degree, the parallel-edge rate and the
+// generator seed; the rest steers the operations.
+func FuzzIncrementalPeel(f *testing.F) {
+	f.Add([]byte{7, 7, 3, 1, 5, 0, 0, 1, 2, 3, 4, 5, 6, 0, 1, 2, 7, 3, 0, 1})
+	f.Add([]byte{19, 23, 5, 3, 9, 1, 0, 0, 6, 6, 1, 4, 2, 0, 3, 5, 0, 1, 6, 2, 4})
+	f.Add([]byte{70, 66, 9, 2, 41, 7, 0, 1, 0, 2, 0, 3, 4, 0, 5, 6, 0, 1, 0, 2, 0, 3, 7, 0, 1})
+	f.Add([]byte{64, 95, 4, 0, 13, 2, 4, 4, 0, 0, 6, 6, 5, 1, 2, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := fuzzBytes(data)
+		nL := 1 + d.next()%96
+		nR := 1 + d.next()%96
+		deg := 1 + d.next()%12
+		par := d.next() % 4
+		rng := rand.New(rand.NewSource(int64(d.next() | d.next()<<8)))
+		var el, er []int
+		for i := 0; i < nL*deg; i++ {
+			l, r := rng.Intn(nL), rng.Intn(nR)
+			el, er = append(el, l), append(er, r)
+			for rng.Intn(4) < par {
+				el, er = append(el, l), append(er, r)
+			}
+		}
+		m := len(el)
+		sc := NewIncrementalEngine(nL, nR, el, er, EngineScalar)
+		bs := NewIncrementalEngine(nL, nR, el, er, EngineBitset)
+		if sc.UsesBitset() || !bs.UsesBitset() {
+			t.Fatalf("arms not pinned (scalar=%v bitset=%v)", sc.UsesBitset(), bs.UsesBitset())
+		}
+		alive := make([]bool, m)
+		for i := range alive {
+			alive[i] = true
+		}
+		drop := func(e int) {
+			alive[e] = false
+			sc.Deactivate(e)
+			bs.Deactivate(e)
+		}
+		for round := 0; round < 64; round++ {
+			a, b := sc.Augment(), bs.Augment()
+			live := bipartite.New(nL, nR)
+			for i, ok := range alive {
+				if ok {
+					live.AddEdge(el[i], er[i], 1)
+				}
+			}
+			if want := Maximum(live).Size; a != want || b != want {
+				t.Fatalf("round %d: Augment %d (scalar), %d (bitset), cold Maximum %d", round, a, b, want)
+			}
+			for l := 0; l < nL; l++ {
+				if sc.MatchedEdge(l) != bs.MatchedEdge(l) {
+					t.Fatalf("round %d: left %d matched to %d (scalar) vs %d (bitset)", round, l, sc.MatchedEdge(l), bs.MatchedEdge(l))
+				}
+			}
+			if sc.BFSRuns() != bs.BFSRuns() {
+				t.Fatalf("round %d: %d BFS phases (scalar) vs %d (bitset)", round, sc.BFSRuns(), bs.BFSRuns())
+			}
+			for ops := 1 + d.next()%4; ops > 0; ops-- {
+				switch op := d.next() % 8; {
+				case op < 4: // peel-like: drop the matched edge of a left node
+					if e := sc.MatchedEdge(d.next() % nL); e >= 0 {
+						drop(e)
+					}
+				case op < 6: // drop an arbitrary edge
+					drop(rng.Intn(m))
+				case op == 6: // drop every parallel edge of one cell
+					e := rng.Intn(m)
+					for i := range el {
+						if el[i] == el[e] && er[i] == er[e] {
+							drop(i)
+						}
+					}
+				default:
+					if d.next()%4 == 0 {
+						sc.Reset()
+						bs.Reset()
+						for i := range alive {
+							alive[i] = true
+						}
+					}
 				}
 			}
 		}

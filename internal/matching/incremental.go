@@ -80,16 +80,20 @@ type Incremental struct {
 	fq []int
 
 	// Bitset kernel state (allocated only when useBits). rows is the
-	// nL×words cell bitset; cellHead/cellNext/cellPrev chain the active
-	// parallel edges of each cell in ascending edge order (cellHead is
-	// bit-guarded: it is only read when the row bit is set). freeR and
-	// visitedR are the per-BFS word masks.
+	// nL×words cell bitset and cols its nR×wordsL transpose;
+	// cellHead/cellNext/cellPrev chain the active parallel edges of each
+	// cell in ascending edge order (cellHead is bit-guarded: it is only
+	// read when the row bit is set). freeR, freeL and visitedR are the
+	// per-pass word masks.
 	words    int
+	wordsL   int
 	rows     []uint64
+	cols     []uint64
 	cellHead []int
 	cellNext []int
 	cellPrev []int
 	freeR    []uint64
+	freeL    []uint64
 	visitedR []uint64
 }
 
@@ -142,11 +146,14 @@ func NewIncrementalEngine(nL, nR int, edgeL, edgeR []int, engine Engine) *Increm
 	if resolveEngine(engine, nL, nR, m) {
 		inc.useBits = true
 		inc.words = rowWords(nR)
+		inc.wordsL = rowWords(nL)
 		inc.rows = make([]uint64, nL*inc.words)
+		inc.cols = make([]uint64, nR*inc.wordsL)
 		inc.cellHead = make([]int, nL*nR)
 		inc.cellNext = make([]int, m)
 		inc.cellPrev = make([]int, m)
 		inc.freeR = make([]uint64, inc.words)
+		inc.freeL = make([]uint64, inc.wordsL)
 		inc.visitedR = make([]uint64, inc.words)
 	}
 	inc.Reset()
@@ -243,17 +250,22 @@ func (inc *Incremental) Reset() {
 	}
 }
 
-// resetBits rebuilds the bitset rows and the per-cell parallel-edge chains
-// from the canonical order (edges of one cell are consecutive in sortL).
+// resetBits rebuilds the bitset rows and columns and the per-cell
+// parallel-edge chains from the canonical order (edges of one cell are
+// consecutive in sortL).
 func (inc *Incremental) resetBits() {
 	for i := range inc.rows {
 		inc.rows[i] = 0
+	}
+	for i := range inc.cols {
+		inc.cols[i] = 0
 	}
 	m := len(inc.sortL)
 	for i := 0; i < m; {
 		e := inc.sortL[i]
 		l, r := inc.edgeL[e], inc.edgeR[e]
 		inc.rows[l*inc.words+(r>>6)] |= 1 << uint(r&63)
+		inc.cols[r*inc.wordsL+(l>>6)] |= 1 << uint(l&63)
 		inc.cellHead[l*inc.nR+r] = e
 		inc.cellPrev[e] = -1
 		prev := e
@@ -319,8 +331,8 @@ func (inc *Incremental) Deactivate(e int) {
 	}
 }
 
-// dropBit unlinks e from its cell chain and clears the cell's row bit when
-// the chain empties.
+// dropBit unlinks e from its cell chain and clears the cell's row and
+// column bits when the chain empties.
 //
 //redistlint:hotpath
 func (inc *Incremental) dropBit(e int) {
@@ -337,6 +349,7 @@ func (inc *Incremental) dropBit(e int) {
 	}
 	if inc.cellHead[c] < 0 {
 		inc.rows[l*inc.words+(r>>6)] &^= 1 << uint(r&63)
+		inc.cols[r*inc.wordsL+(l>>6)] &^= 1 << uint(l&63)
 	}
 }
 
@@ -389,7 +402,11 @@ func (inc *Incremental) Augment() int {
 	// A forced match needs an unmatched left endpoint, so a left-perfect
 	// matching makes the pass a no-op — skip its seeding scans.
 	if inc.forced && inc.size < inc.nL {
-		inc.forcedPass()
+		if inc.useBits {
+			inc.forcedPassBits()
+		} else {
+			inc.forcedPass()
+		}
 	}
 	for inc.size < inc.nL {
 		var found bool
@@ -423,8 +440,9 @@ func (inc *Incremental) Augment() int {
 // those neighbors are re-queued for a recheck. Every forced match is a
 // length-1 augmenting path, so the pass can never paint Hopcroft–Karp into
 // a corner (any matching extends to maximum cardinality by Berge's
-// theorem). Shared verbatim by both kernel arms: it walks the canonical
-// adjacency directly, keeping the arms trivially byte-identical here.
+// theorem). This is the scalar kernel, walking the canonical adjacency;
+// forcedPassBits is its word-parallel twin and must force the same matches
+// in the same order.
 //
 //redistlint:hotpath
 func (inc *Incremental) forcedPass() {
@@ -511,6 +529,112 @@ func (inc *Incremental) forcedPass() {
 			e := inc.adjL[i]
 			if nr := inc.edgeR[e]; inc.active[e] && inc.matchR[nr] < 0 {
 				fq[tail] = inc.nL + nr
+				tail++
+			}
+		}
+	}
+}
+
+// forcedPassBits is forcedPass over the bitset rows and columns. A free
+// left node has popcount(row & freeR) candidate partners, a free right
+// node popcount(col & freeL), a word at a time. A single candidate cell
+// forces its chain head — the lowest surviving edge, the one the scalar
+// scan reaches first — unless the chain holds a second edge: parallel
+// edges to one free partner make the scalar count n ≥ 2, so nothing is
+// forced. Seeds and queue order are the scalar pass's; a match pushes each
+// free neighbor once where the scalar pass pushes it once per parallel
+// edge. Those duplicates sit next to each other in the scalar queue, and
+// popping a vertex twice in a row cannot force anything the first pop did
+// not (a forced vertex is skipped as matched, an unforced one sees the
+// same state again), so collapsing them leaves the forced matches and
+// their order unchanged (DESIGN.md §11).
+//
+//redistlint:hotpath
+func (inc *Incremental) forcedPassBits() {
+	fq := inc.fq
+	head, tail := 0, 0
+	W, WL := inc.words, inc.wordsL
+	for w := 0; w < W; w++ {
+		inc.freeR[w] = 0
+	}
+	for w := 0; w < WL; w++ {
+		inc.freeL[w] = 0
+	}
+	for l := 0; l < inc.nL; l++ {
+		if inc.matchL[l] < 0 {
+			inc.freeL[l>>6] |= 1 << uint(l&63)
+			if inc.lenL[l] > 0 {
+				fq[tail] = l
+				tail++
+			}
+		}
+	}
+	for r := 0; r < inc.nR; r++ {
+		if inc.matchR[r] < 0 {
+			inc.freeR[r>>6] |= 1 << uint(r&63)
+			if inc.lenR[r] > 0 {
+				fq[tail] = inc.nL + r
+				tail++
+			}
+		}
+	}
+	for head < tail {
+		v := fq[head]
+		head++
+		var l, r int
+		if v < inc.nL {
+			l = v
+			if inc.matchL[l] >= 0 {
+				continue
+			}
+			row := inc.rows[l*W : l*W+W]
+			n := 0
+			for w := 0; w < W && n < 2; w++ {
+				if x := row[w] & inc.freeR[w]; x != 0 {
+					n += bits.OnesCount64(x)
+					r = w<<6 + bits.TrailingZeros64(x)
+				}
+			}
+			if n != 1 {
+				continue
+			}
+		} else {
+			r = v - inc.nL
+			if inc.matchR[r] >= 0 {
+				continue
+			}
+			col := inc.cols[r*WL : r*WL+WL]
+			n := 0
+			for w := 0; w < WL && n < 2; w++ {
+				if x := col[w] & inc.freeL[w]; x != 0 {
+					n += bits.OnesCount64(x)
+					l = w<<6 + bits.TrailingZeros64(x)
+				}
+			}
+			if n != 1 {
+				continue
+			}
+		}
+		forced := inc.cellHead[l*inc.nR+r]
+		if inc.cellNext[forced] >= 0 {
+			continue
+		}
+		inc.matchL[l] = forced
+		inc.matchR[r] = forced
+		inc.size++
+		inc.freeL[l>>6] &^= 1 << uint(l&63)
+		inc.freeR[r>>6] &^= 1 << uint(r&63)
+		col := inc.cols[r*WL : r*WL+WL]
+		for w := 0; w < WL; w++ {
+			for x := col[w] & inc.freeL[w]; x != 0; x &= x - 1 {
+				fq[tail] = w<<6 + bits.TrailingZeros64(x)
+				tail++
+			}
+		}
+		row := inc.rows[l*W : l*W+W]
+		for w := 0; w < W; w++ {
+			for x := row[w] & inc.freeR[w]; x != 0; x &= x - 1 {
+				fq[tail] = inc.nL + w<<6 + bits.TrailingZeros64(x)
 				tail++
 			}
 		}

@@ -257,7 +257,7 @@ func (s *Server) handleDelta(id int, conn net.Conn, f wire.Frame, rec *obs.ReqRe
 	}
 	rec.Mark(obs.PhaseWrite)
 	if err := wire.Write(conn, wire.Frame{Type: wire.MsgSolveResp, Dst: f.Src, Payload: payload}); err != nil {
-		sp.Reject("bad-request")
+		sp.Reject("write-failed")
 		slot.Reject()
 		rec.Finish(obs.OutcomeError)
 		logReq("write-failed")

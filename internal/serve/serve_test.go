@@ -483,6 +483,56 @@ func TestMalformedClient(t *testing.T) {
 	}
 }
 
+// TestWriteFailedIsNotBadRequest: a client that hangs up while its
+// request is being solved makes the response write fail. The request is
+// counted under write-failed — the client sent nothing malformed, so the
+// bad-request counter stays at zero.
+func TestWriteFailedIsNotBadRequest(t *testing.T) {
+	o := obs.New()
+	s := newServer(t, Config{Obs: o})
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A dense 64×64 GGP request: its solve takes milliseconds, long enough
+	// for the hang-up below to land before the response is written.
+	g, err := bipartite.FromMatrix(trafficgen.DenseUniform(rand.New(rand.NewSource(5)), 64, 64, 1, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := wire.EncodeSolveReq(wire.SolveRequest{ID: 1, K: 32, Beta: 1, Algorithm: kpbs.GGP,
+		N1: g.LeftCount(), N2: g.RightCount(), Edges: g.Edges()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.Write(conn, wire.Frame{Type: wire.MsgSolveReq, Src: 1, Payload: payload}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for o.Metrics.Snapshot().Counters["serve.requests_total"] < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the server never started handling the request")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	// Linger 0 closes with a reset, so the server's write fails at once
+	// instead of filling the socket buffers of a peer that is gone.
+	if err := conn.(*net.TCPConn).SetLinger(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitSessionsDrained(t, o)
+	snap := o.Metrics.Snapshot()
+	if got := snap.Counters["serve.rejects_total.bad-request"]; got != 0 {
+		t.Errorf("rejects_total.bad-request = %d, want 0", got)
+	}
+	if got := snap.Counters["serve.rejects_total.write-failed"]; got != 1 {
+		t.Errorf("rejects_total.write-failed = %d, want 1", got)
+	}
+}
+
 // TestNoGoroutineLeak: a full serve lifecycle — sessions, solves,
 // rejects, shutdown — returns the process to its original goroutine
 // count.
