@@ -7,9 +7,9 @@
 GO ?= go
 BENCH_COUNT ?= 5
 
-.PHONY: check lint vet build test race race-obs bench-smoke bench bench-compare bench-compare-smoke bench-shard bench-shard-smoke bench-bitset bench-bitset-smoke bench-delta bench-delta-smoke fuzz-smoke trace-demo soak-smoke soak-obs-smoke soak-delta-smoke
+.PHONY: check lint vet build test race race-obs bench-smoke bench bench-compare bench-compare-smoke bench-shard bench-shard-smoke bench-delta bench-delta-smoke fuzz-smoke trace-demo soak-smoke soak-obs-smoke soak-delta-smoke
 
-check: lint build race race-obs bench-smoke bench-compare-smoke bench-shard-smoke bench-bitset-smoke bench-delta-smoke soak-smoke soak-obs-smoke soak-delta-smoke
+check: lint build race race-obs bench-smoke bench-compare-smoke bench-shard-smoke bench-delta-smoke soak-smoke soak-obs-smoke soak-delta-smoke
 
 # Static gate: formatting, go vet, and the project linter (see
 # tools/redistlint and the "Enforced invariants" section of DESIGN.md).
@@ -93,39 +93,6 @@ bench-shard-smoke:
 	$(GO) run ./tools/benchcompare -variants unsharded,sharded bench_shard_smoke.txt
 	rm -f bench_shard_smoke.txt
 
-# Bitset-vs-scalar matching core comparison on the PR 7 acceptance
-# workloads: the dense 64x64 GGP instance (BENCH_PR2's workload) must
-# reach >= 2x over the pre-bitset scalar engine, while the bottleneck and
-# sparse forced-path controls only have to stay within 5% (speedup >=
-# 0.95 — neither the density auto-selection nor the forced-edge pass may
-# cost real time where they cannot win). Emits the BENCH_PR7.json
-# artifact. Controls repeat in a shell loop (one process per repetition)
-# instead of -count, for the same drift-cancellation reason as
-# bench-shard, and at twice the sample count: several control pairs run
-# *identical* code on both arms (e.g. PowerLawOGGP resolves scalar
-# either way), so their measured ratio is pure host noise and needs the
-# extra averaging to keep a 5% tolerance trustworthy.
-bench-bitset:
-	$(GO) test ./internal/kpbs -run='^$$' -bench=BitsetSolve/DenseGGP64 -benchmem -count=$(BENCH_COUNT) -timeout=30m > bench_bitset.txt
-	for i in $$(seq $$((2 * $(BENCH_COUNT)))); do \
-		$(GO) test ./internal/kpbs -run='^$$' -bench='BitsetSolve/(DenseOGGP64|PowerLawOGGP)' -benchmem -benchtime=10x -timeout=30m >> bench_bitset.txt || exit 1; \
-	done
-	for i in $$(seq $$((2 * $(BENCH_COUNT)))); do \
-		$(GO) test ./internal/kpbs -run='^$$' -bench='BitsetSolve/(SparseChainGGP|SparseStarGGP)' -benchmem -benchtime=50x -timeout=30m >> bench_bitset.txt || exit 1; \
-	done
-	$(GO) run ./tools/benchcompare -variants old,new -min-speedup 2 \
-		-expect DenseOGGP64=0.95 -expect PowerLawOGGP=0.95 \
-		-expect SparseChainGGP=0.95 -expect SparseStarGGP=0.95 \
-		-json BENCH_PR7.json bench_bitset.txt
-
-# One-iteration smoke of the same pipeline for `make check`: proves both
-# matching-core arms and the comparator still run; no speedup assertion
-# (1 iteration is too noisy to gate on).
-bench-bitset-smoke:
-	$(GO) test ./internal/kpbs -run='^$$' -bench=BitsetSolve -benchmem -benchtime=1x > bench_bitset_smoke.txt
-	$(GO) run ./tools/benchcompare -variants old,new bench_bitset_smoke.txt
-	rm -f bench_bitset_smoke.txt
-
 # Delta-vs-cold solve comparison on the PR 10 acceptance workloads: the
 # dense 64x64 jitter stream (~5% of cells re-drawn per round inside their
 # beta bucket) must reach >= 5x over re-solving from scratch, while the
@@ -134,9 +101,9 @@ bench-bitset-smoke:
 # cost real time on the streams it cannot shortcut). Every benchmark
 # byte-verifies a full cycle of its edit stream against cold solves, and
 # pins each workload to the delta path it claims, before timing anything.
-# Emits the BENCH_PR10.json artifact. Unlike bench-shard/bench-bitset,
-# the control arms run in *separate alternating processes* (cold-only,
-# then delta-only, repeated): pairing them inside one process — Go runs
+# Emits the BENCH_PR10.json artifact. Unlike bench-shard, the control
+# arms run in *separate alternating processes* (cold-only, then
+# delta-only, repeated): pairing them inside one process — Go runs
 # every cold arm before any delta arm — systematically penalizes the
 # second arm by ~8% on these allocation-heavy workloads, swamping a 5%
 # tolerance. Alternating whole processes interleaves the two arms in

@@ -79,9 +79,8 @@ func TestPeelSteadyStateAllocs(t *testing.T) {
 }
 
 // TestBitsetSteadyStateAllocs extends the zero-alloc contract to the
-// bitset kernels: word-parallel BFS sweeps, bitset DFS, cell-chain
-// maintenance under Deactivate and the forced-edge pass must all run off
-// preallocated storage once warmed up.
+// bitset kernels: word-parallel searches and cell-chain maintenance under
+// Deactivate must run off preallocated storage once warmed up.
 func TestBitsetSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := denseGraph(rng, 16, 20)

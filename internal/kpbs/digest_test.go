@@ -19,12 +19,14 @@ import (
 const scheduleDigestWant = "10e97f24ca5ebfca7ea0aa9bfad0d7ce01bba821a0023690165c235b1b0ac8a7"
 
 // ggpScheduleDigestWant is the SHA-256 of every schedule
-// TestGGPScheduleDigest solves. It was recorded before the GGP peel output
-// became edge indices and the forced-edge pass went word-parallel
-// (DESIGN.md §2, §11), and pins that those changes — and any later change
-// to the GGP peel, the Incremental matcher or denormalization — leave every
-// GGP schedule byte-identical.
-const ggpScheduleDigestWant = "b3c1d2a032ae14ada211b53b66edec40fea7fc6f1b4d11a2155620aca8a8f1af"
+// TestGGPScheduleDigest solves. GGP may peel with any perfect matching, and
+// the matching rule changed when the Incremental matcher's repair became
+// one breadth-first search per exposed left node (DESIGN.md §2); the
+// constant was re-recorded then, after TestGGPRatioCorpus and the cross-arm
+// checks passed. It pins those schedules from here on: any later change to
+// the GGP peel, the Incremental matcher or denormalization must leave every
+// GGP schedule byte-identical, or argue the change in DESIGN.md.
+const ggpScheduleDigestWant = "c5b3deeb2707d79663c3fb3314ab422b6ebc77d019c90833dfeaa3a9de2ef283"
 
 type digestInstance struct {
 	name string

@@ -17,11 +17,13 @@ import (
 // and total durations stayed identical (GGP cost 19, OGGP cost 17).
 //
 // Regenerated again for the canonical-order matching core (bitset PR):
-// the GGP matcher now traverses candidates right-vertex-ascending with a
-// forced-edge pass in front, which happens to pick a better sequence of
-// perfect matchings on this instance — GGP dropped from 7 steps (cost 19)
-// to 5 (cost 17), tying OGGP; OGGP's schedule was unaffected. Both
-// engine arms (scalar and bitset) must reproduce these bytes exactly:
+// the GGP matcher began to traverse candidates right-vertex-ascending,
+// with a forced-edge pass in front, which happened to pick a better
+// sequence of perfect matchings on this instance — GGP dropped from 7
+// steps (cost 19) to 5 (cost 17), tying OGGP; OGGP's schedule was
+// unaffected. The breadth-first repair that later replaced the pass and
+// the Hopcroft–Karp phases reproduces the same bytes. Both engine arms
+// (scalar and bitset) must reproduce these bytes exactly:
 // TestGoldenEngineArms pins that.
 
 func goldenGraph(t *testing.T) *bipartite.Graph {

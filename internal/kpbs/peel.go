@@ -21,7 +21,7 @@ type normStep struct {
 type matcherKind int
 
 const (
-	// matchAny uses any perfect matching (Hopcroft–Karp) — GGP (§4.2).
+	// matchAny uses any perfect matching — GGP (§4.2).
 	matchAny matcherKind = iota
 	// matchBottleneck maximizes the minimum matched weight — OGGP (§4.3),
 	// the paper's Figure-6 procedure.

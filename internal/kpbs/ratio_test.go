@@ -1,0 +1,132 @@
+package kpbs
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"redistgo/internal/bipartite"
+	"redistgo/internal/trafficgen"
+)
+
+// The mean GGP cost/LowerBound of each TestGGPRatioCorpus group, over both
+// shard modes. They were recorded before the incremental matcher's repair
+// became one breadth-first search per exposed node (DESIGN.md §2): GGP may
+// peel with any perfect matching, so that change moved schedules, and these
+// constants bound how far their quality may drift.
+const (
+	ggpRatioDigestWant  = 1.0612819412
+	ggpRatioDense64Want = 1.7886738767
+	ggpRatioMixedWant   = 1.0364254490
+)
+
+// ggpRatioTolerance is the relative amount a group's mean may exceed its
+// recorded constant.
+const ggpRatioTolerance = 0.005
+
+type ratioGroup struct {
+	name  string
+	beta  int64
+	want  float64
+	cases []digestInstance
+}
+
+// ggpRatioCorpus returns the three groups: the digest corpus at β = 1, 20
+// dense 64×64 instances (the served dense GGP shape, k = 32, β = 1), and 64
+// instances of the eight 16×16 mixed-small families at k = 3, β = 64.
+func ggpRatioCorpus(t *testing.T) []ratioGroup {
+	t.Helper()
+	var dense []digestInstance
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dense = append(dense, digestInstance{fmt.Sprintf("dense64/%d", seed), mustGraph(t, trafficgen.DenseUniform(rng, 64, 64, 1, 20)), 32})
+	}
+	var mixed []digestInstance
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 64; i++ {
+		mixed = append(mixed, digestInstance{fmt.Sprintf("mixed16/%d", i), mustGraph(t, mixedSmallFamily(t, rng, i)), 3})
+	}
+	return []ratioGroup{
+		{"digest", 1, ggpRatioDigestWant, digestCorpus(t)},
+		{"dense64", 1, ggpRatioDense64Want, dense},
+		{"mixed16", 64, ggpRatioMixedWant, mixed},
+	}
+}
+
+// mixedSmallFamily draws instance i of the 16×16 mixed-small traffic: family
+// i mod 8 of dense, sparse, permutation, shift, all-to-all, chain, star
+// forest and block-diagonal, with weights up to 2^16.
+func mixedSmallFamily(t *testing.T, rng *rand.Rand, i int) [][]int64 {
+	t.Helper()
+	const n, minW, maxW = 16, 1, 1 << 16
+	size := minW + rng.Int63n(maxW-minW)
+	var m [][]int64
+	var err error
+	switch i % 8 {
+	case 0:
+		m = trafficgen.DenseUniform(rng, n, n, minW, maxW)
+	case 1:
+		m = trafficgen.SparseUniform(rng, n, n, 0.3, minW, maxW)
+	case 2:
+		m, err = trafficgen.Permutation(rng.Perm(n), size)
+	case 3:
+		m, err = trafficgen.Shift(n, 1+rng.Intn(n-1), size)
+	case 4:
+		m, err = trafficgen.AllToAll(n, size, false)
+	case 5:
+		m = trafficgen.Chain(rng, n, minW, maxW)
+	case 6:
+		m = trafficgen.StarForest(rng, 4, n/4, minW, maxW)
+	default:
+		m = trafficgen.BlockDiagonal(rng, 4, n/4, 0, minW, maxW)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+func connected(g *bipartite.Graph) bool {
+	sh := newSharder()
+	sh.split(g)
+	return sh.nComp <= 1
+}
+
+// TestGGPRatioCorpus is the quality guard on GGP's matching choice. Every
+// schedule must be valid and cost at least LowerBound; connected instances
+// must also cost at most 2·LowerBound (Theorem 1). Each group's mean
+// cost/LowerBound may exceed its recorded constant by ggpRatioTolerance.
+func TestGGPRatioCorpus(t *testing.T) {
+	for _, grp := range ggpRatioCorpus(t) {
+		var sum float64
+		var n int
+		for _, in := range grp.cases {
+			lb := LowerBound(in.g, in.k, grp.beta)
+			conn := connected(in.g)
+			for _, shard := range []ShardMode{ShardOff, ShardAuto} {
+				s, err := Solve(in.g, in.k, grp.beta, Options{Algorithm: GGP, Shard: shard})
+				if err != nil {
+					t.Fatalf("%s %v: %v", in.name, shard, err)
+				}
+				if err := s.Validate(in.g, in.k); err != nil {
+					t.Fatalf("%s %v: %v", in.name, shard, err)
+				}
+				cost := s.Cost()
+				if cost < lb {
+					t.Fatalf("%s %v: cost %d < LB %d", in.name, shard, cost, lb)
+				}
+				if conn && cost > 2*lb {
+					t.Fatalf("%s %v: cost %d > 2·LB = %d on a connected instance", in.name, shard, cost, 2*lb)
+				}
+				sum += float64(cost) / float64(lb)
+				n++
+			}
+		}
+		mean := sum / float64(n)
+		t.Logf("%s: mean cost/LB %.10f over %d schedules (recorded %.10f)", grp.name, mean, n, grp.want)
+		if mean > grp.want*(1+ggpRatioTolerance) {
+			t.Errorf("%s: mean cost/LB %.10f exceeds the recorded %.10f by more than %.1f%%",
+				grp.name, mean, grp.want, 100*ggpRatioTolerance)
+		}
+	}
+}

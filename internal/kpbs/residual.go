@@ -20,8 +20,8 @@ import (
 //     a peel mutates. Edges that reach zero are deactivated in O(1) inside
 //     the matcher's adjacency — asGraph is never called again.
 //   - Warm-started matchings: for GGP, matching.Incremental keeps the
-//     surviving matched pairs across peels and re-augments only the exposed
-//     nodes (Hopcroft–Karp phases from a warm matching). For OGGP and
+//     surviving matched pairs across peels and repairs only the exposed
+//     nodes (one breadth-first search per exposed node). For OGGP and
 //     MinSteps, matching.BottleneckInc maintains the decreasing-weight
 //     insertion order across peels (O(m) merge instead of a sort) and
 //     adopts the surviving pairs instead of re-growing from empty.

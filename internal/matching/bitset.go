@@ -6,8 +6,8 @@ package matching
 // endpoint ascending, lowest edge index first among parallel edges — so
 // they produce byte-identical matchings and, through the peeling loop,
 // byte-identical schedules (DESIGN.md §11 carries the argument). The
-// scalar arm is kept reachable forever as the differential oracle for the
-// fuzz targets and as the "old" side of the bench-bitset gate.
+// scalar arm serves sparse graphs and is the differential oracle of the
+// fuzz targets.
 type Engine int
 
 const (

@@ -101,6 +101,9 @@ func TestIncrementalEngineDifferential(t *testing.T) {
 						trial, stage, l, sc.MatchedEdge(l), bs.MatchedEdge(l))
 				}
 			}
+			if sc.Visits() != bs.Visits() {
+				t.Fatalf("trial %d %s: %d visits (scalar) vs %d (bitset)", trial, stage, sc.Visits(), bs.Visits())
+			}
 		}
 		if a, b := sc.Augment(), bs.Augment(); a != b {
 			t.Fatalf("trial %d: Augment %d vs %d", trial, a, b)
@@ -175,91 +178,6 @@ func TestBottleneckIncEngineDifferential(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// --- forced-edge fast path --------------------------------------------------
-
-// TestForcedPassMatchesPermutation is the satellite check for the degree-1
-// fast path: on a permutation matrix every edge is forced, so the forced
-// pass alone must complete the matching — zero Hopcroft–Karp BFS phases —
-// on both engine arms.
-func TestForcedPassMatchesPermutation(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for _, n := range []int{1, 17, 64, 65, 100} {
-		perm := rng.Perm(n)
-		el := make([]int, n)
-		er := make([]int, n)
-		for i := range el {
-			el[i] = i
-			er[i] = perm[i]
-		}
-		for _, eng := range []Engine{EngineScalar, EngineBitset} {
-			inc := NewIncrementalEngine(n, n, el, er, eng)
-			if got := inc.Augment(); got != n {
-				t.Fatalf("n=%d %v: matched %d, want %d", n, eng, got, n)
-			}
-			if runs := inc.BFSRuns(); runs != 0 {
-				t.Fatalf("n=%d %v: %d BFS phases, want 0 (forced pass must match everything)", n, eng, runs)
-			}
-			for i := 0; i < n; i++ {
-				if inc.MatchedEdge(i) != i {
-					t.Fatalf("n=%d %v: left %d matched to edge %d, want %d", n, eng, i, inc.MatchedEdge(i), i)
-				}
-			}
-		}
-	}
-}
-
-// TestForcedPassPropagatesChain checks the cascade: a chain graph where
-// only left 0 starts at degree 1, and each forced match exposes the next
-// forced vertex. The whole chain must resolve without a single BFS.
-func TestForcedPassPropagatesChain(t *testing.T) {
-	const n = 200
-	var el, er []int
-	for i := 0; i < n; i++ {
-		el = append(el, i)
-		er = append(er, i)
-		if i > 0 {
-			el = append(el, i)
-			er = append(er, i-1)
-		}
-	}
-	for _, eng := range []Engine{EngineScalar, EngineBitset} {
-		inc := NewIncrementalEngine(n, n, el, er, eng)
-		if got := inc.Augment(); got != n {
-			t.Fatalf("%v: matched %d, want %d", eng, got, n)
-		}
-		if runs := inc.BFSRuns(); runs != 0 {
-			t.Fatalf("%v: %d BFS phases, want 0 (cascade must resolve the chain)", eng, runs)
-		}
-		for i := 0; i < n; i++ {
-			e := inc.MatchedEdge(i)
-			if e < 0 || er[e] != i {
-				t.Fatalf("%v: left %d not matched to its diagonal right", eng, i)
-			}
-		}
-	}
-}
-
-// TestForcedPathDisabled pins the SetForcedPath(false) escape hatch used by
-// the benchmark baseline: the matching must still complete, just through
-// BFS phases instead of the forced cascade.
-func TestForcedPathDisabled(t *testing.T) {
-	const n = 32
-	el := make([]int, n)
-	er := make([]int, n)
-	for i := range el {
-		el[i] = i
-		er[i] = i
-	}
-	inc := NewIncrementalEngine(n, n, el, er, EngineScalar)
-	inc.SetForcedPath(false)
-	if got := inc.Augment(); got != n {
-		t.Fatalf("matched %d, want %d", got, n)
-	}
-	if inc.BFSRuns() == 0 {
-		t.Fatal("forced path disabled but no BFS phases ran")
 	}
 }
 

@@ -126,7 +126,9 @@ func rematchStamps(b *BottleneckInc, target int) (bool, int) {
 	return ok, b.stamp - before
 }
 
-func wantMatched(t *testing.T, b *BottleneckInc, want []int) {
+// wantMatched checks the matched edge of every left node of either
+// incremental matcher.
+func wantMatched(t *testing.T, b interface{ MatchedEdge(l int) int }, want []int) {
 	t.Helper()
 	for l, e := range want {
 		if got := b.MatchedEdge(l); got != e {

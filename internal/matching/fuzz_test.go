@@ -115,13 +115,13 @@ func FuzzBottleneckIncPeel(f *testing.F) {
 
 // FuzzIncrementalPeel is the Incremental counterpart of
 // FuzzBottleneckIncPeel. It drives both Incremental arms through a random
-// multigraph — parallel edges included, the case where the bitset arm's
-// forced-edge pass must read the cell chain rather than the row bit — and
-// a random sequence of deactivations (peel-like drops of matched edges,
-// arbitrary edges, whole cells) and Resets, calling Augment between them.
-// After each Augment the arms must agree on the matched edge of every left
-// node and on the number of BFS phases run, and the matching must be as
-// large as a cold Maximum over the live edges. The input's leading bytes
+// multigraph — parallel edges included, the case where the bitset arm must
+// read the cell chain rather than the row bit — and a random sequence of
+// deactivations (peel-like drops of matched edges, arbitrary edges, whole
+// cells) and Resets, calling Augment between them. After each Augment the
+// arms must agree on the matched edge of every left node and on the number
+// of right nodes their searches visited, and the matching must be as large
+// as a cold Maximum over the live edges. The input's leading bytes
 // set the shape (up to 96 nodes a side, so row and column sweeps cross a
 // word boundary), the average degree, the parallel-edge rate and the
 // generator seed; the rest steers the operations.
@@ -176,8 +176,8 @@ func FuzzIncrementalPeel(f *testing.F) {
 					t.Fatalf("round %d: left %d matched to %d (scalar) vs %d (bitset)", round, l, sc.MatchedEdge(l), bs.MatchedEdge(l))
 				}
 			}
-			if sc.BFSRuns() != bs.BFSRuns() {
-				t.Fatalf("round %d: %d BFS phases (scalar) vs %d (bitset)", round, sc.BFSRuns(), bs.BFSRuns())
+			if sc.Visits() != bs.Visits() {
+				t.Fatalf("round %d: %d visits (scalar) vs %d (bitset)", round, sc.Visits(), bs.Visits())
 			}
 			for ops := 1 + d.next()%4; ops > 0; ops-- {
 				switch op := d.next() % 8; {

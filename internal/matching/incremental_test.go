@@ -123,6 +123,112 @@ func TestIncrementalResetRestoresFullGraph(t *testing.T) {
 	}
 }
 
+// --- breadth-first repair ---------------------------------------------------
+
+// forEachIncArm runs body on a fresh Incremental over the edge list for
+// each kernel arm.
+func forEachIncArm(t *testing.T, nL, nR int, el, er []int, body func(t *testing.T, inc *Incremental)) {
+	t.Helper()
+	for _, eng := range []Engine{EngineScalar, EngineBitset} {
+		t.Run(eng.String(), func(t *testing.T) {
+			inc := NewIncrementalEngine(nL, nR, el, er, eng)
+			if inc.UsesBitset() != (eng == EngineBitset) {
+				t.Fatalf("engine %v not pinned", eng)
+			}
+			body(t, inc)
+		})
+	}
+}
+
+// TestSearchPermutationVisits: on a permutation graph every search from an
+// empty matching stops at the first right node it visits, its root's only
+// neighbor, so Augment visits exactly n right nodes.
+func TestSearchPermutationVisits(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, n := range []int{1, 17, 64, 65, 100} {
+		perm := rng.Perm(n)
+		el := make([]int, n)
+		er := make([]int, n)
+		for i := range el {
+			el[i], er[i] = i, perm[i]
+		}
+		forEachIncArm(t, n, n, el, er, func(t *testing.T, inc *Incremental) {
+			if got := inc.Augment(); got != n {
+				t.Fatalf("n=%d: matched %d, want %d", n, got, n)
+			}
+			if got := inc.Visits(); got != n {
+				t.Fatalf("n=%d: %d visits, want %d", n, got, n)
+			}
+		})
+	}
+}
+
+// TestSearchFlipsShortestPath: from the warm matching L1–R0, L2–R1, L3–R2
+// the exposed L0 has a 3-edge augmenting path L0–R1–L2–R3 and a 5-edge one
+// L0–R0–L1–R2–L3–R3. A depth-first scan in canonical order enters R0 first
+// and takes the 5-edge path; the breadth-first search finds R3 from L2 in
+// its second layer and flips the 3-edge path, leaving L1 and L3 alone.
+func TestSearchFlipsShortestPath(t *testing.T) {
+	//         0  1  2  3  4  5  6  7
+	el := []int{0, 0, 1, 1, 2, 2, 3, 3}
+	er := []int{0, 1, 0, 2, 1, 3, 2, 3}
+	forEachIncArm(t, 4, 4, el, er, func(t *testing.T, inc *Incremental) {
+		inc.Adopt([]int32{-1, 2, 4, 6})
+		if got := inc.Augment(); got != 4 {
+			t.Fatalf("matched %d, want 4", got)
+		}
+		wantMatched(t, inc, []int{1, 2, 5, 6})
+		// R0 and R1 from L0, R2 from L1, then R3 from L2.
+		if got := inc.Visits(); got != 4 {
+			t.Fatalf("%d visits, want 4", got)
+		}
+	})
+}
+
+// TestSearchLowestActiveParallelEdge: the cell L1–R1 holds the parallel
+// edges 2, 3 and 4. With edge 2 deactivated, the search from L0 reaches R1
+// through L1 over edge 3, the lowest one still active; once edge 3 is
+// deactivated too, the search from the exposed L1 takes edge 4.
+func TestSearchLowestActiveParallelEdge(t *testing.T) {
+	el := []int{0, 1, 1, 1, 1}
+	er := []int{0, 0, 1, 1, 1}
+	forEachIncArm(t, 2, 2, el, er, func(t *testing.T, inc *Incremental) {
+		inc.Adopt([]int32{-1, 1})
+		inc.Deactivate(2)
+		if got := inc.Augment(); got != 2 {
+			t.Fatalf("matched %d, want 2", got)
+		}
+		wantMatched(t, inc, []int{0, 3})
+		inc.Deactivate(3)
+		if got := inc.Augment(); got != 2 {
+			t.Fatalf("re-matched %d, want 2", got)
+		}
+		wantMatched(t, inc, []int{0, 4})
+	})
+}
+
+// TestSearchFailedRootStaysExposed: L0, L1 and L2 all reach R0 and only L2
+// reaches R1, so no perfect matching exists. L0 takes R0, the search from
+// L1 fails, and L2 takes R1; the size equals the cold Maximum's, and L1
+// stays exposed through a second Augment.
+func TestSearchFailedRootStaysExposed(t *testing.T) {
+	el := []int{0, 1, 2, 2}
+	er := []int{0, 0, 0, 1}
+	g := bipartite.New(3, 2)
+	for i := range el {
+		g.AddEdge(el[i], er[i], 1)
+	}
+	want := Maximum(g).Size
+	forEachIncArm(t, 3, 2, el, er, func(t *testing.T, inc *Incremental) {
+		for pass := 0; pass < 2; pass++ {
+			if got := inc.Augment(); got != want {
+				t.Fatalf("pass %d: matched %d, cold Maximum %d", pass, got, want)
+			}
+			wantMatched(t, inc, []int{0, -1, 3})
+		}
+	})
+}
+
 // bottleneckValue returns the minimum matched weight of m in g.
 func bottleneckValue(g *bipartite.Graph, m Matching) int64 {
 	return m.MinWeight(g)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"time"
@@ -14,6 +15,7 @@ import (
 // a server between goroutines by giving each its own Client.
 type Client struct {
 	conn   net.Conn
+	br     *bufio.Reader // buffered frame reads; writes go to conn
 	tenant int32
 	nextID uint64
 }
@@ -38,7 +40,7 @@ func Dial(addr string, tenant int32) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: dial %s: %w", addr, err)
 	}
-	return &Client{conn: conn, tenant: tenant}, nil
+	return &Client{conn: conn, br: bufio.NewReader(conn), tenant: tenant}, nil
 }
 
 // Solve sends one request and waits for its answer. On success it
@@ -77,7 +79,7 @@ func (c *Client) SolveFull(req wire.SolveRequest) (wire.SolveResponse, []byte, e
 	if err := wire.Write(c.conn, wire.Frame{Type: wire.MsgSolveReq, Src: c.tenant, Payload: payload}); err != nil {
 		return wire.SolveResponse{}, nil, fmt.Errorf("serve: send request: %w", err)
 	}
-	f, err := wire.Read(c.conn)
+	f, err := wire.Read(c.br)
 	if err != nil {
 		return wire.SolveResponse{}, nil, fmt.Errorf("serve: read response: %w", err)
 	}
@@ -136,7 +138,7 @@ func (c *Client) SolveDeltaFull(req wire.DeltaRequest) (wire.SolveResponse, []by
 	if err := wire.Write(c.conn, wire.Frame{Type: wire.MsgDeltaReq, Src: c.tenant, Payload: payload}); err != nil {
 		return wire.SolveResponse{}, nil, fmt.Errorf("serve: send delta request: %w", err)
 	}
-	f, err := wire.Read(c.conn)
+	f, err := wire.Read(c.br)
 	if err != nil {
 		return wire.SolveResponse{}, nil, fmt.Errorf("serve: read response: %w", err)
 	}

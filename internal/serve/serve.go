@@ -22,6 +22,7 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"encoding/hex"
 	"errors"
@@ -217,8 +218,11 @@ func (s *Server) acceptLoop() {
 // session services one client connection serially: requests on a session
 // are answered in order, and concurrency comes from the number of
 // sessions (the solver pool multiplexes them onto Workers goroutines).
+// Frames are read through one buffered reader, so a small frame costs one
+// read call instead of two; responses are written to the connection.
 func (s *Server) session(id int, conn net.Conn) {
 	defer s.sessionWG.Done()
+	br := bufio.NewReader(conn)
 	bases := newBaseRegistry(s.cfg.MaxBases)
 	s.so.SessionOpen(id)
 	s.log.Debug("session open", "session", id, "remote", conn.RemoteAddr().String())
@@ -238,7 +242,7 @@ func (s *Server) session(id int, conn net.Conn) {
 		// read phase covers the wire wait; frames that turn out not to be
 		// solve requests drop the record unemitted.
 		rec := s.spans.Begin(id)
-		f, err := wire.Read(conn)
+		f, err := wire.Read(br)
 		if err != nil {
 			rec.Drop()
 			if wire.IsProtocolError(err) {

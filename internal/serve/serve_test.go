@@ -483,6 +483,63 @@ func TestMalformedClient(t *testing.T) {
 	}
 }
 
+// TestSplitAndCoalescedFrames: the session reads frames through a buffer,
+// so frame boundaries must not depend on how the bytes arrive. A request
+// written one byte at a time is answered, and so are two requests written
+// in a single Write.
+func TestSplitAndCoalescedFrames(t *testing.T) {
+	s := newServer(t, Config{})
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(30 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	frame := func(req wire.SolveRequest) []byte {
+		t.Helper()
+		payload, err := wire.EncodeSolveReq(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := wire.Write(&buf, wire.Frame{Type: wire.MsgSolveReq, Src: 1, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	answer := func(req wire.SolveRequest) {
+		t.Helper()
+		f, err := wire.Read(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Type != wire.MsgSolveResp {
+			t.Fatalf("want MsgSolveResp, got %s", f.Type)
+		}
+		verify(t, req, f.Payload)
+	}
+
+	split := request(t, rng, 6, 2)
+	split.ID = 1
+	for _, b := range frame(split) {
+		if _, err := conn.Write([]byte{b}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	answer(split)
+
+	first, second := request(t, rng, 5, 3), request(t, rng, 7, 2)
+	first.ID, second.ID = 2, 3
+	if _, err := conn.Write(append(frame(first), frame(second)...)); err != nil {
+		t.Fatal(err)
+	}
+	answer(first)
+	answer(second)
+}
+
 // TestWriteFailedIsNotBadRequest: a client that hangs up while its
 // request is being solved makes the response write fail. The request is
 // counted under write-failed — the client sent nothing malformed, so the

@@ -52,8 +52,7 @@ func BlockDiagonal(rng *rand.Rand, shards, shardSize int, leak float64, minW, ma
 // sender 0 is forced onto receiver 0, which forces sender 1 onto
 // receiver 1, and so on down the chain. Pipeline-style redistributions
 // (each stage hands off to itself and its predecessor) look exactly like
-// this, and the forced-edge fast path of the matching core resolves them
-// without a single BFS phase (BenchmarkBitsetSolve/SparseChainGGP).
+// this (BenchmarkBitsetSolve/SparseChainGGP).
 func Chain(rng *rand.Rand, n int, minW, maxW int64) [][]int64 {
 	if n <= 0 {
 		panic(fmt.Sprintf("trafficgen: chain length must be positive, got %d", n))
@@ -75,7 +74,7 @@ func Chain(rng *rand.Rand, n int, minW, maxW int64) [][]int64 {
 // StarForest builds a hubs×(hubs·leaves) traffic matrix of disjoint fans:
 // hub h sends to its own `leaves` receivers and nobody else, weights
 // uniform in [minW, maxW]. Every receiver has in-degree 1, so maximum
-// matchings are found entirely by forced-edge elimination — the
+// matchings are found by degree-1 elimination alone — the
 // fan-out-to-fresh-replicas pattern of a scale-up redistribution
 // (BenchmarkBitsetSolve/SparseStarGGP).
 func StarForest(rng *rand.Rand, hubs, leaves int, minW, maxW int64) [][]int64 {

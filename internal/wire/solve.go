@@ -428,7 +428,9 @@ func EncodeSolveResp(id uint64, s *kpbs.Schedule, tc TraceContext) ([]byte, erro
 // DecodeSolveResp parses a CodecV1 or CodecV2 schedule payload. Step
 // durations are recomputed from the amounts (the codec never trusts a
 // peer-supplied aggregate), so a decoded schedule passes kpbs duration
-// validation.
+// validation. The communications of all steps live in one slice sized from
+// the payload; each step holds a capped sub-slice of it, so appending to
+// one step never overwrites the next.
 func DecodeSolveResp(p []byte) (SolveResponse, error) {
 	r := payloadReader{p: p}
 	tc := r.traceVersion("solve response")
@@ -446,25 +448,39 @@ func DecodeSolveResp(p []byte) (SolveResponse, error) {
 	if nSteps > (len(p)-r.off)/4 {
 		return SolveResponse{}, protoErrf("solve response declares %d steps, payload can hold at most %d", nSteps, (len(p)-r.off)/4)
 	}
+	var comms []kpbs.Comm
 	if nSteps > 0 {
 		sched.Steps = make([]kpbs.Step, nSteps)
+		// What the step headers leave holds at most this many 16-byte
+		// communications.
+		if n := (len(p) - r.off - 4*nSteps) / 16; n > 0 {
+			comms = make([]kpbs.Comm, n)
+		}
 	}
-	for i := 0; i < nSteps; i++ {
+	used := 0
+	for i := range sched.Steps {
 		nComms := int(r.u32())
 		if r.err != nil {
 			return SolveResponse{}, r.err
 		}
-		if nComms > (len(p)-r.off)/16 {
-			return SolveResponse{}, protoErrf("solve response step %d declares %d communications, payload can hold at most %d", i, nComms, (len(p)-r.off)/16)
+		// The headers of the later steps must still fit behind this one's
+		// communications, which keeps used within the arena.
+		if most := (len(p) - r.off - 4*(nSteps-1-i)) / 16; nComms > most {
+			return SolveResponse{}, protoErrf("solve response step %d declares %d communications, payload can hold at most %d", i, nComms, most)
 		}
-		st := kpbs.Step{}
-		if nComms > 0 {
-			st.Comms = make([]kpbs.Comm, nComms)
+		body := r.take(16 * nComms)
+		if nComms == 0 {
+			continue
 		}
-		for j := 0; j < nComms; j++ {
-			c := kpbs.Comm{L: int(r.u32()), R: int(r.u32()), Amount: r.i64()}
-			if r.err != nil {
-				return SolveResponse{}, r.err
+		st := &sched.Steps[i]
+		st.Comms = comms[used : used+nComms : used+nComms]
+		used += nComms
+		for j := range st.Comms {
+			b := body[16*j : 16*j+16]
+			c := kpbs.Comm{
+				L:      int(binary.BigEndian.Uint32(b)),
+				R:      int(binary.BigEndian.Uint32(b[4:])),
+				Amount: int64(binary.BigEndian.Uint64(b[8:])),
 			}
 			if c.Amount <= 0 {
 				return SolveResponse{}, protoErrf("solve response step %d communication %d has non-positive amount %d", i, j, c.Amount)
@@ -474,7 +490,6 @@ func DecodeSolveResp(p []byte) (SolveResponse, error) {
 				st.Duration = c.Amount
 			}
 		}
-		sched.Steps[i] = st
 	}
 	if err := r.done(); err != nil {
 		return SolveResponse{}, err

@@ -2,11 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"redistgo/internal/bipartite"
 	"redistgo/internal/kpbs"
+	"redistgo/internal/trafficgen"
 )
 
 func sampleRequest() SolveRequest {
@@ -179,6 +181,60 @@ func TestDecodeSolveRespRejectsMalformed(t *testing.T) {
 		} else if !IsProtocolError(err) {
 			t.Errorf("%s: want *ProtocolError, got %T: %v", name, err, err)
 		}
+	}
+}
+
+// denseResp encodes the GGP schedule of a dense 64×64 instance (k = 32,
+// β = 1), about 1,300 steps.
+func denseResp(t *testing.T) []byte {
+	t.Helper()
+	g, err := bipartite.FromMatrix(trafficgen.DenseUniform(rand.New(rand.NewSource(64)), 64, 64, 1, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := kpbs.Solve(g, 32, 1, kpbs.Options{Algorithm: kpbs.GGP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := EncodeSolveResp(1, sched, TraceContext{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestDecodeSolveRespStepsDoNotAlias: the steps of a decoded schedule share
+// one communication slice, so each must be capped: appending to a step
+// leaves the next one unchanged.
+func TestDecodeSolveRespStepsDoNotAlias(t *testing.T) {
+	resp, err := DecodeSolveResp(denseResp(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := resp.Schedule.Steps
+	for i := 0; i+1 < len(steps); i++ {
+		next := append([]kpbs.Comm(nil), steps[i+1].Comms...)
+		steps[i].Comms = append(steps[i].Comms, kpbs.Comm{L: 1 << 20, R: 1 << 20, Amount: 1})
+		for j, c := range steps[i+1].Comms {
+			if c != next[j] {
+				t.Fatalf("appending to step %d changed step %d comm %d: %+v, was %+v", i, i+1, j, c, next[j])
+			}
+		}
+	}
+}
+
+// TestDecodeSolveRespAllocs bounds the allocations of decoding a dense
+// response: the schedule, its steps and one communication slice for all of
+// them, independent of the number of steps.
+func TestDecodeSolveRespAllocs(t *testing.T) {
+	p := denseResp(t)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := DecodeSolveResp(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Fatalf("decoding a dense 64x64 response makes %.1f allocations, want at most 4", allocs)
 	}
 }
 
