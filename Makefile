@@ -96,11 +96,12 @@ bench-shard-smoke:
 # Delta-vs-cold solve comparison on the PR 10 acceptance workloads: the
 # dense 64x64 jitter stream (~5% of cells re-drawn per round inside their
 # beta bucket) must reach >= 5x over re-solving from scratch, while the
-# replay (Dense64Swap), rebuild (StructuralChurn) and fallback (ColdBase)
-# paths are parity controls (speedup >= 0.95 — delta dispatch must never
-# cost real time on the streams it cannot shortcut). Every benchmark
-# byte-verifies a full cycle of its edit stream against cold solves, and
-# pins each workload to the delta path it claims, before timing anything.
+# weight-only rebuild (Dense64Swap), structural rebuild (StructuralChurn)
+# and fallback (ColdBase) paths are parity controls (speedup >= 0.95 —
+# delta dispatch must never cost real time on the streams it cannot
+# shortcut). Every benchmark byte-verifies a full cycle of its edit
+# stream against cold solves, and pins each workload to the delta path
+# it claims, before timing anything.
 # Emits the BENCH_PR10.json artifact. Unlike bench-shard, the control
 # arms run in *separate alternating processes* (cold-only, then
 # delta-only, repeated): pairing them inside one process — Go runs
@@ -165,8 +166,26 @@ soak-obs-smoke:
 soak-delta-smoke:
 	$(GO) run ./cmd/redist-soak -spawn -delta -clients 4 -requests 16 -n 10 -spawn-cache-size 8
 
-# Short actual fuzzing session of the solver pipeline and the batch
-# engine differential (seed corpora are always replayed by `make race`).
+# Short real fuzzing burst per target, on top of the seed corpora that
+# `make race` always replays: the solver, the batch and peeler
+# differentials, delta solving, both incremental matchers' peel
+# sequences, and the wire-protocol decoders. One package:target pair per
+# entry; CI runs `make fuzz-smoke FUZZTIME=30s`.
+FUZZTIME ?= 10s
+FUZZ_TARGETS = \
+	internal/kpbs:FuzzSolve \
+	internal/kpbs:FuzzSolveBatchDifferential \
+	internal/kpbs:FuzzPeelDifferential \
+	internal/kpbs:FuzzSolveDelta \
+	internal/matching:FuzzBottleneckIncPeel \
+	internal/matching:FuzzIncrementalPeel \
+	internal/wire:FuzzDecodeSolveReq \
+	internal/wire:FuzzDecodeSolveResp \
+	internal/wire:FuzzDecodeDeltaReq
+
 fuzz-smoke:
-	$(GO) test ./internal/kpbs -run='^$$' -fuzz=FuzzSolve$$ -fuzztime=10s
-	$(GO) test ./internal/kpbs -run='^$$' -fuzz=FuzzSolveBatchDifferential -fuzztime=10s
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; fn=$${t#*:}; \
+		echo "fuzz $$fn ($$pkg, $(FUZZTIME))"; \
+		$(GO) test ./$$pkg -run='^$$' -fuzz="^$$fn\$$" -fuzztime=$(FUZZTIME) || exit 1; \
+	done

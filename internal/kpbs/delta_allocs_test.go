@@ -6,12 +6,11 @@ import (
 )
 
 // TestDeltaSteadyStateAllocs pins the steady-state allocation behavior of
-// the hot delta paths: after warm-up, a weight-only edit round whose
-// normalized instance is unchanged (the reuse path — the headline serving
-// regime of `make bench-delta`) must run without a single heap
-// allocation, and the replay path must stay within a small retained-arena
-// budget. A regression here silently turns the delta server into a GC
-// treadmill, so the pin is exact, not a threshold.
+// the reuse path: after warm-up, a weight-only edit round whose
+// normalized instance is unchanged (the headline regime of `make
+// bench-delta`) must run without a single heap allocation. A regression
+// here silently turns the delta server into a GC treadmill, so the pin is
+// exact, not a threshold.
 func TestDeltaSteadyStateAllocs(t *testing.T) {
 	const n, k, beta = 32, 8, 8
 	rng := rand.New(rand.NewSource(9))

@@ -72,6 +72,7 @@ func deltaConfigs() []Options {
 		{Algorithm: MinSteps},
 		{Algorithm: Greedy},
 		{Algorithm: GGP, Shard: ShardOn},
+		{Algorithm: GGP, Shard: ShardAuto},
 		{Algorithm: OGGP, Shard: ShardAuto},
 		{Algorithm: GGP, Coalesce: true, Pack: true},
 	}
@@ -133,11 +134,11 @@ func TestSolveDeltaEquivalentToCold(t *testing.T) {
 	}
 }
 
-// TestSolveDeltaReplayPath pins that balanced weight-only edits on a
-// doubly-balanced dense instance actually take the replay path (GGP) and
-// the rerun path (OGGP) — the steady-state regime the bench gate measures
-// — and still match cold solves.
-func TestSolveDeltaReplayPath(t *testing.T) {
+// TestSolveDeltaBalancedSwapRebuilds pins that balanced weight-only edits
+// on a doubly-balanced dense instance take the rebuild path for GGP and
+// OGGP (β = 1, so every swap changes normalized weights) and still match
+// cold solves.
+func TestSolveDeltaBalancedSwapRebuilds(t *testing.T) {
 	const n, k = 16, 16
 	rng := rand.New(rand.NewSource(7))
 	mat := balancedMatrix(rng, n, 10, 200)
@@ -148,8 +149,6 @@ func TestSolveDeltaReplayPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res.SetDamageThreshold(1.0)
-		sawWarm := false
 		for round := 0; round < 20; round++ {
 			edits := balancedSwapEdits(rng, m, n, 2)
 			applyEditsToMatrix(m, n, edits)
@@ -158,14 +157,8 @@ func TestSolveDeltaReplayPath(t *testing.T) {
 				t.Fatalf("%v round %d: %v", alg, round, err)
 			}
 			path := res.Stats().Path
-			if alg == GGP && path == DeltaReplay {
-				sawWarm = true
-			}
-			if alg == OGGP && path == DeltaRerun {
-				sawWarm = true
-			}
-			if path == DeltaCold {
-				t.Fatalf("%v round %d: unexpected cold path", alg, round)
+			if path != DeltaRebuild {
+				t.Fatalf("%v round %d: path %v, want %v", alg, round, path, DeltaRebuild)
 			}
 			want, err := Solve(graphFromMatrix(t, m, n, n), k, 1, opts)
 			if err != nil {
@@ -174,9 +167,6 @@ func TestSolveDeltaReplayPath(t *testing.T) {
 			if got.String() != want.String() {
 				t.Fatalf("%v round %d (path %v): delta differs from cold", alg, round, path)
 			}
-		}
-		if !sawWarm {
-			t.Fatalf("%v: no warm (replay/rerun) round in 20 balanced-swap rounds", alg)
 		}
 	}
 }
@@ -199,7 +189,7 @@ func balancedMatrix(rng *rand.Rand, n int, base, swaps int) []int64 {
 // balancedSwapEdits emits `count` balanced 2x2 swaps: move δ from cells
 // (i,j),(i2,j2) to (i,j2),(i2,j). Row and column sums are preserved and
 // all four cells stay positive, so the edit is weight-only and node-sum
-// stable — the replay path's precondition.
+// stable.
 func balancedSwapEdits(rng *rand.Rand, mat []int64, n, count int) []Edit {
 	edits := make([]Edit, 0, 4*count)
 	for c := 0; c < count; c++ {
@@ -243,14 +233,24 @@ func TestSolveDeltaValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := res.SolveDelta([]Edit{{L: 0, R: 0, W: 6}}); err != nil {
+		t.Fatal(err)
+	}
+	if p := res.Stats().Path; p != DeltaRebuild {
+		t.Fatalf("weight change at beta 1: path %v, want %v", p, DeltaRebuild)
+	}
 	if _, err := res.SolveDelta([]Edit{{L: 2, R: 0, W: 1}}); err == nil {
 		t.Fatal("out-of-range edit accepted")
 	}
 	if _, err := res.SolveDelta([]Edit{{L: 0, R: 0, W: -1}}); err == nil {
 		t.Fatal("negative weight accepted")
 	}
+	// Refused calls solve nothing, so Stats still describes the last solve.
+	if p := res.Stats().Path; p != DeltaRebuild {
+		t.Fatalf("refused edits overwrote Stats: path %v, want %v", p, DeltaRebuild)
+	}
 	// Validation failures must not poison the base.
-	if _, err := res.SolveDelta([]Edit{{L: 0, R: 0, W: 6}}); err != nil {
+	if _, err := res.SolveDelta([]Edit{{L: 0, R: 0, W: 7}}); err != nil {
 		t.Fatalf("delta after rejected edits: %v", err)
 	}
 	if _, err := SolveDelta(nil, nil); err == nil {

@@ -17,16 +17,24 @@ import (
 //   - rejection — an out-of-range edit is refused without poisoning the
 //     base, which must then serve the next valid round.
 //
-// Engine arms ride on algRaw: the option sweep covers scalar, bitset and
-// auto matching kernels plus the OGGP/MinSteps peelers. CI's fuzz-smoke
-// matrix runs this target; the seed corpus replays under `go test`.
+// cfgRaw picks one of deltaConfigs(): scalar, bitset and auto matching
+// kernels, the OGGP/MinSteps peelers, Greedy, and the sharded
+// configurations, ShardAuto (redist-serve's default) included. Even seeds
+// draw 12%-dense matrices, which often split into several components, so
+// sharded bases solve through their multi-component path. `make
+// fuzz-smoke` runs this target; the seed corpus replays under `go test`.
 func FuzzSolveDelta(f *testing.F) {
 	f.Add(int64(1), 8, 8, int64(50), 3, int64(4), 0, 3, 5)
 	f.Add(int64(2), 1, 1, int64(1), 1, int64(0), 1, 1, 1)
 	f.Add(int64(3), 16, 16, int64(200), 6, int64(8), 2, 4, 12)
 	f.Add(int64(4), 12, 4, int64(9), 2, int64(1), 3, 2, 8)
-	f.Add(int64(5), 17, 17, int64(64), 17, int64(8), 4, 3, 6) // k=n: replay-friendly
+	f.Add(int64(5), 17, 17, int64(64), 17, int64(8), 4, 3, 6) // k = n
 	f.Add(int64(6), 9, 9, int64(30), 4, int64(2), 5, 4, 3)
+	// Sharded bases on 12%-dense instances of 4, 6 and 2 components: GGP
+	// ShardOn, GGP ShardAuto, OGGP ShardAuto.
+	f.Add(int64(14), 12, 12, int64(50), 4, int64(2), 6, 5, 6)
+	f.Add(int64(12), 10, 12, int64(40), 3, int64(4), 7, 5, 8)
+	f.Add(int64(10), 12, 10, int64(50), 5, int64(1), 8, 5, 6)
 
 	f.Fuzz(func(t *testing.T, seed int64, nl, nr int, maxW int64, k int, beta int64, cfgRaw, rounds, perRound int) {
 		if nl < 1 || nr < 1 || nl > 20 || nr > 20 {
@@ -41,18 +49,15 @@ func FuzzSolveDelta(f *testing.F) {
 		if rounds < 1 || rounds > 5 || perRound < 1 || perRound > 16 {
 			return
 		}
-		cfgs := []Options{
-			{Algorithm: GGP},
-			{Algorithm: GGP, Engine: EngineScalar},
-			{Algorithm: GGP, Engine: EngineBitset},
-			{Algorithm: OGGP},
-			{Algorithm: MinSteps},
-			{Algorithm: GGP, Shard: ShardOn},
-		}
+		cfgs := deltaConfigs()
 		opts := cfgs[((cfgRaw%len(cfgs))+len(cfgs))%len(cfgs)]
 
+		density := 0.6
+		if seed%2 == 0 {
+			density = 0.12
+		}
 		rng := rand.New(rand.NewSource(seed))
-		mat := randomDeltaMatrix(rng, nl, nr, 0.6, maxW)
+		mat := randomDeltaMatrix(rng, nl, nr, density, maxW)
 		mat[0] = 1 + rng.Int63n(maxW) // at least one transfer to schedule
 		g := graphFromMatrix(t, mat, nl, nr)
 

@@ -62,11 +62,6 @@ type peeler struct {
 	steps []normStep
 	comms []int32
 	offs  []int
-
-	// Trajectory-replay scratch (runTracked; see replay.go). Unused — and
-	// never allocated — by plain run().
-	dcnt    []int32 // per-edge death-multiset balance vs the recording
-	deadNow []bool  // edges deactivated during the current tracked run
 }
 
 // newPeeler builds the engine for an augmented instance, with the matcher

@@ -230,21 +230,6 @@ func (b *BottleneckInc) Reset() {
 	b.size = 0
 }
 
-// Resort recomputes the pristine insertion order from the weight slice's
-// current values and then Resets. It exists for cross-instance delta
-// solving (kpbs.SolveDelta): after the caller patches edge weights in
-// place, Resort makes the matcher byte-identical to one freshly
-// constructed over the patched weights — the same typed sort with the same
-// (weight desc, index asc) total order runs over the same index set, so
-// order0 lands in exactly the construction-time permutation. O(m log m).
-func (b *BottleneckInc) Resort() {
-	for i := range b.order0 {
-		b.order0[i] = i
-	}
-	sort.Sort(edgeIdxByWeightDesc{idx: b.order0, w: b.w})
-	b.Reset()
-}
-
 // Size returns the current matching cardinality.
 func (b *BottleneckInc) Size() int { return b.size }
 

@@ -465,41 +465,3 @@ func (inc *Incremental) flip(r int) {
 func (inc *Incremental) Matching() Matching {
 	return Matching{EdgeOfLeft: append([]int(nil), inc.matchL...), Size: inc.size}
 }
-
-// Adopt replaces the current matching with the given one: edgeOfLeft[l] is
-// the edge matched at left node l, or a negative value when l is exposed.
-// Entries naming inactive (deactivated) edges are skipped, so a caller may
-// hand over a recorded matching whose zeroed edges have already been
-// deactivated. The given entries must form a matching over the active
-// edges — no two left nodes may claim the same right node.
-//
-// Adopt exists for trajectory replay (kpbs.SolveDelta): after a replayed
-// peeling prefix diverges from its recording, the replayer installs the
-// last known-good matching and lets Augment continue from it, exactly as a
-// cold run would have. It touches only the matching state; the adjacency,
-// active set and kernel structures are unaffected. O(nL + nR), no
-// allocations.
-//
-//redistlint:hotpath
-func (inc *Incremental) Adopt(edgeOfLeft []int32) {
-	for l := range inc.matchL {
-		inc.matchL[l] = -1
-	}
-	for r := range inc.matchR {
-		inc.matchR[r] = -1
-	}
-	inc.size = 0
-	for l, e32 := range edgeOfLeft {
-		e := int(e32)
-		if e < 0 || !inc.active[e] {
-			continue
-		}
-		r := inc.edgeR[e]
-		if inc.matchR[r] >= 0 || inc.matchL[l] >= 0 {
-			panic("matching: Adopt given a non-matching")
-		}
-		inc.matchL[l] = e
-		inc.matchR[r] = e
-		inc.size++
-	}
-}

@@ -140,6 +140,20 @@ func forEachIncArm(t *testing.T, nL, nR int, el, er []int, body func(t *testing.
 	}
 }
 
+// setMatching installs a warm matching on a fresh matcher, the state a
+// search test starts from: edgeOfLeft[l] is the edge matched at left node
+// l, or -1 when l is exposed.
+func setMatching(inc *Incremental, edgeOfLeft ...int) {
+	for l, e := range edgeOfLeft {
+		if e < 0 {
+			continue
+		}
+		inc.matchL[l] = e
+		inc.matchR[inc.edgeR[e]] = e
+		inc.size++
+	}
+}
+
 // TestSearchPermutationVisits: on a permutation graph every search from an
 // empty matching stops at the first right node it visits, its root's only
 // neighbor, so Augment visits exactly n right nodes.
@@ -173,7 +187,7 @@ func TestSearchFlipsShortestPath(t *testing.T) {
 	el := []int{0, 0, 1, 1, 2, 2, 3, 3}
 	er := []int{0, 1, 0, 2, 1, 3, 2, 3}
 	forEachIncArm(t, 4, 4, el, er, func(t *testing.T, inc *Incremental) {
-		inc.Adopt([]int32{-1, 2, 4, 6})
+		setMatching(inc, -1, 2, 4, 6)
 		if got := inc.Augment(); got != 4 {
 			t.Fatalf("matched %d, want 4", got)
 		}
@@ -193,7 +207,7 @@ func TestSearchLowestActiveParallelEdge(t *testing.T) {
 	el := []int{0, 1, 1, 1, 1}
 	er := []int{0, 0, 1, 1, 1}
 	forEachIncArm(t, 2, 2, el, er, func(t *testing.T, inc *Incremental) {
-		inc.Adopt([]int32{-1, 1})
+		setMatching(inc, -1, 1)
 		inc.Deactivate(2)
 		if got := inc.Augment(); got != 2 {
 			t.Fatalf("matched %d, want 2", got)

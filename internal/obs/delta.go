@@ -8,12 +8,9 @@ package obs
 // deltaMetrics are the per-algorithm delta-solve metrics, resolved once
 // per algorithm alongside solverMetrics.
 type deltaMetrics struct {
-	reuse, replay, rerun, rebuild, cold *Counter
-	fallbacks                           *Counter
-	resyncs                             *Counter
-	edits                               *Histogram
-	repairedIters                       *Histogram
-	replayedPct                         *Histogram
+	reuse, rebuild, cold *Counter
+	fallbacks            *Counter
+	edits                *Histogram
 }
 
 func (o *Observer) deltaMetrics(alg string) *deltaMetrics {
@@ -26,27 +23,20 @@ func (o *Observer) deltaMetrics(alg string) *deltaMetrics {
 		o.deltas = make(map[string]*deltaMetrics)
 	}
 	m := &deltaMetrics{
-		reuse:         o.Metrics.Counter("solver.delta.requests_total." + alg + ".reuse"),
-		replay:        o.Metrics.Counter("solver.delta.requests_total." + alg + ".replay"),
-		rerun:         o.Metrics.Counter("solver.delta.requests_total." + alg + ".rerun"),
-		rebuild:       o.Metrics.Counter("solver.delta.requests_total." + alg + ".rebuild"),
-		cold:          o.Metrics.Counter("solver.delta.requests_total." + alg + ".cold"),
-		fallbacks:     o.Metrics.Counter("solver.delta.fallbacks_total." + alg),
-		resyncs:       o.Metrics.Counter("solver.delta.resyncs_total." + alg),
-		edits:         o.Metrics.Histogram("solver.delta.edits."+alg, SizeBuckets),
-		repairedIters: o.Metrics.Histogram("solver.delta.repaired_iters."+alg, SizeBuckets),
-		replayedPct:   o.Metrics.Histogram("solver.delta.replayed_pct."+alg, RatioBuckets),
+		reuse:     o.Metrics.Counter("solver.delta.requests_total." + alg + ".reuse"),
+		rebuild:   o.Metrics.Counter("solver.delta.requests_total." + alg + ".rebuild"),
+		cold:      o.Metrics.Counter("solver.delta.requests_total." + alg + ".cold"),
+		fallbacks: o.Metrics.Counter("solver.delta.fallbacks_total." + alg),
+		edits:     o.Metrics.Histogram("solver.delta.edits."+alg, SizeBuckets),
 	}
 	o.deltas[alg] = m
 	return m
 }
 
 // DeltaSolve records the outcome of one SolveDelta call: the repair path
-// taken, the edit count, the damage fraction (percent), how many peel
-// iterations were replayed from the recording versus recomputed, and how
-// many times replay resynchronized after a divergence. The rebuild and
-// cold paths count as fallbacks.
-func (o *Observer) DeltaSolve(alg, path string, edits, damagePct, replayed, repaired, resyncs int) {
+// taken and the edit count. The rebuild and cold paths count as
+// fallbacks.
+func (o *Observer) DeltaSolve(alg, path string, edits int) {
 	if o == nil {
 		return
 	}
@@ -54,10 +44,6 @@ func (o *Observer) DeltaSolve(alg, path string, edits, damagePct, replayed, repa
 	switch path {
 	case "reuse":
 		m.reuse.Inc()
-	case "replay":
-		m.replay.Inc()
-	case "rerun":
-		m.rerun.Inc()
 	case "rebuild":
 		m.rebuild.Inc()
 		m.fallbacks.Inc()
@@ -66,17 +52,8 @@ func (o *Observer) DeltaSolve(alg, path string, edits, damagePct, replayed, repa
 		m.fallbacks.Inc()
 	}
 	m.edits.Observe(int64(edits))
-	m.repairedIters.Observe(int64(repaired))
-	if total := replayed + repaired; total > 0 {
-		m.replayedPct.Observe(int64(replayed) * 100 / int64(total))
-	}
-	m.resyncs.Add(int64(resyncs))
 	o.Trace.Instant("solver", "delta "+path, PIDSolver, 0, []Arg{
 		{"edits", int64(edits)},
-		{"damage_pct", int64(damagePct)},
-		{"replayed", int64(replayed)},
-		{"repaired", int64(repaired)},
-		{"resyncs", int64(resyncs)},
 	})
 }
 

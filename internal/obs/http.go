@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -49,15 +47,6 @@ func (s *Server) Close() error {
 	return s.closeErr
 }
 
-// published is the registry expvar reads from. expvar.Publish is global
-// and panics on re-registration, so the "redistgo" var is published once
-// and indirects through this pointer; the most recent Serve call wins
-// (one endpoint per process is the intended shape, tests spin up more).
-var (
-	published   atomic.Pointer[Registry]
-	publishOnce sync.Once
-)
-
 // Serve starts the introspection endpoint on addr and returns
 // immediately. A bare ":port" binds 127.0.0.1 — the endpoint exposes
 // pprof and internal counters, so reaching it from another host must be
@@ -67,11 +56,8 @@ var (
 //
 //	/              plain-text index
 //	/metrics       Prometheus text exposition format 0.0.4
-//	/metrics.txt   registry snapshot, sorted "name value" lines
-//	/metrics.json  registry snapshot as JSON
 //	/healthz       liveness: 200 while the process serves requests
 //	/readyz        readiness: 200 only after SetReady(true)
-//	/debug/vars    standard expvar (memstats, cmdline) + "redistgo"
 //	/debug/trace   the trace so far, Chrome trace_event JSON
 //	/debug/pprof/  the standard pprof handlers
 func Serve(addr string, o *Observer) (*Server, error) {
@@ -81,13 +67,6 @@ func Serve(addr string, o *Observer) (*Server, error) {
 	if strings.HasPrefix(addr, ":") {
 		addr = "127.0.0.1" + addr
 	}
-	published.Store(o.Metrics)
-	publishOnce.Do(func() {
-		expvar.Publish("redistgo", expvar.Func(func() any {
-			return published.Load().Snapshot()
-		}))
-	})
-
 	s := &Server{}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
@@ -97,21 +76,14 @@ func Serve(addr string, o *Observer) (*Server, error) {
 		}
 		fmt.Fprint(w, "redistgo observability endpoint\n\n"+
 			"/metrics       Prometheus text format (with per-tenant SLO series)\n"+
-			"/metrics.txt   counters and gauges, plain text\n"+
-			"/metrics.json  full snapshot with histograms, JSON\n"+
 			"/healthz       liveness probe\n"+
 			"/readyz        readiness probe\n"+
-			"/debug/vars    expvar (includes the redistgo snapshot)\n"+
 			"/debug/trace   Chrome trace_event JSON (load in chrome://tracing)\n"+
 			"/debug/pprof/  pprof profiles\n")
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = WritePrometheus(w, o) // client went away; nothing to report to
-	})
-	mux.HandleFunc("/metrics.txt", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, o.Metrics.Snapshot().String())
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -123,11 +95,6 @@ func Serve(addr string, o *Observer) (*Server, error) {
 		}
 		fmt.Fprintln(w, "ok")
 	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		writeSnapshotJSON(w, o.Metrics.Snapshot())
-	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Disposition", `attachment; filename="trace.json"`)
@@ -148,13 +115,4 @@ func Serve(addr string, o *Observer) (*Server, error) {
 		_ = s.srv.Serve(ln) // returns http.ErrServerClosed on Close
 	}()
 	return s, nil
-}
-
-// writeSnapshotJSON encodes the snapshot; an encode failure mid-response
-// has no useful recovery, so it is reported as a trailing HTTP error only
-// when nothing was written yet.
-func writeSnapshotJSON(w http.ResponseWriter, s Snapshot) {
-	if err := json.NewEncoder(w).Encode(s); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
 }

@@ -31,8 +31,8 @@ func get(t *testing.T, srv *Server, path string) string {
 
 // TestServeEndpoint spins up the endpoint on an ephemeral localhost port
 // and checks each route serves what the acceptance criteria require:
-// solver counters in the snapshot, the expvar envelope, a loadable trace,
-// and pprof.
+// solver counters in the Prometheus exposition, a loadable trace, and
+// pprof.
 func TestServeEndpoint(t *testing.T) {
 	o := New()
 	so := o.Solver("OGGP")
@@ -68,35 +68,6 @@ func TestServeEndpoint(t *testing.T) {
 		t.Errorf("/metrics is not valid Prometheus text format: %v", err)
 	}
 
-	plain := get(t, srv, "/metrics.txt")
-	for _, want := range []string{
-		"solver.peels_total.OGGP 1",
-		"solver.solves_total.OGGP 1",
-		"engine.batches_total 1",
-		"cluster.steps_total 1",
-		"cluster.step_ratio_pct_last 200",
-	} {
-		if !strings.Contains(plain, want) {
-			t.Errorf("/metrics.txt missing %q:\n%s", want, plain)
-		}
-	}
-
-	var snap Snapshot
-	if err := json.Unmarshal([]byte(get(t, srv, "/metrics.json")), &snap); err != nil {
-		t.Fatalf("/metrics.json: %v", err)
-	}
-	if snap.Counters["solver.peels_total.OGGP"] != 1 {
-		t.Errorf("/metrics.json counters = %v", snap.Counters)
-	}
-
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(get(t, srv, "/debug/vars")), &vars); err != nil {
-		t.Fatalf("/debug/vars: %v", err)
-	}
-	if _, ok := vars["redistgo"]; !ok {
-		t.Error("/debug/vars does not publish the redistgo snapshot")
-	}
-
 	if body := get(t, srv, "/debug/trace"); !json.Valid([]byte(body)) || !strings.Contains(body, "traceEvents") {
 		t.Errorf("/debug/trace is not a trace_event document:\n%.200s", body)
 	}
@@ -108,9 +79,8 @@ func TestServeEndpoint(t *testing.T) {
 	}
 }
 
-// TestServeTwice re-serves with a fresh observer: the expvar publication
-// must follow the most recent registry instead of panicking on duplicate
-// registration.
+// TestServeTwice re-serves with a fresh observer: the second endpoint's
+// /metrics must expose the new registry.
 func TestServeTwice(t *testing.T) {
 	first := New()
 	srv1, err := Serve(":0", first)
@@ -126,8 +96,8 @@ func TestServeTwice(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
-	if body := get(t, srv2, "/debug/vars"); !strings.Contains(body, "marker") {
-		t.Error("expvar snapshot did not switch to the new registry")
+	if body := get(t, srv2, "/metrics"); !strings.Contains(body, "redist_marker 42") {
+		t.Errorf("/metrics did not switch to the new registry:\n%s", body)
 	}
 }
 

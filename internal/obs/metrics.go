@@ -1,7 +1,7 @@
 // Package obs is redistgo's dependency-free observability layer: atomic
 // counters, gauges and fixed-bucket histograms behind a nil-safe Registry,
 // a structured trace recorder that renders as a timeline in
-// chrome://tracing, and an opt-in expvar+pprof introspection endpoint.
+// chrome://tracing, and an opt-in Prometheus+pprof introspection endpoint.
 //
 // The package is built around two contracts:
 //
@@ -25,9 +25,7 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -320,9 +318,8 @@ type HistogramSnapshot struct {
 	Buckets []int64 `json:"buckets"` // len(Bounds)+1; last is +Inf
 }
 
-// Snapshot is a frozen, deterministically ordered view of a registry,
-// ready for JSON encoding (the introspection endpoint serves it) or for
-// test assertions.
+// Snapshot is a frozen, deterministically ordered view of a registry, for
+// the Prometheus writer and for test assertions.
 type Snapshot struct {
 	Counters   map[string]int64    `json:"counters"`
 	Gauges     map[string]int64    `json:"gauges"`
@@ -357,30 +354,4 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	return s
-}
-
-// String renders the snapshot as sorted "name value" lines — the
-// plain-text format served at /metrics.
-func (s Snapshot) String() string {
-	var b strings.Builder
-	names := make([]string, 0, len(s.Counters))
-	for name := range s.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(&b, "%s %d\n", name, s.Counters[name])
-	}
-	names = names[:0]
-	for name := range s.Gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(&b, "%s %d\n", name, s.Gauges[name])
-	}
-	for _, h := range s.Histograms {
-		fmt.Fprintf(&b, "%s_count %d\n%s_sum %d\n", h.Name, h.Count, h.Name, h.Sum)
-	}
-	return b.String()
 }

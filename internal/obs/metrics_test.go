@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -168,8 +169,8 @@ func TestUpdatePathsDoNotAllocate(t *testing.T) {
 	}
 }
 
-// TestSnapshotDeterministic asserts two snapshots of the same state
-// render identically (sorted names), which the /metrics endpoint and the
+// TestSnapshotDeterministic asserts two snapshots of the same state are
+// equal, histograms sorted by name, which the /metrics endpoint and the
 // golden tests rely on.
 func TestSnapshotDeterministic(t *testing.T) {
 	r := NewRegistry()
@@ -178,11 +179,15 @@ func TestSnapshotDeterministic(t *testing.T) {
 		r.Gauge("gauge." + name).Set(2)
 		r.Histogram("hist."+name, SizeBuckets).Observe(3)
 	}
-	a, b := r.Snapshot().String(), r.Snapshot().String()
-	if a != b {
-		t.Fatalf("snapshots differ:\n%s\nvs\n%s", a, b)
+	a, b := r.Snapshot(), r.Snapshot()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("snapshots differ:\n%+v\nvs\n%+v", a, b)
 	}
-	if a == "" {
-		t.Fatal("empty snapshot")
+	var names []string
+	for _, h := range a.Histograms {
+		names = append(names, h.Name)
+	}
+	if want := []string{"hist.a", "hist.m", "hist.z"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("histograms %v, want %v", names, want)
 	}
 }

@@ -17,7 +17,7 @@ type ObsServer = obs.Server
 func NewObserver() *Observer { return obs.New() }
 
 // ServeObs exposes an observer over HTTP for live introspection:
-// /metrics (plain text) and /metrics.json, /debug/vars (expvar),
+// /metrics (Prometheus text format), /healthz and /readyz probes,
 // /debug/trace (Chrome trace_event JSON for chrome://tracing), and
 // /debug/pprof. A bare ":port" address binds localhost only — the
 // endpoint has no authentication, so bind non-loopback addresses

@@ -148,7 +148,7 @@ type EditCell = kpbs.Edit
 type SolveResult = kpbs.Result
 
 // NewSolveResult runs a cold solve of (g, k, beta) under opts and
-// retains its full state for delta solving. The graph must be canonical
+// retains what delta solving needs. The graph must be canonical
 // row-major — exactly what FromMatrix builds.
 func NewSolveResult(g *Graph, k int, beta int64, opts Options) (*SolveResult, error) {
 	return kpbs.NewResult(g, k, beta, opts)
@@ -156,7 +156,9 @@ func NewSolveResult(g *Graph, k int, beta int64, opts Options) (*SolveResult, er
 
 // SolveDelta patches the retained instance with edits and returns the
 // schedule of the edited instance — byte-identical to what Solve would
-// return for it, usually much faster (see `make bench-delta`).
+// return for it. It is faster than Solve only when β normalization
+// absorbs every edit, so the retained peeling is re-denormalized;
+// otherwise it costs a cold solve (see `make bench-delta`).
 func SolveDelta(prev *SolveResult, edits []EditCell) (*Schedule, error) {
 	return kpbs.SolveDelta(prev, edits)
 }
