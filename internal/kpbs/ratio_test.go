@@ -130,3 +130,58 @@ func TestGGPRatioCorpus(t *testing.T) {
 		}
 	}
 }
+
+// The mean OGGP and MinSteps cost/LowerBound of each ratio-corpus group,
+// over both shard modes. They were recorded with the bottleneck matcher
+// that rebuilt its Figure-6 insertion from an empty matching at every
+// peel. OGGP and MinSteps may peel with any bottleneck-optimal matching,
+// so a change to that choice moves schedules; these constants bound how
+// far their quality may drift.
+var bottleneckRatioWant = map[Algorithm]map[string]float64{
+	OGGP:     {"digest": 1.0134170194, "dense64": 1.0527334301, "mixed16": 1.0329878765},
+	MinSteps: {"digest": 1.7365778414, "dense64": 1.8040329874, "mixed16": 1.3569059482},
+}
+
+// TestBottleneckRatioCorpus is the quality guard on the bottleneck
+// matcher's choice, over the groups of TestGGPRatioCorpus. Every OGGP and
+// MinSteps schedule must be valid and cost at least LowerBound; connected
+// OGGP instances must also cost at most 2·LowerBound (Theorem 1). Each
+// group's mean cost/LowerBound may exceed its recorded constant by
+// ggpRatioTolerance.
+func TestBottleneckRatioCorpus(t *testing.T) {
+	for _, grp := range ggpRatioCorpus(t) {
+		for _, alg := range []Algorithm{OGGP, MinSteps} {
+			var sum float64
+			var n int
+			for _, in := range grp.cases {
+				lb := LowerBound(in.g, in.k, grp.beta)
+				conn := alg == OGGP && connected(in.g)
+				for _, shard := range []ShardMode{ShardOff, ShardAuto} {
+					s, err := Solve(in.g, in.k, grp.beta, Options{Algorithm: alg, Shard: shard})
+					if err != nil {
+						t.Fatalf("%s %v %v: %v", in.name, alg, shard, err)
+					}
+					if err := s.Validate(in.g, in.k); err != nil {
+						t.Fatalf("%s %v %v: %v", in.name, alg, shard, err)
+					}
+					cost := s.Cost()
+					if cost < lb {
+						t.Fatalf("%s %v %v: cost %d < LB %d", in.name, alg, shard, cost, lb)
+					}
+					if conn && cost > 2*lb {
+						t.Fatalf("%s %v %v: cost %d > 2·LB = %d on a connected instance", in.name, alg, shard, cost, 2*lb)
+					}
+					sum += float64(cost) / float64(lb)
+					n++
+				}
+			}
+			mean := sum / float64(n)
+			want := bottleneckRatioWant[alg][grp.name]
+			t.Logf("%s %v: mean cost/LB %.10f over %d schedules (recorded %.10f)", grp.name, alg, mean, n, want)
+			if mean > want*(1+ggpRatioTolerance) {
+				t.Errorf("%s %v: mean cost/LB %.10f exceeds the recorded %.10f by more than %.1f%%",
+					grp.name, alg, mean, want, 100*ggpRatioTolerance)
+			}
+		}
+	}
+}
