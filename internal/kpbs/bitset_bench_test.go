@@ -30,12 +30,16 @@ func starGraph(b *testing.B, seed int64, hubs, leaves int) *bipartite.Graph {
 }
 
 // BenchmarkBitsetSolve measures a cold solve of the matching-core
-// workloads that the solver profiles cite:
+// workloads that the solver profiles cite, with the kernel arm EngineAuto
+// picks:
 //
 //   - DenseGGP64: the 64x64 dense GGP instance, on the bitset arm.
-//   - DenseOGGP64 and PowerLawOGGP: the bottleneck matcher on the same
-//     dense instance (bitset arm) and on a power-law instance too sparse
-//     for it (scalar arm).
+//   - DenseOGGP64 and DenseMinSteps64: the bottleneck matcher on the same
+//     dense instance, on the bitset arm. MinSteps peels unit weights, so
+//     every matched real edge dies at each peel and every peel re-matches
+//     almost all nodes: the case where the word-parallel search matters.
+//   - PowerLawOGGP: the bottleneck matcher on a power-law instance too
+//     sparse for the bitset arm (scalar arm).
 //   - SparseChainGGP and SparseStarGGP: degree-1 heavy GGP workloads on the
 //     scalar arm.
 func BenchmarkBitsetSolve(b *testing.B) {
@@ -47,17 +51,19 @@ func BenchmarkBitsetSolve(b *testing.B) {
 		k    int
 		beta int64
 		kind matcherKind
+		unit bool
 	}{
-		{"DenseGGP64", dense, 32, 1, matchAny},
-		{"DenseOGGP64", dense, 32, 1, matchBottleneck},
-		{"PowerLawOGGP", powerLawGraph(b, 1, 256, 2000), 32, 1, matchBottleneck},
-		{"SparseChainGGP", chainGraph(b, 2, 256), 16, 1, matchAny},
-		{"SparseStarGGP", starGraph(b, 3, 16, 16), 16, 1, matchAny},
+		{"DenseGGP64", dense, 32, 1, matchAny, false},
+		{"DenseOGGP64", dense, 32, 1, matchBottleneck, false},
+		{"DenseMinSteps64", dense, 32, 1, matchBottleneck, true},
+		{"PowerLawOGGP", powerLawGraph(b, 1, 256, 2000), 32, 1, matchBottleneck, false},
+		{"SparseChainGGP", chainGraph(b, 2, 256), 16, 1, matchAny, false},
+		{"SparseStarGGP", starGraph(b, 3, 16, 16), 16, 1, matchAny, false},
 	}
 	for _, w := range workloads {
 		b.Run(w.name, func(b *testing.B) {
 			solve := func() (*Schedule, error) {
-				return solvePeeling(w.g, w.k, w.beta, w.kind, false, matching.EngineAuto, nil)
+				return solvePeeling(w.g, w.k, w.beta, w.kind, w.unit, matching.EngineAuto, nil)
 			}
 			// One untimed solve absorbs process-cold effects (binary
 			// page-in, heap growth) that would otherwise inflate the

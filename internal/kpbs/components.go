@@ -1,8 +1,9 @@
 package kpbs
 
 import (
+	"cmp"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -394,37 +395,26 @@ type packEntry struct {
 
 // packByDurDesc orders entries by descending duration (the first-fit-
 // decreasing rule), component then step index as deterministic tiebreaks.
-type packByDurDesc []packEntry
-
-func (s packByDurDesc) Len() int      { return len(s) }
-func (s packByDurDesc) Swap(a, b int) { s[a], s[b] = s[b], s[a] }
-func (s packByDurDesc) Less(a, b int) bool {
-	if s[a].dur != s[b].dur {
-		return s[a].dur > s[b].dur
+func packByDurDesc(a, b packEntry) int {
+	if a.dur != b.dur {
+		return cmp.Compare(b.dur, a.dur)
 	}
-	if s[a].comp != s[b].comp {
-		return s[a].comp < s[b].comp
+	if a.comp != b.comp {
+		return a.comp - b.comp
 	}
-	return s[a].step < s[b].step
+	return a.step - b.step
 }
 
-// packByCompStep orders a bin's members by (component, step) so the
-// merged step lists comms in component order.
-type packByCompStep []packEntry
+// packByComp orders a bin's members by component, so the merged step
+// lists comms in component order. A bin holds at most one step of each
+// component.
+func packByComp(a, b packEntry) int { return a.comp - b.comp }
 
-func (s packByCompStep) Len() int      { return len(s) }
-func (s packByCompStep) Swap(a, b int) { s[a], s[b] = s[b], s[a] }
-func (s packByCompStep) Less(a, b int) bool {
-	if s[a].comp != s[b].comp {
-		return s[a].comp < s[b].comp
-	}
-	return s[a].step < s[b].step
-}
-
-// packBin is one global step under construction.
+// packBin is one global step under construction. Its members are entries
+// first, next[first], ... up to last, in the order they were placed.
 type packBin struct {
-	rem     int // remaining edge capacity out of k
-	members []packEntry
+	rem         int // remaining edge capacity out of k
+	first, last int
 }
 
 // packComponents bin-packs the per-component steps into shared global
@@ -441,6 +431,11 @@ type packBin struct {
 // replaces d1+d2+2β with d1+β). That is the guarantee; the packed cost is
 // NOT guaranteed ≤ the monolithic solve's — see DESIGN.md §9 for the
 // counterexample.
+//
+// The output is allocated a fixed number of times, never per bin: the bins
+// live in one value slice with index-linked members, and every packed
+// step's Comms is a capped sub-slice of one arena, so appending to one
+// step cannot overwrite the next.
 func packComponents(parts []*Schedule, k int, beta int64) *Schedule {
 	if len(parts) == 1 {
 		// Nothing to pack across; returning the component schedule untouched
@@ -448,9 +443,12 @@ func packComponents(parts []*Schedule, k int, beta int64) *Schedule {
 		// graphs.
 		return parts[0]
 	}
-	total := 0
+	total, comms := 0, 0
 	for _, p := range parts {
 		total += len(p.Steps)
+		for si := range p.Steps {
+			comms += len(p.Steps[si].Comms)
+		}
 	}
 	entries := make([]packEntry, 0, total)
 	for ci, p := range parts {
@@ -459,18 +457,21 @@ func packComponents(parts []*Schedule, k int, beta int64) *Schedule {
 			entries = append(entries, packEntry{comp: ci, step: si, dur: st.Duration, size: len(st.Comms)})
 		}
 	}
-	sort.Sort(packByDurDesc(entries))
+	slices.SortFunc(entries, packByDurDesc)
 
-	bins := make([]*packBin, 0, len(entries))
-	for _, e := range entries {
+	bins := make([]packBin, 0, len(entries))
+	next := make([]int, len(entries))
+	for i, e := range entries {
+		next[i] = -1
 		placed := false
-		for _, b := range bins {
+		for bi := range bins {
+			b := &bins[bi]
 			if b.rem < e.size {
 				continue
 			}
 			clash := false
-			for _, m := range b.members {
-				if m.comp == e.comp {
+			for j := b.first; j >= 0; j = next[j] {
+				if entries[j].comp == e.comp {
 					clash = true
 					break
 				}
@@ -478,29 +479,34 @@ func packComponents(parts []*Schedule, k int, beta int64) *Schedule {
 			if clash {
 				continue
 			}
-			b.members = append(b.members, e)
+			next[b.last] = i
+			b.last = i
 			b.rem -= e.size
 			placed = true
 			break
 		}
 		if !placed {
-			bins = append(bins, &packBin{rem: k - e.size, members: []packEntry{e}})
+			bins = append(bins, packBin{rem: k - e.size, first: i, last: i})
 		}
 	}
 
-	out := &Schedule{Beta: beta, Steps: make([]Step, 0, len(bins))}
-	for _, b := range bins {
-		sort.Sort(packByCompStep(b.members))
-		n := 0
-		for _, m := range b.members {
-			n += m.size
+	arena := make([]Comm, comms)
+	members := make([]packEntry, 0, len(parts))
+	out := &Schedule{Beta: beta, Steps: make([]Step, len(bins))}
+	at := 0
+	for bi := range bins {
+		members = members[:0]
+		for j := bins[bi].first; j >= 0; j = next[j] {
+			members = append(members, entries[j])
 		}
-		st := Step{Comms: make([]Comm, 0, n)}
-		for _, m := range b.members {
-			st.Comms = append(st.Comms, parts[m.comp].Steps[m.step].Comms...)
+		slices.SortFunc(members, packByComp)
+		start := at
+		for _, m := range members {
+			at += copy(arena[at:], parts[m.comp].Steps[m.step].Comms)
 		}
+		st := &out.Steps[bi]
+		st.Comms = arena[start:at:at]
 		st.recomputeDuration()
-		out.Steps = append(out.Steps, st)
 	}
 	return out
 }

@@ -371,3 +371,27 @@ func TestShardedGoldenTwoComponent(t *testing.T) {
 		}
 	}
 }
+
+// TestPackedStepsDoNotAlias: the packed steps share one comm arena, so each
+// step's Comms must be capped at its own length. Appending to one step
+// then reallocates instead of overwriting the next step's comms.
+func TestPackedStepsDoNotAlias(t *testing.T) {
+	g := blockGraph(t, 7, 4, 6)
+	s, err := Solve(g, 8, 1, Options{Algorithm: GGP, Shard: ShardOn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Steps) < 2 {
+		t.Fatalf("%d packed steps, want at least 2", len(s.Steps))
+	}
+	want := s.String()
+	for i := 0; i+1 < len(s.Steps); i++ {
+		grown := append(s.Steps[i].Comms, Comm{L: -1, R: -1, Amount: -1})
+		if got := s.String(); got != want {
+			t.Fatalf("appending to step %d changed the schedule:\n%s\nwant\n%s", i, got, want)
+		}
+		if len(grown) != len(s.Steps[i].Comms)+1 {
+			t.Fatal("append lost a comm")
+		}
+	}
+}

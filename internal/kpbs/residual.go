@@ -22,9 +22,10 @@ import (
 //   - Warm-started matchings: for GGP, matching.Incremental keeps the
 //     surviving matched pairs across peels and repairs only the exposed
 //     nodes (one breadth-first search per exposed node). For OGGP and
-//     MinSteps, matching.BottleneckInc maintains the decreasing-weight
-//     insertion order across peels (O(m) merge instead of a sort) and
-//     adopts the surviving pairs instead of re-growing from empty.
+//     MinSteps, matching.BottleneckInc keeps its bottleneck threshold, the
+//     graph above it and the matching across peels: it repairs only the
+//     pairs a peel pushed below the threshold, and lowers the threshold
+//     only while no perfect matching exists.
 //   - Zero-alloc hot path: all output (steps, the communication arena) and
 //     all matcher scratch are allocated once and reused; after a warm-up
 //     run on the same instance, reset+run performs no allocations (guarded
@@ -95,7 +96,12 @@ func newPeeler(in *instance, kind matcherKind, eng matching.Engine) *peeler {
 }
 
 // reset restores the pristine weights and matcher state so the same
-// instance can be peeled again, reusing every buffer.
+// instance can be peeled again, reusing every buffer. Both matchers carry
+// state from one peel to the next — BottleneckInc its threshold, re-entry
+// heap and sort cursor as well as the matching — and reset must clear all
+// of it. TestPeelerRerunIsReproducible checks that a rerun reproduces the
+// first run's steps; FuzzBottleneckIncPeel checks BottleneckInc.Reset
+// against a freshly built matcher.
 func (p *peeler) reset() {
 	copy(p.w, p.w0)
 	p.active = len(p.w)
