@@ -8,22 +8,24 @@ import (
 	"redistgo/internal/safemath"
 )
 
-// workEdge is an edge of the augmented working graph. orig is the index of
-// the original edge it represents, or -1 for a virtual edge added by the
-// augmentation (filler edges between two fresh nodes, or top-up edges
-// joining a fresh node to an existing one).
+// workEdge is an edge of the augmented working graph.
 type workEdge struct {
 	l, r int
 	w    int64
-	orig int
 }
 
 // instance is a fully prepared K-PBS working instance: weights normalized
 // by β, isolated nodes compacted away, and the graph augmented into a
 // balanced weight-regular graph whose perfect matchings contain at most k
 // real edges (paper §4.2.2, Proposition 1).
+//
+// The first nReal working edges are the original graph's edges, in graph
+// order, so working edge i < nReal is original edge i; the virtual edges
+// the augmentation adds (filler edges between two fresh nodes, top-up
+// edges joining a fresh node to an existing one) follow them.
 type instance struct {
 	edges      []workEdge
+	nReal      int   // real edges: edges[:nReal], in graph order
 	nL, nR     int   // augmented node counts; nL == nR
 	realL      int   // work left nodes < realL map to original left nodes
 	realR      int   // work right nodes < realR map to original right nodes
@@ -106,8 +108,9 @@ func buildInstance(g *bipartite.Graph, k int, beta int64, unitWeights bool) (*in
 		} else {
 			w = normalizeWeight(w, beta)
 		}
-		in.edges[i] = workEdge{l: compactL[e.L], r: compactR[e.R], w: w, orig: i}
+		in.edges[i] = workEdge{l: compactL[e.L], r: compactR[e.R], w: w}
 	}
+	in.nReal = m
 
 	in.augment()
 	return in, nil
@@ -178,7 +181,7 @@ func (in *instance) augment() {
 		r := in.nR
 		in.nL++
 		in.nR++
-		in.edges = append(in.edges, workEdge{l: l, r: r, w: fw, orig: -1})
+		in.edges = append(in.edges, workEdge{l: l, r: r, w: fw})
 		deficit -= fw
 	}
 	p = in.totalWeight()
@@ -230,9 +233,9 @@ func (in *instance) topUp(weights []int64, left bool) {
 				amt = freshCap
 			}
 			if left {
-				in.edges = append(in.edges, workEdge{l: node, r: fresh, w: amt, orig: -1})
+				in.edges = append(in.edges, workEdge{l: node, r: fresh, w: amt})
 			} else {
-				in.edges = append(in.edges, workEdge{l: fresh, r: node, w: amt, orig: -1})
+				in.edges = append(in.edges, workEdge{l: fresh, r: node, w: amt})
 			}
 			freshCap -= amt
 			need -= amt

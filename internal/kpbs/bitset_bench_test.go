@@ -39,42 +39,56 @@ func starGraph(b *testing.B, seed int64, hubs, leaves int) *bipartite.Graph {
 //     every matched real edge dies at each peel and every peel re-matches
 //     almost all nodes: the case where the word-parallel search matters.
 //   - PowerLawOGGP: the bottleneck matcher on a power-law instance too
-//     sparse for the bitset arm (scalar arm).
+//     sparse for the bitset arm (scalar arm), solved whole.
+//   - ShardedPowerLawOGGP: the served OGGP path. 32 power-law 256x256
+//     instances (2,000 flows, seeds 1–32) go through Solve under
+//     ShardAuto, one per op in turn, so each op also splits the instance
+//     into components and packs their steps.
 //   - SparseChainGGP and SparseStarGGP: degree-1 heavy GGP workloads on the
 //     scalar arm.
+//
+// make check runs every row once (-benchtime=1x) as a smoke.
 func BenchmarkBitsetSolve(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	dense := denseGraph(rng, 64, 20)
+	peel := func(k int, kind matcherKind, unit bool) func(*bipartite.Graph) (*Schedule, error) {
+		return func(g *bipartite.Graph) (*Schedule, error) {
+			return solvePeeling(g, k, 1, kind, unit, matching.EngineAuto, nil)
+		}
+	}
+	served := make([]*bipartite.Graph, 32)
+	for i := range served {
+		served[i] = powerLawGraph(b, int64(i+1), 256, 2000)
+	}
 	workloads := []struct {
-		name string
-		g    *bipartite.Graph
-		k    int
-		beta int64
-		kind matcherKind
-		unit bool
+		name   string
+		graphs []*bipartite.Graph // solved in turn, one per op
+		solve  func(*bipartite.Graph) (*Schedule, error)
 	}{
-		{"DenseGGP64", dense, 32, 1, matchAny, false},
-		{"DenseOGGP64", dense, 32, 1, matchBottleneck, false},
-		{"DenseMinSteps64", dense, 32, 1, matchBottleneck, true},
-		{"PowerLawOGGP", powerLawGraph(b, 1, 256, 2000), 32, 1, matchBottleneck, false},
-		{"SparseChainGGP", chainGraph(b, 2, 256), 16, 1, matchAny, false},
-		{"SparseStarGGP", starGraph(b, 3, 16, 16), 16, 1, matchAny, false},
+		{"DenseGGP64", []*bipartite.Graph{dense}, peel(32, matchAny, false)},
+		{"DenseOGGP64", []*bipartite.Graph{dense}, peel(32, matchBottleneck, false)},
+		{"DenseMinSteps64", []*bipartite.Graph{dense}, peel(32, matchBottleneck, true)},
+		{"PowerLawOGGP", []*bipartite.Graph{powerLawGraph(b, 1, 256, 2000)}, peel(32, matchBottleneck, false)},
+		{"ShardedPowerLawOGGP", served, func(g *bipartite.Graph) (*Schedule, error) {
+			return Solve(g, 32, 1, Options{Algorithm: OGGP, Shard: ShardAuto})
+		}},
+		{"SparseChainGGP", []*bipartite.Graph{chainGraph(b, 2, 256)}, peel(16, matchAny, false)},
+		{"SparseStarGGP", []*bipartite.Graph{starGraph(b, 3, 16, 16)}, peel(16, matchAny, false)},
 	}
 	for _, w := range workloads {
 		b.Run(w.name, func(b *testing.B) {
-			solve := func() (*Schedule, error) {
-				return solvePeeling(w.g, w.k, w.beta, w.kind, w.unit, matching.EngineAuto, nil)
-			}
-			// One untimed solve absorbs process-cold effects (binary
-			// page-in, heap growth) that would otherwise inflate the
+			// One untimed solve of every graph absorbs process-cold effects
+			// (binary page-in, heap growth) that would otherwise inflate the
 			// first sample on a cold container.
-			if _, err := solve(); err != nil {
-				b.Fatal(err)
+			for _, g := range w.graphs {
+				if _, err := w.solve(g); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s, err := solve()
+				s, err := w.solve(w.graphs[i%len(w.graphs)])
 				if err != nil {
 					b.Fatal(err)
 				}

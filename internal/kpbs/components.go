@@ -432,6 +432,12 @@ type packBin struct {
 // NOT guaranteed ≤ the monolithic solve's — see DESIGN.md §9 for the
 // counterexample.
 //
+// A cursor per component keeps first fit from rescanning the bins a
+// component already fills: every bin below skip[c] holds a step of c, so
+// c's search starts at skip[c], and after each placement of c the cursor
+// moves past the bins that hold c. On a giant component, whose steps sit
+// in almost every bin, a placement then scans a few bins instead of all.
+//
 // The output is allocated a fixed number of times, never per bin: the bins
 // live in one value slice with index-linked members, and every packed
 // step's Comms is a capped sub-slice of one arena, so appending to one
@@ -460,33 +466,37 @@ func packComponents(parts []*Schedule, k int, beta int64) *Schedule {
 	slices.SortFunc(entries, packByDurDesc)
 
 	bins := make([]packBin, 0, len(entries))
-	next := make([]int, len(entries))
+	next := make([]int, len(entries)+len(parts))
+	next, skip := next[:len(entries)], next[len(entries):]
+	holds := func(bi, c int) bool {
+		for j := bins[bi].first; j >= 0; j = next[j] {
+			if entries[j].comp == c {
+				return true
+			}
+		}
+		return false
+	}
 	for i, e := range entries {
 		next[i] = -1
-		placed := false
-		for bi := range bins {
+		bi := skip[e.comp]
+		for ; bi < len(bins); bi++ {
+			if bins[bi].rem >= e.size && !holds(bi, e.comp) {
+				break
+			}
+		}
+		if bi < len(bins) {
 			b := &bins[bi]
-			if b.rem < e.size {
-				continue
-			}
-			clash := false
-			for j := b.first; j >= 0; j = next[j] {
-				if entries[j].comp == e.comp {
-					clash = true
-					break
-				}
-			}
-			if clash {
-				continue
-			}
 			next[b.last] = i
 			b.last = i
 			b.rem -= e.size
-			placed = true
-			break
-		}
-		if !placed {
+		} else {
 			bins = append(bins, packBin{rem: k - e.size, first: i, last: i})
+		}
+		if c := e.comp; bi == skip[c] {
+			skip[c]++
+			for skip[c] < len(bins) && holds(skip[c], c) {
+				skip[c]++
+			}
 		}
 	}
 

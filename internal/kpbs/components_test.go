@@ -3,6 +3,7 @@ package kpbs
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -394,4 +395,73 @@ func TestPackedStepsDoNotAlias(t *testing.T) {
 			t.Fatal("append lost a comm")
 		}
 	}
+}
+
+// TestPackComponentsFirstFit checks the cross-component pack against a
+// plain first fit that scans every bin from the first for each step, the
+// form the per-component cursor replaced: on random component schedules
+// both must place every step in the same bin. Step sizes up to k make bins
+// fill unevenly, so a component's later, smaller step often fits a bin its
+// earlier steps skipped for room.
+func TestPackComponentsFirstFit(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 300; trial++ {
+		k := 2 + rng.Intn(7)
+		parts := make([]*Schedule, 2+rng.Intn(5))
+		for c := range parts {
+			s := &Schedule{Beta: 1, Steps: make([]Step, 1+rng.Intn(12))}
+			for si := range s.Steps {
+				st := &s.Steps[si]
+				for j := 1 + rng.Intn(k); j > 0; j-- {
+					st.Comms = append(st.Comms, Comm{L: 100*c + si, R: j, Amount: 1 + rng.Int63n(20)})
+				}
+				st.recomputeDuration()
+			}
+			parts[c] = s
+		}
+		got := packComponents(parts, k, 1).String()
+		if want := firstFitPack(parts, k).String(); got != want {
+			t.Fatalf("trial %d (k = %d): packed\n%s\nwant first fit\n%s", trial, k, got, want)
+		}
+	}
+}
+
+// firstFitPack is the reference first-fit-decreasing pack: each step, by
+// descending duration, goes to the first bin with room that holds no step
+// of its component.
+func firstFitPack(parts []*Schedule, k int) *Schedule {
+	var entries []packEntry
+	for ci, p := range parts {
+		for si := range p.Steps {
+			entries = append(entries, packEntry{comp: ci, step: si, dur: p.Steps[si].Duration, size: len(p.Steps[si].Comms)})
+		}
+	}
+	slices.SortFunc(entries, packByDurDesc)
+	var bins [][]packEntry
+	var room []int
+	for _, e := range entries {
+		bi := 0
+		for ; bi < len(bins); bi++ {
+			if room[bi] >= e.size && !slices.ContainsFunc(bins[bi], func(m packEntry) bool { return m.comp == e.comp }) {
+				break
+			}
+		}
+		if bi == len(bins) {
+			bins = append(bins, nil)
+			room = append(room, k)
+		}
+		bins[bi] = append(bins[bi], e)
+		room[bi] -= e.size
+	}
+	out := &Schedule{Beta: 1}
+	for _, members := range bins {
+		slices.SortFunc(members, packByComp)
+		var st Step
+		for _, m := range members {
+			st.Comms = append(st.Comms, parts[m.comp].Steps[m.step].Comms...)
+		}
+		st.recomputeDuration()
+		out.Steps = append(out.Steps, st)
+	}
+	return out
 }

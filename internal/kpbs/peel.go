@@ -54,6 +54,7 @@ func wrgpGraph(g *bipartite.Graph, kind matcherKind) ([]normStep, error) {
 		return nil, fmt.Errorf("kpbs: WRGP requires a balanced graph, got %dx%d", g.LeftCount(), g.RightCount())
 	}
 	in := &instance{
+		nReal:   g.EdgeCount(),
 		nL:      g.LeftCount(),
 		nR:      g.RightCount(),
 		realL:   g.LeftCount(),
@@ -72,7 +73,7 @@ func wrgpGraph(g *bipartite.Graph, kind matcherKind) ([]normStep, error) {
 	in.edges = make([]workEdge, g.EdgeCount())
 	for i := range in.edges {
 		e := g.Edge(i)
-		in.edges[i] = workEdge{l: e.L, r: e.R, w: e.Weight, orig: i}
+		in.edges[i] = workEdge{l: e.L, r: e.R, w: e.Weight}
 	}
 	return in.peel(kind, matching.EngineAuto, nil)
 }

@@ -54,8 +54,8 @@ func (in *instance) peelReference(kind matcherKind) ([]normStep, error) {
 		for _, ge := range m.Edges() {
 			we := idx[ge]
 			in.edges[we].w -= w
-			if orig := in.edges[we].orig; orig >= 0 {
-				step.comms = append(step.comms, int32(orig))
+			if we < in.nReal {
+				step.comms = append(step.comms, int32(we))
 			}
 		}
 		if len(step.comms) > 0 {

@@ -26,6 +26,9 @@ import (
 //     graph above it and the matching across peels: it repairs only the
 //     pairs a peel pushed below the threshold, and lowers the threshold
 //     only while no perfect matching exists.
+//   - The matcher owns the peel: Bottleneck returns the peel amount and
+//     Peel emits the real comms, subtracts and deactivates in one pass
+//     over the matching.
 //   - Zero-alloc hot path: all output (steps, the communication arena) and
 //     all matcher scratch are allocated once and reused; after a warm-up
 //     run on the same instance, reset+run performs no allocations (guarded
@@ -88,9 +91,9 @@ func newPeeler(in *instance, kind matcherKind, eng matching.Engine) *peeler {
 	}
 	copy(p.w, p.w0)
 	if kind == matchBottleneck {
-		p.bot = matching.NewBottleneckIncEngine(in.nL, in.nR, p.el, p.er, p.w, eng)
+		p.bot = matching.NewBottleneckIncEngine(in.nL, in.nR, p.el, p.er, p.w, in.nReal, eng)
 	} else {
-		p.inc = matching.NewIncrementalEngine(in.nL, in.nR, p.el, p.er, eng)
+		p.inc = matching.NewIncrementalEngine(in.nL, in.nR, p.el, p.er, p.w, in.nReal, eng)
 	}
 	return p
 }
@@ -115,27 +118,11 @@ func (p *peeler) reset() {
 	}
 }
 
-// matchedEdge returns the edge currently matched at left node l, or -1.
-func (p *peeler) matchedEdge(l int) int {
-	if p.bot != nil {
-		return p.bot.MatchedEdge(l)
-	}
-	return p.inc.MatchedEdge(l)
-}
-
-// deactivate drops a zero-weight edge from the residual graph.
-func (p *peeler) deactivate(e int) {
-	p.active--
-	if p.bot != nil {
-		p.bot.Deactivate(e)
-	} else {
-		p.inc.Deactivate(e)
-	}
-}
-
 // matchedPairs returns the current matching size. Read before a rematch it
 // is the number of pairs surviving from the previous peel — the
-// warm-start reuse the observability layer reports.
+// warm-start reuse the observability layer reports. For the bottleneck
+// matcher that excludes the pairs Peel dropped below the threshold: it
+// counts the pairs Rematch keeps.
 func (p *peeler) matchedPairs() int {
 	if p.bot != nil {
 		return p.bot.Size()
@@ -153,6 +140,28 @@ func (p *peeler) rematch() bool {
 	return p.inc.Augment() == p.in.nL
 }
 
+// bottleneck returns the minimum matched weight, the peel amount.
+func (p *peeler) bottleneck() int64 {
+	if p.bot != nil {
+		return p.bot.Bottleneck()
+	}
+	return p.inc.Bottleneck()
+}
+
+// peel subtracts w from every matched edge, appends the real ones to the
+// comms arena and deactivates those that reach zero.
+//
+//redistlint:hotpath
+func (p *peeler) peel(w int64) {
+	var died int
+	if p.bot != nil {
+		p.comms, died = p.bot.Peel(p.comms, w)
+	} else {
+		p.comms, died = p.inc.Peel(p.comms, w)
+	}
+	p.active -= died
+}
+
 // run executes the WRGP loop (paper §4.1, Figure 3) incrementally:
 // repeatedly repair the perfect matching, cut it at its minimum weight w,
 // emit a step of duration w, subtract w from every matched edge and
@@ -162,7 +171,6 @@ func (p *peeler) rematch() bool {
 //redistlint:hotpath
 func (p *peeler) run() ([]normStep, error) {
 	remaining := p.in.regular
-	nL := p.in.nL
 	// Each iteration removes at least one edge (the minimum-weight matched
 	// edge reaches zero), so the loop bound also caps malfunctions.
 	maxIter := len(p.in.edges) + 1
@@ -180,35 +188,18 @@ func (p *peeler) run() ([]normStep, error) {
 		if !p.rematch() {
 			return nil, fmt.Errorf("kpbs: no perfect matching in weight-regular graph (R=%d, remaining=%d); augmentation is broken", p.in.regular, remaining)
 		}
-		// Minimum weight over the matched edges.
-		var w int64
-		for l := 0; l < nL; l++ {
-			we := p.w[p.matchedEdge(l)]
-			if l == 0 || we < w {
-				w = we
-			}
-		}
+		w := p.bottleneck()
 		if w <= 0 {
 			return nil, fmt.Errorf("kpbs: matching with non-positive minimum weight %d", w)
 		}
 		start := len(p.comms)
-		for l := 0; l < nL; l++ {
-			e := p.matchedEdge(l)
-			p.w[e] -= w
-			if orig := p.in.edges[e].orig; orig >= 0 {
-				//redistlint:allow hotpath arena append; capacity is retained across runs and TestPeelSteadyStateAllocs asserts zero steady-state allocations
-				p.comms = append(p.comms, int32(orig))
-			}
-			if p.w[e] == 0 {
-				p.deactivate(e)
-			}
-		}
+		p.peel(w)
 		if p.so != nil {
 			// Purely observational: records the peel index, perfect-matching
 			// size, warm-start survivors, bottleneck weight and how many
 			// residual edges stay active. Peel is fixed-arity, so the call
 			// itself allocates nothing; event recording inside obs may.
-			p.so.Peel(iter, nL, reused, w, p.active)
+			p.so.Peel(iter, p.in.nL, reused, w, p.active)
 		}
 		// Steps whose matching contains only virtual edges transfer
 		// nothing and are dropped from the output (the paper's "extract R

@@ -220,6 +220,56 @@ func TestAugmentationPropositionOne(t *testing.T) {
 	}
 }
 
+// TestInstanceRealEdgesFirst pins the layout the peel relies on to tell
+// real edges from virtual ones: the first nReal working edges are the
+// graph's edges in graph order, so working edge i < nReal maps back through
+// mapL/mapR to the endpoints of g.Edge(i) with its normalized weight, and
+// every edge after them is virtual, touching at least one fresh node. A
+// virtual edge placed before a real one, or reordered real edges, fails
+// it. The corpus must reach both augmentation phases: case-2 fillers (two
+// fresh nodes) and case-1 top-ups (one fresh node).
+func TestInstanceRealEdgesFirst(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	fillers, topUps := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		g := randomInstance(rng, 8, 24, 40)
+		k := 1 + rng.Intn(6)
+		beta := rng.Int63n(5)
+		unit := trial%4 == 0
+		in, err := buildInstance(g, k, beta, unit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in.nReal != g.EdgeCount() {
+			t.Fatalf("trial %d: nReal %d, graph has %d edges", trial, in.nReal, g.EdgeCount())
+		}
+		for i, we := range in.edges {
+			if i >= in.nReal {
+				switch {
+				case we.l >= in.realL && we.r >= in.realR:
+					fillers++
+				case we.l >= in.realL || we.r >= in.realR:
+					topUps++
+				default:
+					t.Fatalf("trial %d: virtual edge %d joins two real nodes (%d, %d)", trial, i, we.l, we.r)
+				}
+				continue
+			}
+			e := g.Edge(i)
+			want := normalizeWeight(e.Weight, beta)
+			if unit {
+				want = 1
+			}
+			if we.l >= in.realL || we.r >= in.realR || in.mapL[we.l] != e.L || in.mapR[we.r] != e.R || we.w != want {
+				t.Fatalf("trial %d: working edge %d is (%d, %d) weight %d, want graph edge (%d, %d) weight %d", trial, i, we.l, we.r, we.w, e.L, e.R, want)
+			}
+		}
+	}
+	if fillers == 0 || topUps == 0 {
+		t.Fatalf("corpus reached %d filler and %d top-up edges, want both", fillers, topUps)
+	}
+}
+
 func TestQuickSolveValidAndApproximation(t *testing.T) {
 	// Feasibility plus the 2-approximation guarantee (Theorem 1), with the
 	// small additive padding slack derived in DESIGN.md: cost ≤ 2·LB + 2β.

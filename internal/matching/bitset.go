@@ -58,6 +58,14 @@ const bitsetDensityFactor = 8
 // vertices.
 func rowWords(nR int) int { return (nR + 63) >> 6 }
 
+// setLowBits sets bits [0, n) of the bitset words and clears the rest.
+func setLowBits(words []uint64, n int) {
+	clear(words)
+	for i := 0; i < n; i++ {
+		words[i>>6] |= 1 << uint(i&63)
+	}
+}
+
 // bitsetRepresentable reports whether the bitset side tables for an
 // nL×nR grid fit under maxBitsetCells.
 func bitsetRepresentable(nL, nR int) bool {

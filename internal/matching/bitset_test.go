@@ -24,11 +24,11 @@ func TestEngineResolution(t *testing.T) {
 		t.Fatal("50k x 50k must not be bitset-representable")
 	}
 	// 512x512 sits exactly at the cell cap (1<<18); 600x600 exceeds it.
-	inc := NewIncrementalEngine(512, 512, nil, nil, EngineBitset)
+	inc := NewIncrementalEngine(512, 512, nil, nil, nil, 0, EngineBitset)
 	if !inc.UsesBitset() {
 		t.Fatal("explicit bitset request on a representable shape ignored")
 	}
-	big := NewIncrementalEngine(600, 600, nil, nil, EngineBitset)
+	big := NewIncrementalEngine(600, 600, nil, nil, nil, 0, EngineBitset)
 	if big.UsesBitset() {
 		t.Fatal("bitset request on a non-representable shape must fall back")
 	}
@@ -55,8 +55,8 @@ func TestBitsetRowsMatchAdjacency(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{5, 63, 64, 65, 66} {
 		g := randomRegularish(rng, n, 3*n, 9)
-		el, er, _ := edgeArrays(g)
-		inc := NewIncrementalEngine(n, n, el, er, EngineBitset)
+		el, er, w := edgeArrays(g)
+		inc := NewIncrementalEngine(n, n, el, er, w, len(el), EngineBitset)
 		if !inc.UsesBitset() {
 			t.Fatalf("n=%d: bitset arm not selected", n)
 		}
@@ -83,10 +83,10 @@ func TestIncrementalEngineDifferential(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		n := 1 + rng.Intn(70)
 		g := randomRegularish(rng, n, rng.Intn(4*n), 9)
-		el, er, _ := edgeArrays(g)
+		el, er, w := edgeArrays(g)
 		m := len(el)
-		sc := NewIncrementalEngine(n, n, el, er, EngineScalar)
-		bs := NewIncrementalEngine(n, n, el, er, EngineBitset)
+		sc := NewIncrementalEngine(n, n, el, er, w, m, EngineScalar)
+		bs := NewIncrementalEngine(n, n, el, er, w, m, EngineBitset)
 		if sc.UsesBitset() || !bs.UsesBitset() {
 			t.Fatalf("trial %d: arms not pinned (scalar=%v bitset=%v)", trial, sc.UsesBitset(), bs.UsesBitset())
 		}
@@ -130,8 +130,8 @@ func TestIncrementalEngineDifferential(t *testing.T) {
 }
 
 // TestBottleneckIncEngineDifferential drives both BottleneckInc arms
-// through a peeling-shaped loop (rematch, subtract the bottleneck, drop
-// zeros) and requires identical matched edges each round.
+// through a peeling loop (rematch, peel the bottleneck) and requires
+// identical matched edges, emitted edges and deaths each round.
 func TestBottleneckIncEngineDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 25; trial++ {
@@ -140,8 +140,8 @@ func TestBottleneckIncEngineDifferential(t *testing.T) {
 		el, er, w0 := edgeArrays(g)
 		wSc := append([]int64(nil), w0...)
 		wBs := append([]int64(nil), w0...)
-		sc := NewBottleneckIncEngine(n, n, el, er, wSc, EngineScalar)
-		bs := NewBottleneckIncEngine(n, n, el, er, wBs, EngineBitset)
+		sc := NewBottleneckIncEngine(n, n, el, er, wSc, len(el), EngineScalar)
+		bs := NewBottleneckIncEngine(n, n, el, er, wBs, len(el), EngineBitset)
 		if sc.UsesBitset() || !bs.UsesBitset() {
 			t.Fatalf("trial %d: arms not pinned", trial)
 		}
@@ -154,27 +154,27 @@ func TestBottleneckIncEngineDifferential(t *testing.T) {
 			if !okS {
 				break
 			}
-			var min int64 = 1 << 62
 			for l := 0; l < n; l++ {
 				eS, eB := sc.MatchedEdge(l), bs.MatchedEdge(l)
 				if eS != eB {
 					t.Fatalf("trial %d round %d: left %d matched to %d (scalar) vs %d (bitset)",
 						trial, round, l, eS, eB)
 				}
-				if wSc[eS] < min {
-					min = wSc[eS]
+				if wSc[eS] != wBs[eS] {
+					t.Fatalf("trial %d round %d: weight arrays diverged at edge %d", trial, round, eS)
 				}
 			}
-			for l := 0; l < n; l++ {
-				e := sc.MatchedEdge(l)
-				if wSc[e] != wBs[e] {
-					t.Fatalf("trial %d round %d: weight arrays diverged at edge %d", trial, round, e)
-				}
-				wSc[e] -= min
-				wBs[e] -= min
-				if wSc[e] == 0 {
-					sc.Deactivate(e)
-					bs.Deactivate(e)
+			if sc.Bottleneck() != bs.Bottleneck() {
+				t.Fatalf("trial %d round %d: bottleneck %d (scalar) vs %d (bitset)", trial, round, sc.Bottleneck(), bs.Bottleneck())
+			}
+			cS, dS := sc.Peel(nil, sc.Bottleneck())
+			cB, dB := bs.Peel(nil, bs.Bottleneck())
+			if dS != dB || len(cS) != len(cB) {
+				t.Fatalf("trial %d round %d: peel emitted %d and killed %d (scalar) vs %d and %d (bitset)", trial, round, len(cS), dS, len(cB), dB)
+			}
+			for i := range cS {
+				if cS[i] != cB[i] {
+					t.Fatalf("trial %d round %d: emitted edge %d is %d (scalar) vs %d (bitset)", trial, round, i, cS[i], cB[i])
 				}
 			}
 		}

@@ -18,11 +18,11 @@ import (
 //     caller only lowers weights and removes edges, so every perfect
 //     matching's minimum weight can only fall: the graph of live edges
 //     heavier than t still holds no perfect matching.
-//   - The working graph is the live edges of weight ≥ t. Rematch first
-//     drops the matched edges a peel pushed below t onto a max-heap of
-//     re-entering edges (the rest of the matching survives), then repairs
-//     the exposed nodes with Kuhn searches. Only while no perfect matching
-//     exists does it lower t to the next live weight group, taken from the
+//   - The working graph is the live edges of weight ≥ t. Peel moves the
+//     matched edges it pushes below t onto a max-heap of re-entering edges
+//     (the rest of the matching survives), and Rematch repairs the exposed
+//     nodes with Kuhn searches. Only while no perfect matching exists does
+//     it lower t to the next live weight group, taken from the
 //     construction-time sort (cursor next) and the heap together, admit
 //     that group and grow again. A peel only lowers matched edges, so the
 //     edges past the cursor keep their construction weights and their
@@ -58,19 +58,22 @@ import (
 // traversal order makes the two arms byte-identical (DESIGN.md §11);
 // EngineAuto picks by density.
 //
-// The caller owns the weight slice. Between two Rematch calls it may only
-// (a) subtract one uniform amount from every currently matched edge and
-// (b) deactivate edges via Deactivate; other weights must not change, and
-// the target must not shrink. That is exactly the contract of a peeling
+// The matcher owns the peel. The weight slice is shared with the caller,
+// who restores it before a Reset and otherwise only reads it. Between two
+// Rematch calls the caller may only (a) call Peel once, with an amount of
+// at most Bottleneck(), and (b) deactivate edges via Deactivate; the
+// target must not shrink. That is exactly the contract of a peeling
 // iteration. Reset starts over.
 //
-// All storage is allocated at construction; Reset, Deactivate and Rematch
-// perform no allocations at steady state.
+// All storage is allocated at construction; Reset, Deactivate, Rematch and
+// Peel perform no allocations at steady state (Peel appends to the
+// caller's slice).
 type BottleneckInc struct {
 	nL, nR int
 	edgeL  []int
 	edgeR  []int
 	w      []int64 // live weights, shared with the caller
+	nReal  int     // edges below nReal are real; Peel emits only those
 
 	alive []bool
 
@@ -143,15 +146,16 @@ type BottleneckInc struct {
 
 // NewBottleneckInc builds the matcher over the edge set (edgeL[i],
 // edgeR[i]) with weights w and the kernel chosen by density (EngineAuto).
-// All three slices are retained, not copied; w is mutated by the caller
-// under the contract documented on the type.
-func NewBottleneckInc(nL, nR int, edgeL, edgeR []int, w []int64) *BottleneckInc {
-	return NewBottleneckIncEngine(nL, nR, edgeL, edgeR, w, EngineAuto)
+// The edges below nReal are the real ones, the only ones Peel emits. All
+// three slices are retained, not copied; Peel lowers w under the contract
+// documented on the type.
+func NewBottleneckInc(nL, nR int, edgeL, edgeR []int, w []int64, nReal int) *BottleneckInc {
+	return NewBottleneckIncEngine(nL, nR, edgeL, edgeR, w, nReal, EngineAuto)
 }
 
 // NewBottleneckIncEngine is NewBottleneckInc with an explicit kernel
 // choice; see Engine for the override semantics.
-func NewBottleneckIncEngine(nL, nR int, edgeL, edgeR []int, w []int64, engine Engine) *BottleneckInc {
+func NewBottleneckIncEngine(nL, nR int, edgeL, edgeR []int, w []int64, nReal int, engine Engine) *BottleneckInc {
 	m := len(edgeL)
 	b := &BottleneckInc{
 		nL:      nL,
@@ -159,6 +163,7 @@ func NewBottleneckIncEngine(nL, nR int, edgeL, edgeR []int, w []int64, engine En
 		edgeL:   edgeL,
 		edgeR:   edgeR,
 		w:       w,
+		nReal:   nReal,
 		alive:   make([]bool, m),
 		order0:  make([]int, m),
 		heap:    make([]int, m),
@@ -296,6 +301,45 @@ func (b *BottleneckInc) Deactivate(e int) {
 	}
 }
 
+// Bottleneck returns the threshold t in O(1). After a successful Rematch it
+// is the minimum matched weight: every admitted edge weighs at least t, and
+// the live edges heavier than t hold no matching of the target size, so
+// the matching holds an edge of weight exactly t.
+func (b *BottleneckInc) Bottleneck() int64 { return b.t }
+
+// Peel subtracts amount, at most Bottleneck(), from every matched edge in
+// one pass over the left nodes in ascending order. It appends each matched
+// real edge to dst, deactivates the edges that reach zero, and moves those
+// left in (0, t) from the working graph to the re-entry heap; the pairs
+// still at or above t stay matched. It returns dst and the number of edges
+// that reached zero.
+//
+//redistlint:hotpath
+func (b *BottleneckInc) Peel(dst []int32, amount int64) ([]int32, int) {
+	died := 0
+	for _, e := range b.matchL {
+		if e < 0 {
+			continue
+		}
+		if e < b.nReal {
+			//redistlint:allow hotpath caller-owned arena append; the peeler retains its capacity across runs and TestPeelSteadyStateAllocs asserts zero steady-state allocations
+			dst = append(dst, int32(e))
+		}
+		w := b.w[e] - amount
+		b.w[e] = w
+		switch {
+		case w == 0:
+			b.Deactivate(e)
+			died++
+		case w < b.t:
+			b.unmatch(e)
+			b.remove(e)
+			b.push(e)
+		}
+	}
+	return dst, died
+}
+
 // Rematch repairs the matching to a bottleneck-optimal one of the active
 // edges with the given target cardinality, keeping the surviving matched
 // pairs and the threshold of the previous call. It reports whether the
@@ -304,14 +348,6 @@ func (b *BottleneckInc) Deactivate(e int) {
 //
 //redistlint:hotpath
 func (b *BottleneckInc) Rematch(target int) bool {
-	// The matched edges a peel pushed below t leave the working graph.
-	for l := 0; l < b.nL; l++ {
-		if e := b.matchL[l]; e >= 0 && b.w[e] < b.t {
-			b.unmatch(e)
-			b.remove(e)
-			b.push(e)
-		}
-	}
 	// Repair at the current threshold, then lower it one weight group at a
 	// time while no matching of the target size exists.
 	b.resetDead()

@@ -29,7 +29,7 @@ func TestBottleneckIncDeepAugmentingPath(t *testing.T) {
 		er = append(er, i)
 		w = append(w, 1)
 	}
-	b := NewBottleneckInc(n, n, el, er, w)
+	b := NewBottleneckInc(n, n, el, er, w, len(el))
 	if !b.Rematch(n) {
 		t.Fatalf("perfect matching of size %d not found", n)
 	}
@@ -73,7 +73,7 @@ func TestBottleneckIncIterativeMatchesRecursiveOrder(t *testing.T) {
 	el := []int{0, 0, 1, 1, 2}
 	er := []int{0, 1, 0, 1, 0}
 	w := []int64{5, 5, 5, 5, 5}
-	b := NewBottleneckInc(3, 2, el, er, w)
+	b := NewBottleneckInc(3, 2, el, er, w, len(el))
 	if b.Rematch(3) {
 		t.Fatal("matching of size 3 in a 3x2 graph")
 	}
@@ -107,16 +107,16 @@ func TestBottleneckIncIterativeMatchesRecursiveOrder(t *testing.T) {
 
 // forEachArm runs body on a fresh matcher over a private copy of the
 // weights for each kernel arm.
-func forEachArm(t *testing.T, nL, nR int, el, er []int, w []int64, body func(t *testing.T, b *BottleneckInc, live []int64)) {
+func forEachArm(t *testing.T, nL, nR int, el, er []int, w []int64, body func(t *testing.T, b *BottleneckInc)) {
 	t.Helper()
 	for _, eng := range []Engine{EngineScalar, EngineBitset} {
 		t.Run(eng.String(), func(t *testing.T) {
 			live := append([]int64(nil), w...)
-			b := NewBottleneckIncEngine(nL, nR, el, er, live, eng)
+			b := NewBottleneckIncEngine(nL, nR, el, er, live, len(el), eng)
 			if b.UsesBitset() != (eng == EngineBitset) {
 				t.Fatalf("engine %v not pinned", eng)
 			}
-			body(t, b, live)
+			body(t, b)
 		})
 	}
 }
@@ -150,7 +150,7 @@ func TestDeadRegionResetAfterAugment(t *testing.T) {
 	el := []int{0, 0, 1}
 	er := []int{0, 1, 0}
 	w := []int64{5, 5, 5}
-	forEachArm(t, 2, 2, el, er, w, func(t *testing.T, b *BottleneckInc, _ []int64) {
+	forEachArm(t, 2, 2, el, er, w, func(t *testing.T, b *BottleneckInc) {
 		ok, stamps := rematchStamps(b, 2)
 		if !ok {
 			t.Fatal("perfect matching not found")
@@ -175,7 +175,7 @@ func TestDeadRegionRevivedByFreeRight(t *testing.T) {
 	el := []int{0, 0, 1, 2, 2}
 	er := []int{1, 2, 0, 0, 2}
 	w := []int64{5, 5, 5, 5, 3}
-	forEachArm(t, 3, 3, el, er, w, func(t *testing.T, b *BottleneckInc, _ []int64) {
+	forEachArm(t, 3, 3, el, er, w, func(t *testing.T, b *BottleneckInc) {
 		ok, stamps := rematchStamps(b, 3)
 		if !ok {
 			t.Fatal("perfect matching not found: the dead root was never revived")
@@ -202,7 +202,7 @@ func TestDeadRegionExtendsToMatchedRight(t *testing.T) {
 	el := []int{0, 0, 1, 2, 3, 3}
 	er := []int{2, 3, 1, 0, 0, 1}
 	w := []int64{5, 5, 5, 5, 5, 3}
-	forEachArm(t, 4, 4, el, er, w, func(t *testing.T, b *BottleneckInc, _ []int64) {
+	forEachArm(t, 4, 4, el, er, w, func(t *testing.T, b *BottleneckInc) {
 		ok, stamps := rematchStamps(b, 4)
 		if ok {
 			t.Fatal("perfect matching reported where none exists")
@@ -244,18 +244,18 @@ func TestRematchKeepsPairsAboveThreshold(t *testing.T) {
 	el := []int{0, 1, 2, 2}
 	er := []int{0, 1, 2, 2}
 	w := []int64{10, 10, 3, 2}
-	forEachArm(t, 3, 3, el, er, w, func(t *testing.T, b *BottleneckInc, live []int64) {
+	forEachArm(t, 3, 3, el, er, w, func(t *testing.T, b *BottleneckInc) {
 		if !b.Rematch(3) {
 			t.Fatal("first Rematch(3) failed")
 		}
 		wantMatched(t, b, []int{0, 1, 2})
-		if b.t != 3 {
-			t.Fatalf("threshold %d after the first Rematch, want 3", b.t)
+		if b.t != 3 || b.Bottleneck() != 3 {
+			t.Fatalf("threshold %d, bottleneck %d after the first Rematch, want 3", b.t, b.Bottleneck())
 		}
-		for _, e := range []int{0, 1, 2} {
-			live[e] -= 3
+		if _, died := b.Peel(nil, 3); died != 1 {
+			t.Fatalf("peel of 3 killed %d edges, want 1 (e2)", died)
 		}
-		b.Deactivate(2)
+		wantMatched(t, b, []int{0, 1, -1})
 		ok, stamps := rematchStamps(b, 3)
 		if !ok {
 			t.Fatal("second Rematch(3) failed")
@@ -277,21 +277,24 @@ func TestRematchKeepsPairsAboveThreshold(t *testing.T) {
 // region resets and the root is searched again.
 //
 // The first Rematch(1) matches the heaviest edge e4 (2,3) alone at t = 7;
-// the peel then lowers it from 7 to 2. The second Rematch drops e4 onto
-// the heap. Group 5 — e0 (0,1), e1 (0,2), e2 (1,0), e3 (2,0) — gives roots
-// 0 and 1 rights 1 and 0, and root 2 fails through right 0 and left 1.
+// the peel then lowers it from 7 to 2 and drops it onto the heap. Group 5
+// — e0 (0,1), e1 (0,2), e2 (1,0), e3 (2,0) — gives roots 0 and 1 rights 1
+// and 0, and root 2 fails through right 0 and left 1.
 // Group 2 re-admits e4 from the heap: dead left 2 gains an edge to free
 // right 3, the region resets, and root 2 takes e4.
 func TestRematchReadmitsDroppedEdge(t *testing.T) {
 	el := []int{0, 0, 1, 2, 2}
 	er := []int{1, 2, 0, 0, 3}
 	w := []int64{5, 5, 5, 5, 7}
-	forEachArm(t, 3, 4, el, er, w, func(t *testing.T, b *BottleneckInc, live []int64) {
+	forEachArm(t, 3, 4, el, er, w, func(t *testing.T, b *BottleneckInc) {
 		if !b.Rematch(1) {
 			t.Fatal("first Rematch(1) failed")
 		}
 		wantMatched(t, b, []int{-1, -1, 4})
-		live[4] -= 5
+		b.Peel(nil, 5)
+		if b.nHeap != 1 || b.admitted(4) || b.MatchedEdge(2) != -1 {
+			t.Fatalf("after the peel: %d edges on the heap, e4 admitted %v, left 2 matched to %d; want 1, false, -1", b.nHeap, b.admitted(4), b.MatchedEdge(2))
+		}
 		ok, stamps := rematchStamps(b, 3)
 		if !ok {
 			t.Fatal("second Rematch(3) failed")

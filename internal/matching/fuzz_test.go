@@ -1,7 +1,9 @@
 package matching
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"redistgo/internal/bipartite"
@@ -26,11 +28,14 @@ func (d *fuzzBytes) next() int {
 // matched edge is alive and belongs to its left node, and no right node is
 // matched twice, (b) the arms and a third matcher, built fresh at the last
 // Reset, matched the same edges, and (c) the minimum matched weight equals
-// the cold BottleneckPerfect's on the live residual graph. A peel takes a
-// uniform amount of at most the bottleneck, so matched edges often fall
-// below the threshold without dying and re-enter from the heap. Small
-// weights make equal-weight groups, and with them the dead-region
-// transitions, common.
+// the cold BottleneckPerfect's on the live residual graph, Bottleneck()
+// and the threshold t. Each peel goes through Peel with a uniform amount of
+// at most the bottleneck, so matched edges often fall below the threshold
+// without dying and re-enter from the heap; every matcher must emit the
+// matched real edges (index below nReal) in ascending left order, report
+// as dead exactly the matched edges whose weight equalled the amount, and
+// leave its working graph consistent. Small weights make equal-weight
+// groups, and with them the dead-region transitions, common.
 func FuzzBottleneckIncPeel(f *testing.F) {
 	f.Add([]byte{3, 9, 0, 0, 1, 0, 1, 1, 2, 2, 1, 0, 1, 2, 2, 0, 1, 1, 0, 2, 2, 1, 1, 0, 2, 1, 3, 0, 1, 2})
 	f.Add([]byte{5, 20, 0, 1, 2, 1, 2, 3, 2, 3, 4, 3, 4, 0, 4, 0, 1, 0, 2, 2, 1, 3, 1, 2, 0, 4, 3, 4, 1, 1, 2, 4, 0, 3, 3, 3, 2, 1, 1, 4, 4, 4, 2, 0, 1, 3, 0, 5, 1, 0, 2, 1, 0, 3})
@@ -69,12 +74,14 @@ func FuzzBottleneckIncPeel(f *testing.F) {
 			er = append(er, d.next()%n)
 			w0 = append(w0, int64(1+d.next()%6))
 		}
+		// The permutation and half the extra edges are real.
+		nReal := n + m/2
 		wS := append([]int64(nil), w0...)
 		wB := append([]int64(nil), w0...)
 		wF := append([]int64(nil), w0...)
-		sc := NewBottleneckIncEngine(n, n, el, er, wS, EngineScalar)
-		bs := NewBottleneckIncEngine(n, n, el, er, wB, EngineBitset)
-		fr := NewBottleneckIncEngine(n, n, el, er, wF, EngineScalar)
+		sc := NewBottleneckIncEngine(n, n, el, er, wS, nReal, EngineScalar)
+		bs := NewBottleneckIncEngine(n, n, el, er, wB, nReal, EngineBitset)
+		fr := NewBottleneckIncEngine(n, n, el, er, wF, nReal, EngineScalar)
 		alive := make([]bool, len(el))
 		for i := range alive {
 			alive[i] = true
@@ -97,7 +104,7 @@ func FuzzBottleneckIncPeel(f *testing.F) {
 				sc.Reset()
 				bs.Reset()
 				wF = append([]int64(nil), w0...)
-				fr = NewBottleneckIncEngine(n, n, el, er, wF, EngineScalar)
+				fr = NewBottleneckIncEngine(n, n, el, er, wF, nReal, EngineScalar)
 			}
 			res := bipartite.New(n, n)
 			for i, a := range alive {
@@ -138,30 +145,46 @@ func FuzzBottleneckIncPeel(f *testing.F) {
 			if cold := bottleneckValue(res, coldM); minW != cold {
 				t.Fatalf("round %d: bottleneck %d, cold %d", round, minW, cold)
 			}
-			// Peel a uniform amount, at most the bottleneck, off the matching.
+			for _, b := range []*BottleneckInc{sc, bs, fr} {
+				if b.Bottleneck() != minW || b.t != minW {
+					t.Fatalf("round %d: Bottleneck() %d, threshold %d, scanned minimum %d", round, b.Bottleneck(), b.t, minW)
+				}
+			}
+			// Peel a uniform amount, at most the bottleneck, off the matching,
+			// against a reference scan of the matching before it.
 			amount := 1 + int64(d.next())%minW
+			var wantComms []int32
+			wantDied := 0
 			for l := 0; l < n; l++ {
 				e := sc.MatchedEdge(l)
-				wS[e] -= amount
-				wB[e] -= amount
-				wF[e] -= amount
-				if wS[e] == 0 {
-					alive[e] = false
-					sc.Deactivate(e)
-					bs.Deactivate(e)
-					fr.Deactivate(e)
+				if e < nReal {
+					wantComms = append(wantComms, int32(e))
 				}
+				if wS[e] == amount {
+					alive[e] = false
+					wantDied++
+				}
+			}
+			for _, b := range []*BottleneckInc{sc, bs, fr} {
+				comms, died := b.Peel(nil, amount)
+				if died != wantDied || !slices.Equal(comms, wantComms) {
+					t.Fatalf("round %d: Peel(%d) emitted %v and killed %d, want %v and %d", round, amount, comms, died, wantComms, wantDied)
+				}
+				checkWorkingGraph(t, b)
+			}
+			if !slices.Equal(wS, wB) || !slices.Equal(wS, wF) {
+				t.Fatalf("round %d: weights diverged: %v (scalar), %v (bitset), %v (fresh)", round, wS, wB, wF)
 			}
 		}
 	})
 }
 
 // checkWorkingGraph checks BottleneckInc's threshold state after a
-// Rematch: every live edge sits in exactly one of the working graph, the
-// unread part of the construction sort and the re-entry heap; the working
-// graph holds exactly the live edges of weight ≥ t; degL and degR count its
-// edges; and the growth gates (roots, freeTouchL, freeTouchR) and the
-// bitset rows agree with it.
+// Rematch or a Peel: every live edge sits in exactly one of the working
+// graph, the unread part of the construction sort and the re-entry heap;
+// the working graph holds exactly the live edges of weight ≥ t; degL and
+// degR count its edges; and the growth gates (roots, freeTouchL,
+// freeTouchR) and the bitset rows agree with it.
 func checkWorkingGraph(t *testing.T, b *BottleneckInc) {
 	t.Helper()
 	places := make([]int, len(b.edgeL))
@@ -226,21 +249,29 @@ func checkWorkingGraph(t *testing.T, b *BottleneckInc) {
 
 // FuzzIncrementalPeel is the Incremental counterpart of
 // FuzzBottleneckIncPeel. It drives both Incremental arms through a random
-// multigraph — parallel edges included, the case where the bitset arm must
-// read the cell chain rather than the row bit — and a random sequence of
-// deactivations (peel-like drops of matched edges, arbitrary edges, whole
-// cells) and Resets, calling Augment between them. After each Augment the
-// arms must agree on the matched edge of every left node and on the number
-// of right nodes their searches visited, and the matching must be as large
-// as a cold Maximum over the live edges. The input's leading bytes
-// set the shape (up to 96 nodes a side, so row and column sweeps cross a
-// word boundary), the average degree, the parallel-edge rate and the
-// generator seed; the rest steers the operations.
+// weighted multigraph — parallel edges included, the case where the bitset
+// arm must read the cell chain rather than the row bit — and a random
+// sequence of deactivations (peel-like drops of matched edges, arbitrary
+// edges, whole cells), peels and Resets, calling Augment between them.
+// After each Augment the arms must agree on the matched edge of every left
+// node and on the number of right nodes their searches visited, and the
+// matching must be as large as a cold Maximum over the live edges. A peel
+// goes through Peel with an amount of at most the bottleneck, at most once
+// between two Augments, and is checked against a reference scan of the
+// matching: the same minimum, the matched real edges (index below nReal)
+// in ascending left order, and the same dying set. Every round checks the
+// exposed-left bitset against the matching and, on the bitset arm, the
+// free-right bitset too. The input's leading bytes set the shape (up to 96
+// nodes a side, so row and column sweeps cross a word boundary), the
+// average degree, the parallel-edge rate and the generator seed; the rest
+// steers the operations.
 func FuzzIncrementalPeel(f *testing.F) {
 	f.Add([]byte{7, 7, 3, 1, 5, 0, 0, 1, 2, 3, 4, 5, 6, 0, 1, 2, 7, 3, 0, 1})
 	f.Add([]byte{19, 23, 5, 3, 9, 1, 0, 0, 6, 6, 1, 4, 2, 0, 3, 5, 0, 1, 6, 2, 4})
 	f.Add([]byte{70, 66, 9, 2, 41, 7, 0, 1, 0, 2, 0, 3, 4, 0, 5, 6, 0, 1, 0, 2, 0, 3, 7, 0, 1})
 	f.Add([]byte{64, 95, 4, 0, 13, 2, 4, 4, 0, 0, 6, 6, 5, 1, 2, 3})
+	// Two peels a round on a small dense graph, with a Reset between.
+	f.Add([]byte{5, 5, 6, 1, 17, 3, 3, 1, 3, 2, 3, 3, 0, 3, 3, 1, 3, 7, 0, 3, 3, 2, 3, 3, 3, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := fuzzBytes(data)
 		nL := 1 + d.next()%96
@@ -257,8 +288,15 @@ func FuzzIncrementalPeel(f *testing.F) {
 			}
 		}
 		m := len(el)
-		sc := NewIncrementalEngine(nL, nR, el, er, EngineScalar)
-		bs := NewIncrementalEngine(nL, nR, el, er, EngineBitset)
+		nReal := rng.Intn(m + 1)
+		w0 := make([]int64, m)
+		for i := range w0 {
+			w0[i] = 1 + rng.Int63n(4)
+		}
+		wS := append([]int64(nil), w0...)
+		wB := append([]int64(nil), w0...)
+		sc := NewIncrementalEngine(nL, nR, el, er, wS, nReal, EngineScalar)
+		bs := NewIncrementalEngine(nL, nR, el, er, wB, nReal, EngineBitset)
 		if sc.UsesBitset() || !bs.UsesBitset() {
 			t.Fatalf("arms not pinned (scalar=%v bitset=%v)", sc.UsesBitset(), bs.UsesBitset())
 		}
@@ -270,6 +308,48 @@ func FuzzIncrementalPeel(f *testing.F) {
 			alive[e] = false
 			sc.Deactivate(e)
 			bs.Deactivate(e)
+		}
+		peel := func(round int) {
+			low := int64(math.MaxInt64)
+			var wantComms []int32
+			for l := 0; l < nL; l++ {
+				if e := sc.MatchedEdge(l); e >= 0 {
+					low = min(low, wS[e])
+					if e < nReal {
+						wantComms = append(wantComms, int32(e))
+					}
+				}
+			}
+			if sc.Bottleneck() != low || bs.Bottleneck() != low {
+				t.Fatalf("round %d: Bottleneck() %d (scalar), %d (bitset), scanned minimum %d", round, sc.Bottleneck(), bs.Bottleneck(), low)
+			}
+			if low == math.MaxInt64 {
+				return // nothing matched
+			}
+			amount := 1 + int64(d.next())%low
+			var dying []int
+			for l := 0; l < nL; l++ {
+				if e := sc.MatchedEdge(l); e >= 0 && wS[e] == amount {
+					dying = append(dying, e)
+				}
+			}
+			for _, inc := range []*Incremental{sc, bs} {
+				comms, died := inc.Peel(nil, amount)
+				if died != len(dying) || !slices.Equal(comms, wantComms) {
+					t.Fatalf("round %d: Peel(%d) emitted %v and killed %d, want %v and %d", round, amount, comms, died, wantComms, len(dying))
+				}
+				for _, e := range dying {
+					if inc.active[e] || inc.MatchedEdge(el[e]) >= 0 {
+						t.Fatalf("round %d: edge %d reached zero but is active %v, left %d matched to %d", round, e, inc.active[e], el[e], inc.MatchedEdge(el[e]))
+					}
+				}
+			}
+			for _, e := range dying {
+				alive[e] = false
+			}
+			if !slices.Equal(wS, wB) {
+				t.Fatalf("round %d: weights diverged: %v (scalar) vs %v (bitset)", round, wS, wB)
+			}
 		}
 		for round := 0; round < 64; round++ {
 			a, b := sc.Augment(), bs.Augment()
@@ -290,11 +370,19 @@ func FuzzIncrementalPeel(f *testing.F) {
 			if sc.Visits() != bs.Visits() {
 				t.Fatalf("round %d: %d visits (scalar) vs %d (bitset)", round, sc.Visits(), bs.Visits())
 			}
+			checkExposed(t, sc)
+			checkExposed(t, bs)
+			peeled := false
 			for ops := 1 + d.next()%4; ops > 0; ops-- {
 				switch op := d.next() % 8; {
-				case op < 4: // peel-like: drop the matched edge of a left node
+				case op < 3: // peel-like: drop the matched edge of a left node
 					if e := sc.MatchedEdge(d.next() % nL); e >= 0 {
 						drop(e)
+					}
+				case op == 3: // peel the matching, once between two Augments
+					if !peeled {
+						peeled = true
+						peel(round)
 					}
 				case op < 6: // drop an arbitrary edge
 					drop(rng.Intn(m))
@@ -307,14 +395,43 @@ func FuzzIncrementalPeel(f *testing.F) {
 					}
 				default:
 					if d.next()%4 == 0 {
+						copy(wS, w0)
+						copy(wB, w0)
 						sc.Reset()
 						bs.Reset()
 						for i := range alive {
 							alive[i] = true
 						}
+						peeled = false
 					}
 				}
 			}
+			checkExposed(t, sc)
+			checkExposed(t, bs)
 		}
 	})
+}
+
+// checkExposed checks Incremental's bitsets against its matching: bit l of
+// exposedL is set exactly while left node l is exposed and, on the bitset
+// arm, bit r of freeR exactly while right node r is; no bit past the node
+// count is set.
+func checkExposed(t *testing.T, inc *Incremental) {
+	t.Helper()
+	checkBits(t, "exposed-left", inc.exposedL, inc.matchL)
+	if inc.useBits {
+		checkBits(t, "free-right", inc.freeR, inc.matchR)
+	}
+}
+
+// checkBits requires bit i of words to be set exactly when match[i] < 0,
+// and clear past len(match).
+func checkBits(t *testing.T, name string, words []uint64, match []int) {
+	t.Helper()
+	for i := 0; i < 64*len(words); i++ {
+		set := words[i>>6]&(1<<uint(i&63)) != 0
+		if want := i < len(match) && match[i] < 0; set != want {
+			t.Fatalf("%s bit %d is %v, want %v", name, i, set, want)
+		}
+	}
 }

@@ -1,6 +1,9 @@
 package matching
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // compactMinDead is the minimum number of dead adjacency slots before the
 // lazy compaction in Deactivate bothers rewriting the arrays; below it the
@@ -12,10 +15,10 @@ const compactMinDead = 32
 // Incremental maintains a maximum matching of a bipartite multigraph whose
 // edge set only shrinks. It is the warm-start engine behind the GGP peeling
 // loop: a peel zeroes a handful of matched edges, so instead of matching
-// from scratch the peeler deactivates exactly those edges and calls
-// Augment, which repairs the matching with one breadth-first search per
-// exposed left node (Kuhn's algorithm, searched breadth-first) and costs
-// nothing when no node is exposed.
+// from scratch Peel deactivates exactly those edges and the next Augment
+// repairs the matching with one breadth-first search per exposed left node
+// (Kuhn's algorithm, searched breadth-first), taken from a bitset of the
+// exposed left nodes; it costs nothing when no node is exposed.
 //
 // Candidates are always traversed in the canonical order — right endpoint
 // ascending, lowest active edge index first among parallel edges — which
@@ -32,13 +35,19 @@ const compactMinDead = 32
 // can check the other (see DESIGN.md §11); EngineAuto picks by density.
 //
 // The edge set is given once, as parallel endpoint arrays; edges are
-// addressed by their index in those arrays. All storage is allocated at
-// construction; Reset, Deactivate and Augment perform no allocations, so a
-// peeling loop built on Incremental runs allocation-free at steady state.
+// addressed by their index in those arrays. The matcher owns the peel under
+// BottleneckInc's contract: the caller shares the weight slice, restores it
+// before a Reset and otherwise only reads it, and between two Augment calls
+// calls Peel at most once, with an amount of at most Bottleneck(), plus any
+// Deactivate. All storage is allocated at construction; Reset, Deactivate,
+// Augment and Peel perform no allocations, so a peeling loop built on
+// Incremental runs allocation-free at steady state.
 type Incremental struct {
 	nL, nR int
 	edgeL  []int
 	edgeR  []int
+	w      []int64 // live weights, shared with the caller
+	nReal  int     // edges below nReal are real; Peel emits only those
 
 	useBits bool
 
@@ -51,6 +60,10 @@ type Incremental struct {
 	matchL []int // matched edge index per left node, -1 if exposed
 	matchR []int // matched edge index per right node, -1 if exposed
 	size   int
+
+	// exposedL has bit l set while left node l is exposed: the roots
+	// Augment searches from, in ascending order.
+	exposedL []uint64
 
 	// Search scratch, sized once: the FIFO of left nodes, the edge through
 	// which the search reached each right node, and the number of right
@@ -75,8 +88,8 @@ type Incremental struct {
 	// nL×words cell bitset; cellHead/cellNext/cellPrev chain the active
 	// parallel edges of each cell in ascending edge order (cellHead is
 	// bit-guarded: it is only read when the row bit is set). freeR marks
-	// the exposed right nodes during Augment, visitedR the right nodes the
-	// current search has visited.
+	// the exposed right nodes, visitedR the right nodes the current search
+	// has visited.
 	words    int
 	rows     []uint64
 	cellHead []int
@@ -87,29 +100,36 @@ type Incremental struct {
 }
 
 // NewIncremental builds the matcher over the edge set (edgeL[i], edgeR[i])
-// with the kernel chosen by density (EngineAuto). The endpoint slices are
-// retained (not copied) and must not be mutated. All edges start active
-// and the matching starts empty.
-func NewIncremental(nL, nR int, edgeL, edgeR []int) *Incremental {
-	return NewIncrementalEngine(nL, nR, edgeL, edgeR, EngineAuto)
+// with weights w and the kernel chosen by density (EngineAuto). The edges
+// below nReal are the real ones, the only ones Peel emits. The slices are
+// retained (not copied); the endpoints must not be mutated, and Peel lowers
+// w under the contract documented on the type. All edges start active and
+// the matching starts empty.
+func NewIncremental(nL, nR int, edgeL, edgeR []int, w []int64, nReal int) *Incremental {
+	return NewIncrementalEngine(nL, nR, edgeL, edgeR, w, nReal, EngineAuto)
 }
 
 // NewIncrementalEngine is NewIncremental with an explicit kernel choice;
 // see Engine for the override semantics.
-func NewIncrementalEngine(nL, nR int, edgeL, edgeR []int, engine Engine) *Incremental {
+func NewIncrementalEngine(nL, nR int, edgeL, edgeR []int, w []int64, nReal int, engine Engine) *Incremental {
 	m := len(edgeL)
+	// matchL and matchR share one allocation, and so do the bitsets.
+	match := make([]int, nL+nR)
 	inc := &Incremental{
 		nL:     nL,
 		nR:     nR,
 		edgeL:  edgeL,
 		edgeR:  edgeR,
+		w:      w,
+		nReal:  nReal,
 		sortL:  canonicalOrder(nL, nR, edgeL, edgeR),
 		active: make([]bool, m),
-		matchL: make([]int, nL),
-		matchR: make([]int, nR),
+		matchL: match[:nL:nL],
+		matchR: match[nL:],
 		queue:  make([]int, nL),
 		parent: make([]int, nR),
 	}
+	lw := rowWords(nL)
 	if resolveEngine(engine, nL, nR, m) {
 		inc.useBits = true
 		inc.words = rowWords(nR)
@@ -117,9 +137,12 @@ func NewIncrementalEngine(nL, nR int, edgeL, edgeR []int, engine Engine) *Increm
 		inc.cellHead = make([]int, nL*nR)
 		inc.cellNext = make([]int, m)
 		inc.cellPrev = make([]int, m)
-		inc.freeR = make([]uint64, inc.words)
-		inc.visitedR = make([]uint64, inc.words)
+		bw := make([]uint64, lw+2*inc.words)
+		inc.exposedL = bw[:lw:lw]
+		inc.freeR = bw[lw : lw+inc.words : lw+inc.words]
+		inc.visitedR = bw[lw+inc.words:]
 	} else {
+		inc.exposedL = make([]uint64, lw)
 		inc.adjL = make([]int, m)
 		inc.offL = make([]int, nL)
 		inc.lenL = make([]int, nL)
@@ -182,7 +205,9 @@ func (inc *Incremental) Reset() {
 		inc.matchR[i] = -1
 	}
 	inc.size = 0
+	setLowBits(inc.exposedL, inc.nL)
 	if inc.useBits {
+		setLowBits(inc.freeR, inc.nR)
 		inc.resetBits()
 		return
 	}
@@ -238,6 +263,45 @@ func (inc *Incremental) UsesBitset() bool { return inc.useBits }
 // so the count is equal across arms.
 func (inc *Incremental) Visits() int { return inc.visits }
 
+// Bottleneck returns the minimum matched weight, or math.MaxInt64 when
+// nothing is matched: one scan of the matching.
+//
+//redistlint:hotpath
+func (inc *Incremental) Bottleneck() int64 {
+	min := int64(math.MaxInt64)
+	for _, e := range inc.matchL {
+		if e >= 0 && inc.w[e] < min {
+			min = inc.w[e]
+		}
+	}
+	return min
+}
+
+// Peel subtracts amount, at most Bottleneck(), from every matched edge in
+// one pass over the left nodes in ascending order. It appends each matched
+// real edge to dst and deactivates the edges that reach zero, and returns
+// dst and their number.
+//
+//redistlint:hotpath
+func (inc *Incremental) Peel(dst []int32, amount int64) ([]int32, int) {
+	died := 0
+	for _, e := range inc.matchL {
+		if e < 0 {
+			continue
+		}
+		if e < inc.nReal {
+			//redistlint:allow hotpath caller-owned arena append; the peeler retains its capacity across runs and TestPeelSteadyStateAllocs asserts zero steady-state allocations
+			dst = append(dst, int32(e))
+		}
+		inc.w[e] -= amount
+		if inc.w[e] == 0 {
+			inc.Deactivate(e)
+			died++
+		}
+	}
+	return dst, died
+}
+
 // Deactivate removes edge e from the graph. If e was matched, its
 // endpoints become exposed; the matching is repaired by the next Augment.
 // Deactivating an already-inactive edge is a no-op. On the scalar kernel
@@ -251,9 +315,14 @@ func (inc *Incremental) Deactivate(e int) {
 	}
 	inc.active[e] = false
 	if l := inc.edgeL[e]; inc.matchL[l] == e {
+		r := inc.edgeR[e]
 		inc.matchL[l] = -1
-		inc.matchR[inc.edgeR[e]] = -1
+		inc.matchR[r] = -1
 		inc.size--
+		inc.exposedL[l>>6] |= 1 << uint(l&63)
+		if inc.useBits {
+			inc.freeR[r>>6] |= 1 << uint(r&63)
+		}
 	}
 	if inc.useBits {
 		inc.dropBit(e)
@@ -313,39 +382,30 @@ func (inc *Incremental) compact() {
 
 // Augment grows the current matching to maximum cardinality over the active
 // edges and returns the resulting size. It runs one search from each
-// exposed left node in ascending order. A search that fails leaves its root
-// exposed: by Kuhn's theorem no later augmentation of the pass can open an
-// augmenting path from it, so one pass reaches maximum cardinality. From an
-// empty matching this is a full run; after a peel it only searches from
-// the exposed nodes.
+// exposed left node in ascending order, sweeping the exposedL bitset a word
+// at a time; a successful search clears only its own root's bit. A search
+// that fails leaves its root exposed: by Kuhn's theorem no later
+// augmentation of the pass can open an augmenting path from it, so one pass
+// reaches maximum cardinality. From an empty matching this is a full run;
+// after a peel it only searches from the exposed nodes.
 //
 //redistlint:hotpath
 func (inc *Incremental) Augment() int {
 	if inc.size == inc.nL {
 		return inc.size
 	}
-	if inc.useBits {
-		for w := range inc.freeR {
-			inc.freeR[w] = 0
-		}
-		for r, e := range inc.matchR {
-			if e < 0 {
-				inc.freeR[r>>6] |= 1 << uint(r&63)
+	for w := range inc.exposedL {
+		for word := inc.exposedL[w]; word != 0; word &= word - 1 {
+			l := w<<6 + bits.TrailingZeros64(word)
+			var found bool
+			if inc.useBits {
+				found = inc.searchBits(l)
+			} else {
+				found = inc.search(l)
 			}
-		}
-	}
-	for l := 0; l < inc.nL; l++ {
-		if inc.matchL[l] >= 0 {
-			continue
-		}
-		var found bool
-		if inc.useBits {
-			found = inc.searchBits(l)
-		} else {
-			found = inc.search(l)
-		}
-		if found {
-			inc.size++
+			if found {
+				inc.size++
+			}
 		}
 	}
 	return inc.size
@@ -442,7 +502,8 @@ func (inc *Incremental) searchBits(root int) bool {
 
 // flip augments along the search path that ends at free right node r:
 // walking parent edges back to the root, every edge on the path becomes
-// matched and the edges between them unmatched.
+// matched and the edges between them unmatched. The root, the one left
+// node that was exposed, leaves exposedL.
 //
 //redistlint:hotpath
 func (inc *Incremental) flip(r int) {
@@ -453,6 +514,7 @@ func (inc *Incremental) flip(r int) {
 		inc.matchL[l] = e
 		inc.matchR[r] = e
 		if prev < 0 {
+			inc.exposedL[l>>6] &^= 1 << uint(l&63)
 			return
 		}
 		r = inc.edgeR[prev]

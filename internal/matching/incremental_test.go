@@ -41,8 +41,8 @@ func TestIncrementalMatchesMaximum(t *testing.T) {
 		for i := 0; i < rng.Intn(4*n+1); i++ {
 			g.AddEdge(rng.Intn(n), rng.Intn(n), 1+rng.Int63n(9))
 		}
-		el, er, _ := edgeArrays(g)
-		inc := NewIncremental(n, n, el, er)
+		el, er, w := edgeArrays(g)
+		inc := NewIncremental(n, n, el, er, w, len(el))
 		got := inc.Augment()
 		want := Maximum(g).Size
 		if got != want {
@@ -62,8 +62,8 @@ func TestIncrementalRepair(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		n := 2 + rng.Intn(10)
 		g := randomRegularish(rng, n, 3*n, 9)
-		el, er, _ := edgeArrays(g)
-		inc := NewIncremental(n, n, el, er)
+		el, er, w := edgeArrays(g)
+		inc := NewIncremental(n, n, el, er, w, len(el))
 		inc.Augment()
 		dead := make(map[int]bool)
 		for round := 0; round < g.EdgeCount(); round++ {
@@ -107,8 +107,8 @@ func TestIncrementalRepair(t *testing.T) {
 func TestIncrementalResetRestoresFullGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomRegularish(rng, 8, 20, 9)
-	el, er, _ := edgeArrays(g)
-	inc := NewIncremental(8, 8, el, er)
+	el, er, w := edgeArrays(g)
+	inc := NewIncremental(8, 8, el, er, w, len(el))
 	first := inc.Augment()
 	for e := 0; e < g.EdgeCount(); e += 3 {
 		inc.Deactivate(e)
@@ -125,13 +125,17 @@ func TestIncrementalResetRestoresFullGraph(t *testing.T) {
 
 // --- breadth-first repair ---------------------------------------------------
 
-// forEachIncArm runs body on a fresh Incremental over the edge list for
-// each kernel arm.
+// forEachIncArm runs body on a fresh Incremental over the edge list, all
+// edges real and of weight 1, for each kernel arm.
 func forEachIncArm(t *testing.T, nL, nR int, el, er []int, body func(t *testing.T, inc *Incremental)) {
 	t.Helper()
 	for _, eng := range []Engine{EngineScalar, EngineBitset} {
 		t.Run(eng.String(), func(t *testing.T) {
-			inc := NewIncrementalEngine(nL, nR, el, er, eng)
+			w := make([]int64, len(el))
+			for i := range w {
+				w[i] = 1
+			}
+			inc := NewIncrementalEngine(nL, nR, el, er, w, len(el), eng)
 			if inc.UsesBitset() != (eng == EngineBitset) {
 				t.Fatalf("engine %v not pinned", eng)
 			}
@@ -142,15 +146,21 @@ func forEachIncArm(t *testing.T, nL, nR int, el, er []int, body func(t *testing.
 
 // setMatching installs a warm matching on a fresh matcher, the state a
 // search test starts from: edgeOfLeft[l] is the edge matched at left node
-// l, or -1 when l is exposed.
+// l, or -1 when l is exposed. The matched nodes leave the exposed-left and
+// free-right bitsets.
 func setMatching(inc *Incremental, edgeOfLeft ...int) {
 	for l, e := range edgeOfLeft {
 		if e < 0 {
 			continue
 		}
+		r := inc.edgeR[e]
 		inc.matchL[l] = e
-		inc.matchR[inc.edgeR[e]] = e
+		inc.matchR[r] = e
 		inc.size++
+		inc.exposedL[l>>6] &^= 1 << uint(l&63)
+		if inc.useBits {
+			inc.freeR[r>>6] &^= 1 << uint(r&63)
+		}
 	}
 }
 
@@ -259,7 +269,7 @@ func TestBottleneckIncOptimalUnderPeeling(t *testing.T) {
 		g := randomRegularish(rng, n, 2*n, 12)
 		el, er, w := edgeArrays(g)
 		live := append([]int64(nil), w...)
-		b := NewBottleneckInc(n, n, el, er, live)
+		b := NewBottleneckInc(n, n, el, er, live, len(el))
 		for round := 0; ; round++ {
 			if round > g.EdgeCount()+1 {
 				t.Fatalf("trial %d: peeling simulation did not terminate", trial)
@@ -291,17 +301,11 @@ func TestBottleneckIncOptimalUnderPeeling(t *testing.T) {
 				}
 			}
 			coldVal := bottleneckValue(res, coldM)
-			if minW != coldVal {
-				t.Fatalf("trial %d round %d: incremental bottleneck %d, cold bottleneck %d", trial, round, minW, coldVal)
+			if minW != coldVal || b.Bottleneck() != coldVal {
+				t.Fatalf("trial %d round %d: incremental bottleneck %d (Bottleneck() %d), cold bottleneck %d", trial, round, minW, b.Bottleneck(), coldVal)
 			}
 			// Peel: subtract the uniform minimum from matched edges.
-			for l := 0; l < n; l++ {
-				e := b.MatchedEdge(l)
-				live[e] -= minW
-				if live[e] == 0 {
-					b.Deactivate(e)
-				}
-			}
+			b.Peel(nil, minW)
 		}
 	}
 }
@@ -312,24 +316,13 @@ func TestBottleneckIncDeterministic(t *testing.T) {
 	el, er, w := edgeArrays(g)
 	run := func() []int {
 		live := append([]int64(nil), w...)
-		b := NewBottleneckInc(6, 6, el, er, live)
+		b := NewBottleneckInc(6, 6, el, er, live, len(el))
 		var trace []int
 		for b.Rematch(6) {
-			var minW int64 = -1
 			for l := 0; l < 6; l++ {
-				e := b.MatchedEdge(l)
-				trace = append(trace, e)
-				if minW < 0 || live[e] < minW {
-					minW = live[e]
-				}
+				trace = append(trace, b.MatchedEdge(l))
 			}
-			for l := 0; l < 6; l++ {
-				e := b.MatchedEdge(l)
-				live[e] -= minW
-				if live[e] == 0 {
-					b.Deactivate(e)
-				}
-			}
+			b.Peel(nil, b.Bottleneck())
 		}
 		return trace
 	}
