@@ -7,9 +7,9 @@
 GO ?= go
 BENCH_COUNT ?= 5
 
-.PHONY: check lint vet build test race race-obs bench-smoke bench-solve-smoke bench bench-compare bench-compare-smoke bench-shard bench-shard-smoke bench-delta bench-delta-smoke fuzz-smoke trace-demo soak-smoke soak-obs-smoke soak-delta-smoke
+.PHONY: check lint vet build test race race-obs bench-smoke bench-solve-smoke bench-wire-smoke bench bench-compare bench-compare-smoke bench-shard bench-shard-smoke bench-delta bench-delta-smoke fuzz-smoke trace-demo soak-smoke soak-obs-smoke soak-delta-smoke
 
-check: lint build race race-obs bench-smoke bench-solve-smoke bench-compare-smoke bench-shard-smoke bench-delta-smoke soak-smoke soak-obs-smoke soak-delta-smoke
+check: lint build race race-obs bench-smoke bench-solve-smoke bench-wire-smoke bench-compare-smoke bench-shard-smoke bench-delta-smoke soak-smoke soak-obs-smoke soak-delta-smoke
 
 # Static gate: formatting, go vet, and the project linter (see
 # tools/redistlint and the "Enforced invariants" section of DESIGN.md).
@@ -52,6 +52,13 @@ bench-smoke:
 # timing assertion (1 iteration is too noisy to gate on).
 bench-solve-smoke:
 	$(GO) test ./internal/kpbs -run='^$$' -bench=BitsetSolve -benchtime=1x
+
+# One iteration of each schedule-codec row (BenchmarkSolveResp: encode and
+# decode of the dense64-ggp, powerlaw256-oggp and mixed-small response
+# shapes, with their payload sizes), so the rows DESIGN.md cites keep
+# running; no timing assertion.
+bench-wire-smoke:
+	$(GO) test ./internal/wire -run='^$$' -bench=SolveResp -benchtime=1x
 
 # Full benchmark comparison, serial loop vs worker pool.
 bench:

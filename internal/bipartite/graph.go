@@ -20,6 +20,7 @@ package bipartite
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -98,6 +99,11 @@ func (g *Graph) Clone() *Graph {
 	c.edges = append([]Edge(nil), g.edges...)
 	return c
 }
+
+// Grow reserves room for n more edges, so that the next n AddEdge calls
+// append without reallocating. A builder that knows its edge count calls
+// it once instead of letting AddEdge grow the edge list step by step.
+func (g *Graph) Grow(n int) { g.edges = slices.Grow(g.edges, n) }
 
 // AddEdge appends an edge of the given weight. It panics if the endpoints
 // are out of range or the weight is not positive; graph construction errors

@@ -217,13 +217,16 @@ func (s *shardScratch) mapComponent(g *bipartite.Graph, sh *sharder, c int) {
 }
 
 // subgraph materializes component c as a standalone bipartite graph in
-// local node ids, edges in original order. The graph itself allocates —
-// it feeds straight into buildInstance, which allocates its working
-// instance anyway; only the mapping arenas above are steady-state free.
+// local node ids, edges in original order. The graph itself allocates, its
+// edge list once — it feeds straight into buildInstance, which allocates
+// its working instance anyway; only the mapping arenas above are
+// steady-state free.
 func (s *shardScratch) subgraph(g *bipartite.Graph, sh *sharder, c int) *bipartite.Graph {
 	s.mapComponent(g, sh, c)
+	idx := sh.componentEdges(c)
 	sub := bipartite.New(s.nL, s.nR)
-	for _, ei := range sh.componentEdges(c) {
+	sub.Grow(len(idx))
+	for _, ei := range idx {
 		e := g.Edge(ei)
 		sub.AddEdge(s.localL[e.L], s.localR[e.R], e.Weight)
 	}

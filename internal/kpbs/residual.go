@@ -2,6 +2,7 @@ package kpbs
 
 import (
 	"fmt"
+	"slices"
 
 	"redistgo/internal/matching"
 	"redistgo/internal/obs"
@@ -83,6 +84,9 @@ func newPeeler(in *instance, kind matcherKind, eng matching.Engine) *peeler {
 		er:     make([]int, m),
 		w0:     make([]int64, m),
 		w:      make([]int64, m),
+		// Every real edge is emitted at least once, so the arena needs at
+		// least nReal slots.
+		comms: make([]int32, 0, in.nReal),
 	}
 	for i, e := range in.edges {
 		p.el[i] = e.l
@@ -153,6 +157,15 @@ func (p *peeler) bottleneck() int64 {
 //
 //redistlint:hotpath
 func (p *peeler) peel(w int64) {
+	// A peel emits at most k comms: the augmented graph's perfect matchings
+	// hold at most k real edges. When fewer than k slots are free the arena
+	// doubles here, before the matcher appends, so a cold solve grows it
+	// geometrically from its nReal start instead of by append's 1.25× for
+	// large slices.
+	if cap(p.comms)-len(p.comms) < p.in.k {
+		//redistlint:allow hotpath geometric arena growth: the arena starts at nReal and doubles, so a cold solve grows it at most log2(comms/nReal)+1 times; reset keeps the capacity and TestPeelSteadyStateAllocs asserts zero steady-state allocations
+		p.comms = slices.Grow(p.comms, cap(p.comms)+p.in.k)
+	}
 	var died int
 	if p.bot != nil {
 		p.comms, died = p.bot.Peel(p.comms, w)

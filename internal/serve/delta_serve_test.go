@@ -305,7 +305,9 @@ func TestServeDeltaTooLargeDropsChain(t *testing.T) {
 	}
 	defer cl.Close()
 
-	// Base: a diagonal instance — cheap to solve, tiny response.
+	// Base: a diagonal instance — cheap to solve, tiny response. At k = 32
+	// the densified 180×180 matrix below encodes to about 2.56 MB of
+	// response; at k = 2 it would take 410 KB and fit a frame.
 	const n = 180
 	m := make([][]int64, n)
 	for i := range m {
@@ -316,7 +318,7 @@ func TestServeDeltaTooLargeDropsChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := wire.SolveRequest{ID: 1, K: 2, Beta: 16, Algorithm: kpbs.GGP,
+	base := wire.SolveRequest{ID: 1, K: 32, Beta: 16, Algorithm: kpbs.GGP,
 		N1: n, N2: n, Edges: g.Edges()}
 	if _, _, err := cl.Solve(base); err != nil {
 		t.Fatal(err)

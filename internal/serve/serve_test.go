@@ -140,6 +140,36 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestServeAnswersDenseEnvelope: dense 128×128 GGP and dense 255×255 OGGP
+// requests (k = 32, β = 1) have schedules of about 344 KB and 216 KB on the
+// wire, so the daemon answers both, byte-identical to a local solve, where
+// 16 bytes a communication drew RejectTooLarge. Dense 255×255 GGP, at
+// about 1.69 MB, is still refused.
+func TestServeAnswersDenseEnvelope(t *testing.T) {
+	s := newServer(t, Config{})
+	cl, err := Dial(s.Addr(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for i, tc := range []struct {
+		n   int
+		alg kpbs.Algorithm
+	}{{128, kpbs.GGP}, {255, kpbs.OGGP}} {
+		g, err := bipartite.FromMatrix(trafficgen.DenseUniform(rand.New(rand.NewSource(5)), tc.n, tc.n, 1, 20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := wire.SolveRequest{ID: uint64(i + 1), K: 32, Beta: 1, Algorithm: tc.alg,
+			N1: tc.n, N2: tc.n, Edges: g.Edges()}
+		_, raw, err := cl.Solve(req)
+		if err != nil {
+			t.Fatalf("dense %dx%d %s: %v", tc.n, tc.n, tc.alg, err)
+		}
+		verify(t, req, raw)
+	}
+}
+
 // TestTraceRoundTrip: a traced request's 16-byte id comes back on the
 // response (TS rewritten to the server's handling time), the response
 // payload is CodecV2, and the per-request observability — spans, tenant
