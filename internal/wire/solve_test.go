@@ -116,47 +116,60 @@ func overwriteEdgeCount(p []byte, n uint32) []byte {
 	return out
 }
 
+// TestSolveRespRoundTrip: every schedule — the sample request's and
+// roundTripSchedules' — encodes into a payload sized exactly, decodes to
+// itself with each step's comms in their exact order, and re-encodes to
+// the same bytes.
 func TestSolveRespRoundTrip(t *testing.T) {
 	req := sampleRequest()
-	sched, err := kpbs.Solve(req.Graph(), req.K, req.Beta, kpbs.Options{Algorithm: req.Algorithm})
+	sampled, err := kpbs.Solve(req.Graph(), req.K, req.Beta, kpbs.Options{Algorithm: req.Algorithm})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := EncodeSolveResp(req.ID, sched, TraceContext{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := DecodeSolveResp(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.ID != req.ID {
-		t.Fatalf("id %d, want %d", resp.ID, req.ID)
-	}
-	if resp.Schedule.Beta != sched.Beta || len(resp.Schedule.Steps) != len(sched.Steps) {
-		t.Fatalf("schedule shape differs: %d steps beta %d, want %d steps beta %d",
-			len(resp.Schedule.Steps), resp.Schedule.Beta, len(sched.Steps), sched.Beta)
-	}
-	for i, st := range sched.Steps {
-		got := resp.Schedule.Steps[i]
-		if got.Duration != st.Duration || len(got.Comms) != len(st.Comms) {
-			t.Fatalf("step %d shape differs", i)
-		}
-		for j := range st.Comms {
-			if got.Comms[j] != st.Comms[j] {
-				t.Fatalf("step %d comm %d: got %+v want %+v", i, j, got.Comms[j], st.Comms[j])
+	schedules := roundTripSchedules(t)
+	schedules["sample request"] = sampled
+	for name, sched := range schedules {
+		t.Run(name, func(t *testing.T) {
+			p, err := EncodeSolveResp(req.ID, sched, TraceContext{})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	// The codec is injective — re-encoding the decoded schedule must give
-	// the same bytes. The soak harness's byte-identical check rests on
-	// this.
-	again, err := EncodeSolveResp(resp.ID, resp.Schedule, resp.Trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again, p) {
-		t.Fatal("re-encoding the decoded response changed the bytes")
+			if cap(p) != len(p) {
+				t.Fatalf("payload sized at %d bytes for %d", cap(p), len(p))
+			}
+			resp, err := DecodeSolveResp(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.ID != req.ID {
+				t.Fatalf("id %d, want %d", resp.ID, req.ID)
+			}
+			if resp.Schedule.Beta != sched.Beta || len(resp.Schedule.Steps) != len(sched.Steps) {
+				t.Fatalf("schedule shape differs: %d steps beta %d, want %d steps beta %d",
+					len(resp.Schedule.Steps), resp.Schedule.Beta, len(sched.Steps), sched.Beta)
+			}
+			for i, st := range sched.Steps {
+				got := resp.Schedule.Steps[i]
+				if got.Duration != st.Duration || len(got.Comms) != len(st.Comms) {
+					t.Fatalf("step %d shape differs", i)
+				}
+				for j := range st.Comms {
+					if got.Comms[j] != st.Comms[j] {
+						t.Fatalf("step %d comm %d: got %+v want %+v", i, j, got.Comms[j], st.Comms[j])
+					}
+				}
+			}
+			// The codec is injective — re-encoding the decoded schedule
+			// must give the same bytes. The soak harness's byte-identical
+			// check rests on this.
+			again, err := EncodeSolveResp(resp.ID, resp.Schedule, resp.Trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, p) {
+				t.Fatal("re-encoding the decoded response changed the bytes")
+			}
+		})
 	}
 }
 
