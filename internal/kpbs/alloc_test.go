@@ -93,10 +93,7 @@ func TestBitsetSteadyStateAllocs(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := peelAllocsZero(t, g, tc.kind, matching.EngineBitset)
-			if p.inc != nil && !p.inc.UsesBitset() {
-				t.Fatal("peeler did not resolve to the bitset kernels")
-			}
-			if p.bot != nil && !p.bot.UsesBitset() {
+			if !p.m.UsesBitset() {
 				t.Fatal("peeler did not resolve to the bitset kernels")
 			}
 		})

@@ -24,12 +24,13 @@ const scheduleDigestWant = "3671cb382fb93e39076db20c4464062604fc9a766618152a78b2
 
 // ggpScheduleDigestWant is the SHA-256 of every schedule
 // TestGGPScheduleDigest solves. GGP may peel with any perfect matching, and
-// the matching rule changed when the Incremental matcher's repair became
-// one breadth-first search per exposed left node (DESIGN.md §2); the
-// constant was re-recorded then, after TestGGPRatioCorpus and the cross-arm
-// checks passed. It pins those schedules from here on: any later change to
-// the GGP peel, the Incremental matcher or denormalization must leave every
-// GGP schedule byte-identical, or argue the change in DESIGN.md.
+// the matching rule changed when the GGP matcher's repair became one
+// breadth-first search per exposed left node (DESIGN.md §2); the constant
+// was re-recorded then, after TestGGPRatioCorpus and the cross-arm checks
+// passed. It pins those schedules from here on: any later change to the
+// GGP peel, the incremental matcher's ModeAny or denormalization must
+// leave every GGP schedule byte-identical, or argue the change in
+// DESIGN.md.
 const ggpScheduleDigestWant = "c5b3deeb2707d79663c3fb3314ab422b6ebc77d019c90833dfeaa3a9de2ef283"
 
 type digestInstance struct {

@@ -17,15 +17,16 @@ type normStep struct {
 	peel  int64
 }
 
-// matcherKind selects the perfect-matching strategy used by the peeler.
-type matcherKind int
+// matcherKind selects the perfect-matching strategy used by the peeler:
+// it is the mode of the one incremental matcher.
+type matcherKind = matching.Mode
 
 const (
 	// matchAny uses any perfect matching — GGP (§4.2).
-	matchAny matcherKind = iota
+	matchAny = matching.ModeAny
 	// matchBottleneck maximizes the minimum matched weight — OGGP (§4.3),
 	// the paper's Figure-6 procedure.
-	matchBottleneck
+	matchBottleneck = matching.ModeBottleneck
 )
 
 // peel runs the WRGP loop (paper §4.1, Figure 3) on the augmented

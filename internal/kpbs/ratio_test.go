@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"redistgo/internal/bipartite"
+	"redistgo/internal/obs"
 	"redistgo/internal/trafficgen"
 )
 
 // The mean GGP cost/LowerBound of each TestGGPRatioCorpus group, over both
-// shard modes. They were recorded before the incremental matcher's repair
-// became one breadth-first search per exposed node (DESIGN.md §2): GGP may
-// peel with any perfect matching, so that change moved schedules, and these
+// shard modes. They were recorded before GGP's matching repair became one
+// breadth-first search per exposed node (DESIGN.md §2): GGP may peel with
+// any perfect matching, so that change moved schedules, and these
 // constants bound how far their quality may drift.
 const (
 	ggpRatioDigestWant  = 1.0612819412
@@ -92,19 +93,48 @@ func connected(g *bipartite.Graph) bool {
 	return sh.nComp <= 1
 }
 
+// ratioOptions returns the options of one corpus solve. The ShardOff solve
+// carries an observer, so checkPeelBound can read its peel count.
+func ratioOptions(alg Algorithm, shard ShardMode) Options {
+	opts := Options{Algorithm: alg, Shard: shard}
+	if shard == ShardOff {
+		opts.Obs = obs.New()
+	}
+	return opts
+}
+
+// checkPeelBound requires an observed unsharded solve of g to have peeled
+// at most m + 2n + 1 times (DESIGN.md §2), with n the non-isolated nodes,
+// and returns the share of the bound it used; solves without an observer
+// return 0.
+func checkPeelBound(t *testing.T, name string, g *bipartite.Graph, opts Options) float64 {
+	t.Helper()
+	if opts.Obs == nil {
+		return 0
+	}
+	bound := int64(g.EdgeCount() + 2*(g.ActiveLeft()+g.ActiveRight()) + 1)
+	peels := opts.Obs.Metrics.Snapshot().Counters["solver.peels_total."+opts.Algorithm.String()]
+	if peels > bound {
+		t.Fatalf("%s %v: %d peels, over the m + 2n + 1 bound %d", name, opts.Algorithm, peels, bound)
+	}
+	return float64(peels) / float64(bound)
+}
+
 // TestGGPRatioCorpus is the quality guard on GGP's matching choice. Every
 // schedule must be valid and cost at least LowerBound; connected instances
-// must also cost at most 2·LowerBound (Theorem 1). Each group's mean
+// must also cost at most 2·LowerBound (Theorem 1), and every unsharded
+// solve must peel at most m + 2n + 1 times. Each group's mean
 // cost/LowerBound may exceed its recorded constant by ggpRatioTolerance.
 func TestGGPRatioCorpus(t *testing.T) {
 	for _, grp := range ggpRatioCorpus(t) {
-		var sum float64
+		var sum, worstPeels float64
 		var n int
 		for _, in := range grp.cases {
 			lb := LowerBound(in.g, in.k, grp.beta)
 			conn := connected(in.g)
 			for _, shard := range []ShardMode{ShardOff, ShardAuto} {
-				s, err := Solve(in.g, in.k, grp.beta, Options{Algorithm: GGP, Shard: shard})
+				opts := ratioOptions(GGP, shard)
+				s, err := Solve(in.g, in.k, grp.beta, opts)
 				if err != nil {
 					t.Fatalf("%s %v: %v", in.name, shard, err)
 				}
@@ -118,12 +148,13 @@ func TestGGPRatioCorpus(t *testing.T) {
 				if conn && cost > 2*lb {
 					t.Fatalf("%s %v: cost %d > 2·LB = %d on a connected instance", in.name, shard, cost, 2*lb)
 				}
+				worstPeels = max(worstPeels, checkPeelBound(t, in.name, in.g, opts))
 				sum += float64(cost) / float64(lb)
 				n++
 			}
 		}
 		mean := sum / float64(n)
-		t.Logf("%s: mean cost/LB %.10f over %d schedules (recorded %.10f)", grp.name, mean, n, grp.want)
+		t.Logf("%s: mean cost/LB %.10f over %d schedules (recorded %.10f); peels at most %.3f of m + 2n + 1", grp.name, mean, n, grp.want, worstPeels)
 		if mean > grp.want*(1+ggpRatioTolerance) {
 			t.Errorf("%s: mean cost/LB %.10f exceeds the recorded %.10f by more than %.1f%%",
 				grp.name, mean, grp.want, 100*ggpRatioTolerance)
@@ -145,19 +176,21 @@ var bottleneckRatioWant = map[Algorithm]map[string]float64{
 // TestBottleneckRatioCorpus is the quality guard on the bottleneck
 // matcher's choice, over the groups of TestGGPRatioCorpus. Every OGGP and
 // MinSteps schedule must be valid and cost at least LowerBound; connected
-// OGGP instances must also cost at most 2·LowerBound (Theorem 1). Each
-// group's mean cost/LowerBound may exceed its recorded constant by
+// OGGP instances must also cost at most 2·LowerBound (Theorem 1), and
+// every unsharded solve must peel at most m + 2n + 1 times. Each group's
+// mean cost/LowerBound may exceed its recorded constant by
 // ggpRatioTolerance.
 func TestBottleneckRatioCorpus(t *testing.T) {
 	for _, grp := range ggpRatioCorpus(t) {
 		for _, alg := range []Algorithm{OGGP, MinSteps} {
-			var sum float64
+			var sum, worstPeels float64
 			var n int
 			for _, in := range grp.cases {
 				lb := LowerBound(in.g, in.k, grp.beta)
 				conn := alg == OGGP && connected(in.g)
 				for _, shard := range []ShardMode{ShardOff, ShardAuto} {
-					s, err := Solve(in.g, in.k, grp.beta, Options{Algorithm: alg, Shard: shard})
+					opts := ratioOptions(alg, shard)
+					s, err := Solve(in.g, in.k, grp.beta, opts)
 					if err != nil {
 						t.Fatalf("%s %v %v: %v", in.name, alg, shard, err)
 					}
@@ -171,13 +204,14 @@ func TestBottleneckRatioCorpus(t *testing.T) {
 					if conn && cost > 2*lb {
 						t.Fatalf("%s %v %v: cost %d > 2·LB = %d on a connected instance", in.name, alg, shard, cost, 2*lb)
 					}
+					worstPeels = max(worstPeels, checkPeelBound(t, in.name, in.g, opts))
 					sum += float64(cost) / float64(lb)
 					n++
 				}
 			}
 			mean := sum / float64(n)
 			want := bottleneckRatioWant[alg][grp.name]
-			t.Logf("%s %v: mean cost/LB %.10f over %d schedules (recorded %.10f)", grp.name, alg, mean, n, want)
+			t.Logf("%s %v: mean cost/LB %.10f over %d schedules (recorded %.10f); peels at most %.3f of m + 2n + 1", grp.name, alg, mean, n, want, worstPeels)
 			if mean > want*(1+ggpRatioTolerance) {
 				t.Errorf("%s %v: mean cost/LB %.10f exceeds the recorded %.10f by more than %.1f%%",
 					grp.name, alg, mean, want, 100*ggpRatioTolerance)

@@ -20,13 +20,14 @@ import (
 //     into parallel arrays; w holds the live weights and is the only thing
 //     a peel mutates. Edges that reach zero are deactivated in O(1) inside
 //     the matcher's adjacency — asGraph is never called again.
-//   - Warm-started matchings: for GGP, matching.Incremental keeps the
-//     surviving matched pairs across peels and repairs only the exposed
-//     nodes (one breadth-first search per exposed node). For OGGP and
-//     MinSteps, matching.BottleneckInc keeps its bottleneck threshold, the
-//     graph above it and the matching across peels: it repairs only the
-//     pairs a peel pushed below the threshold, and lowers the threshold
-//     only while no perfect matching exists.
+//   - Warm-started matchings: one matching.BottleneckInc keeps the
+//     matching across peels and repairs only the exposed nodes. For GGP it
+//     runs in ModeAny, with every live edge admitted and one breadth-first
+//     search per exposed node. For OGGP and MinSteps it runs in
+//     ModeBottleneck and also keeps its bottleneck threshold and the graph
+//     above it: it repairs only the pairs a peel pushed below the
+//     threshold, and lowers the threshold only while no perfect matching
+//     exists.
 //   - The matcher owns the peel: Bottleneck returns the peel amount and
 //     Peel emits the real comms, subtracts and deactivates in one pass
 //     over the matching.
@@ -42,8 +43,7 @@ import (
 // perfect matching; augmenting paths from the exposed nodes therefore
 // always complete it (see DESIGN.md).
 type peeler struct {
-	in   *instance
-	kind matcherKind
+	in *instance
 
 	// so observes the loop (per-peel events and counters); nil disables.
 	// The hot path only ever nil-checks it — resolution of metric handles
@@ -57,8 +57,7 @@ type peeler struct {
 	w0     []int64 // pristine normalized weights, for reset
 	w      []int64 // live residual weights
 
-	inc *matching.Incremental   // matchAny engine
-	bot *matching.BottleneckInc // matchBottleneck engine
+	m *matching.BottleneckInc // the incremental matcher, in the solve's mode
 
 	// Output arenas, reused across runs. Each emitted step's comms live in
 	// one contiguous chunk of the comms arena; offs records the chunk
@@ -78,7 +77,6 @@ func newPeeler(in *instance, kind matcherKind, eng matching.Engine) *peeler {
 	m := len(in.edges)
 	p := &peeler{
 		in:     in,
-		kind:   kind,
 		active: m,
 		el:     make([]int, m),
 		er:     make([]int, m),
@@ -94,62 +92,24 @@ func newPeeler(in *instance, kind matcherKind, eng matching.Engine) *peeler {
 		p.w0[i] = e.w
 	}
 	copy(p.w, p.w0)
-	if kind == matchBottleneck {
-		p.bot = matching.NewBottleneckIncEngine(in.nL, in.nR, p.el, p.er, p.w, in.nReal, eng)
-	} else {
-		p.inc = matching.NewIncrementalEngine(in.nL, in.nR, p.el, p.er, p.w, in.nReal, eng)
-	}
+	p.m = matching.NewBottleneckInc(in.nL, in.nR, p.el, p.er, p.w, in.nReal, eng, kind)
 	return p
 }
 
 // reset restores the pristine weights and matcher state so the same
-// instance can be peeled again, reusing every buffer. Both matchers carry
-// state from one peel to the next — BottleneckInc its threshold, re-entry
-// heap and sort cursor as well as the matching — and reset must clear all
-// of it. TestPeelerRerunIsReproducible checks that a rerun reproduces the
-// first run's steps; FuzzBottleneckIncPeel checks BottleneckInc.Reset
-// against a freshly built matcher.
+// instance can be peeled again, reusing every buffer. The matcher carries
+// state from one peel to the next — in ModeBottleneck its threshold,
+// re-entry heap and sort cursor as well as the matching — and reset must
+// clear all of it. TestPeelerRerunIsReproducible checks that a rerun
+// reproduces the first run's steps; FuzzBottleneckIncPeel checks
+// BottleneckInc.Reset against a freshly built matcher.
 func (p *peeler) reset() {
 	copy(p.w, p.w0)
 	p.active = len(p.w)
 	p.steps = p.steps[:0]
 	p.comms = p.comms[:0]
 	p.offs = p.offs[:0]
-	if p.bot != nil {
-		p.bot.Reset()
-	} else {
-		p.inc.Reset()
-	}
-}
-
-// matchedPairs returns the current matching size. Read before a rematch it
-// is the number of pairs surviving from the previous peel — the
-// warm-start reuse the observability layer reports. For the bottleneck
-// matcher that excludes the pairs Peel dropped below the threshold: it
-// counts the pairs Rematch keeps.
-func (p *peeler) matchedPairs() int {
-	if p.bot != nil {
-		return p.bot.Size()
-	}
-	return p.inc.Size()
-}
-
-// rematch establishes a perfect matching of the residual graph, warm-
-// started from the previous iteration's survivors. It reports failure only
-// if the residual graph is not weight-regular (a broken augmentation).
-func (p *peeler) rematch() bool {
-	if p.bot != nil {
-		return p.bot.Rematch(p.in.nL)
-	}
-	return p.inc.Augment() == p.in.nL
-}
-
-// bottleneck returns the minimum matched weight, the peel amount.
-func (p *peeler) bottleneck() int64 {
-	if p.bot != nil {
-		return p.bot.Bottleneck()
-	}
-	return p.inc.Bottleneck()
+	p.m.Reset()
 }
 
 // peel subtracts w from every matched edge, appends the real ones to the
@@ -167,11 +127,7 @@ func (p *peeler) peel(w int64) {
 		p.comms = slices.Grow(p.comms, cap(p.comms)+p.in.k)
 	}
 	var died int
-	if p.bot != nil {
-		p.comms, died = p.bot.Peel(p.comms, w)
-	} else {
-		p.comms, died = p.inc.Peel(p.comms, w)
-	}
+	p.comms, died = p.m.Peel(p.comms, w)
 	p.active -= died
 }
 
@@ -192,16 +148,20 @@ func (p *peeler) run() ([]normStep, error) {
 			return nil, fmt.Errorf("kpbs: peeling did not terminate after %d iterations", maxIter)
 		}
 		// Warm-start reuse: matched pairs surviving from the previous peel,
-		// read before rematch repairs the matching. Only computed when
-		// observed — the guard keeps the disabled path branch-cheap.
+		// read before Rematch repairs the matching. In ModeBottleneck that
+		// excludes the pairs Peel dropped below the threshold. Only read
+		// when observed — the guard keeps the disabled path branch-cheap.
 		reused := 0
 		if p.so != nil {
-			reused = p.matchedPairs()
+			reused = p.m.Size()
 		}
-		if !p.rematch() {
+		// A perfect matching of the residual graph, warm-started from the
+		// previous iteration's survivors; it fails only if the residual
+		// graph is not weight-regular (a broken augmentation).
+		if !p.m.Rematch(p.in.nL) {
 			return nil, fmt.Errorf("kpbs: no perfect matching in weight-regular graph (R=%d, remaining=%d); augmentation is broken", p.in.regular, remaining)
 		}
-		w := p.bottleneck()
+		w := p.m.Bottleneck()
 		if w <= 0 {
 			return nil, fmt.Errorf("kpbs: matching with non-positive minimum weight %d", w)
 		}

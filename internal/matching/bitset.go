@@ -1,7 +1,7 @@
 package matching
 
 // Engine selects the candidate-iteration kernel inside the incremental
-// matchers (Incremental and BottleneckInc). Both kernels traverse the
+// matcher BottleneckInc, in either mode. Both kernels traverse the
 // candidate edges of a left node in the same canonical order — right
 // endpoint ascending, lowest edge index first among parallel edges — so
 // they produce byte-identical matchings and, through the peeling loop,
@@ -61,8 +61,11 @@ func rowWords(nR int) int { return (nR + 63) >> 6 }
 // setLowBits sets bits [0, n) of the bitset words and clears the rest.
 func setLowBits(words []uint64, n int) {
 	clear(words)
-	for i := 0; i < n; i++ {
-		words[i>>6] |= 1 << uint(i&63)
+	for i := 0; i < n>>6; i++ {
+		words[i] = ^uint64(0)
+	}
+	if n&63 != 0 {
+		words[n>>6] = 1<<uint(n&63) - 1
 	}
 }
 

@@ -24,11 +24,11 @@ func TestEngineResolution(t *testing.T) {
 		t.Fatal("50k x 50k must not be bitset-representable")
 	}
 	// 512x512 sits exactly at the cell cap (1<<18); 600x600 exceeds it.
-	inc := NewIncrementalEngine(512, 512, nil, nil, nil, 0, EngineBitset)
-	if !inc.UsesBitset() {
+	b := NewBottleneckInc(512, 512, nil, nil, nil, 0, EngineBitset, ModeAny)
+	if !b.UsesBitset() {
 		t.Fatal("explicit bitset request on a representable shape ignored")
 	}
-	big := NewIncrementalEngine(600, 600, nil, nil, nil, 0, EngineBitset)
+	big := NewBottleneckInc(600, 600, nil, nil, nil, 0, EngineBitset, ModeAny)
 	if big.UsesBitset() {
 		t.Fatal("bitset request on a non-representable shape must fall back")
 	}
@@ -48,25 +48,26 @@ func TestEngineResolution(t *testing.T) {
 	}
 }
 
-// TestBitsetRowsMatchAdjacency cross-checks the Incremental bitset rows
-// against the independent bipartite.AdjacencyRows builder on graphs whose
-// width straddles a word boundary.
+// TestBitsetRowsMatchAdjacency cross-checks the ModeAny bitset rows, which
+// hold every edge from Reset on, against the independent
+// bipartite.AdjacencyRows builder on graphs whose width straddles a word
+// boundary.
 func TestBitsetRowsMatchAdjacency(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{5, 63, 64, 65, 66} {
 		g := randomRegularish(rng, n, 3*n, 9)
 		el, er, w := edgeArrays(g)
-		inc := NewIncrementalEngine(n, n, el, er, w, len(el), EngineBitset)
-		if !inc.UsesBitset() {
+		b := NewBottleneckInc(n, n, el, er, w, len(el), EngineBitset, ModeAny)
+		if !b.UsesBitset() {
 			t.Fatalf("n=%d: bitset arm not selected", n)
 		}
 		want := g.AdjacencyRows(nil)
-		if len(want) != len(inc.rows) {
-			t.Fatalf("n=%d: %d row words, want %d", n, len(inc.rows), len(want))
+		if len(want) != len(b.rows) {
+			t.Fatalf("n=%d: %d row words, want %d", n, len(b.rows), len(want))
 		}
 		for i := range want {
-			if inc.rows[i] != want[i] {
-				t.Fatalf("n=%d: row word %d = %#x, want %#x", n, i, inc.rows[i], want[i])
+			if b.rows[i] != want[i] {
+				t.Fatalf("n=%d: row word %d = %#x, want %#x", n, i, b.rows[i], want[i])
 			}
 		}
 	}
@@ -74,10 +75,10 @@ func TestBitsetRowsMatchAdjacency(t *testing.T) {
 
 // --- scalar vs bitset differentials ----------------------------------------
 
-// TestIncrementalEngineDifferential runs both Incremental arms through the
-// same Augment / Deactivate interleaving and requires identical matched
-// edges at every step — the matching-level form of the byte-identical
-// schedules contract.
+// TestIncrementalEngineDifferential runs both ModeAny arms through the
+// same Rematch / Deactivate interleaving and requires identical matched
+// edges and visit counts at every step — the matching-level form of the
+// byte-identical schedules contract.
 func TestIncrementalEngineDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 30; trial++ {
@@ -85,13 +86,16 @@ func TestIncrementalEngineDifferential(t *testing.T) {
 		g := randomRegularish(rng, n, rng.Intn(4*n), 9)
 		el, er, w := edgeArrays(g)
 		m := len(el)
-		sc := NewIncrementalEngine(n, n, el, er, w, m, EngineScalar)
-		bs := NewIncrementalEngine(n, n, el, er, w, m, EngineBitset)
+		sc := NewBottleneckInc(n, n, el, er, w, m, EngineScalar, ModeAny)
+		bs := NewBottleneckInc(n, n, el, er, w, m, EngineBitset, ModeAny)
 		if sc.UsesBitset() || !bs.UsesBitset() {
 			t.Fatalf("trial %d: arms not pinned (scalar=%v bitset=%v)", trial, sc.UsesBitset(), bs.UsesBitset())
 		}
 		compare := func(stage string) {
 			t.Helper()
+			if a, b := sc.Rematch(n), bs.Rematch(n); a != b {
+				t.Fatalf("trial %d %s: Rematch %v (scalar) vs %v (bitset)", trial, stage, a, b)
+			}
 			if sc.Size() != bs.Size() {
 				t.Fatalf("trial %d %s: sizes %d vs %d", trial, stage, sc.Size(), bs.Size())
 			}
@@ -105,26 +109,17 @@ func TestIncrementalEngineDifferential(t *testing.T) {
 				t.Fatalf("trial %d %s: %d visits (scalar) vs %d (bitset)", trial, stage, sc.Visits(), bs.Visits())
 			}
 		}
-		if a, b := sc.Augment(), bs.Augment(); a != b {
-			t.Fatalf("trial %d: Augment %d vs %d", trial, a, b)
-		}
 		compare("initial")
-		// Deactivate edges in a random order, re-augmenting after each batch.
+		// Deactivate edges in a random order, re-matching after each batch.
 		for _, e := range rng.Perm(m) {
 			sc.Deactivate(e)
 			bs.Deactivate(e)
 			if rng.Intn(3) == 0 {
-				if a, b := sc.Augment(), bs.Augment(); a != b {
-					t.Fatalf("trial %d: re-Augment %d vs %d", trial, a, b)
-				}
 				compare("after deactivation")
 			}
 		}
 		sc.Reset()
 		bs.Reset()
-		if a, b := sc.Augment(), bs.Augment(); a != b {
-			t.Fatalf("trial %d: post-Reset Augment %d vs %d", trial, a, b)
-		}
 		compare("after reset")
 	}
 }
@@ -140,8 +135,8 @@ func TestBottleneckIncEngineDifferential(t *testing.T) {
 		el, er, w0 := edgeArrays(g)
 		wSc := append([]int64(nil), w0...)
 		wBs := append([]int64(nil), w0...)
-		sc := NewBottleneckIncEngine(n, n, el, er, wSc, len(el), EngineScalar)
-		bs := NewBottleneckIncEngine(n, n, el, er, wBs, len(el), EngineBitset)
+		sc := NewBottleneckInc(n, n, el, er, wSc, len(el), EngineScalar, ModeBottleneck)
+		bs := NewBottleneckInc(n, n, el, er, wBs, len(el), EngineBitset, ModeBottleneck)
 		if sc.UsesBitset() || !bs.UsesBitset() {
 			t.Fatalf("trial %d: arms not pinned", trial)
 		}

@@ -6,13 +6,32 @@ import (
 	"sort"
 )
 
-// BottleneckInc is the incremental form of the paper's Figure-6 bottleneck
-// matching procedure, built for the OGGP peeling loop. The cold-start
-// procedure inserts edges in decreasing weight and grows a matching from
-// empty until it is perfect; its threshold t is the weight of the last
-// inserted group, and the matching it returns has minimum weight t.
-// BottleneckInc keeps that threshold, the working graph above it and the
-// matching across peels instead of starting over:
+// Mode selects which maximum matchings BottleneckInc repairs toward.
+type Mode int
+
+const (
+	// ModeAny takes any maximum matching of the live edges: GGP's peel
+	// (paper §4.2). Reset admits every live edge at threshold 0, so the
+	// sort cursor, the re-entry heap and the threshold lowering never
+	// fire, and grow runs breadth-first searches.
+	ModeAny Mode = iota
+	// ModeBottleneck takes a matching whose minimum weight is as large as
+	// possible, with the threshold procedure below and depth-first
+	// searches: OGGP's peel (paper §4.3, Figure 6) and MinSteps'.
+	ModeBottleneck
+)
+
+// BottleneckInc is the warm-start matcher behind the peeling loop: it keeps
+// a matching of a bipartite multigraph whose edges only lose weight and
+// die, and repairs it after each peel instead of matching from scratch.
+//
+// In ModeBottleneck it is the incremental form of the paper's Figure-6
+// bottleneck matching procedure. The cold-start procedure inserts edges in
+// decreasing weight and grows a matching from empty until it is perfect;
+// its threshold t is the weight of the last inserted group, and the
+// matching it returns has minimum weight t. BottleneckInc keeps that
+// threshold, the working graph above it and the matching across peels
+// instead of starting over:
 //
 //   - The optimal bottleneck never rises. Between two Rematch calls the
 //     caller only lowers weights and removes edges, so every perfect
@@ -47,15 +66,24 @@ import (
 //     node. Skipped searches would all have failed without side effects, so
 //     the chosen augmenting paths are exactly those of the unpruned search.
 //
-// Augmentation traverses candidates in the same canonical order as
-// Incremental — right endpoint ascending, lowest admitted edge index per
-// (l, r) cell — through either of two interchangeable kernels. Both read a
-// static adjacency, built once, that lists each left node's edges in
-// (right, edge) order, with one admitted bit per slot, so admitting or
-// removing an edge is O(1). The scalar arm scans a row's admitted slots;
-// the bitset arm keeps one uint64 row per left node plus a per-cell minimum
-// admitted edge index, and sweeps candidates a word at a time. Identical
-// traversal order makes the two arms byte-identical (DESIGN.md §11);
+// In ModeAny the threshold is 0 and every live edge is admitted from Reset
+// on, so the working graph is the live graph and Rematch grows a maximum
+// matching of it: after a peel it repairs only the exposed nodes. Each
+// search is breadth-first (Kuhn's algorithm, searched breadth-first) and
+// flips a shortest augmenting path; the dead region works as above, since
+// a failed breadth-first search marks a closed region just as a failed
+// depth-first one does. ModeBottleneck keeps the depth-first search, which
+// takes different bottleneck-optimal matchings and so different schedules.
+//
+// Augmentation traverses candidates in a canonical order — right endpoint
+// ascending, lowest admitted edge index per (l, r) cell — through either of
+// two interchangeable kernels. Both read a static adjacency, built once,
+// that lists each left node's edges in (right, edge) order, with one
+// admitted bit per slot, so admitting or removing an edge is O(1). The
+// scalar arm scans a row's admitted slots; the bitset arm keeps one uint64
+// row per left node plus a per-cell minimum admitted edge index, and
+// sweeps candidates a word at a time. Identical traversal order makes the
+// two arms byte-identical (DESIGN.md §11), and Visits() is equal on both;
 // EngineAuto picks by density.
 //
 // The matcher owns the peel. The weight slice is shared with the caller,
@@ -74,6 +102,7 @@ type BottleneckInc struct {
 	edgeR  []int
 	w      []int64 // live weights, shared with the caller
 	nReal  int     // edges below nReal are real; Peel emits only those
+	any    bool    // ModeAny
 
 	alive []bool
 
@@ -81,7 +110,7 @@ type BottleneckInc struct {
 	// live edges of weight ≥ t. order0 is the construction-time sort
 	// (weight desc, index asc); order0[next:] holds the edges never admitted
 	// since the last Reset, heap[:nHeap] the edges a peel dropped below t,
-	// as a max-heap by weight.
+	// as a max-heap by weight. ModeAny keeps t at 0 and allocates neither.
 	t      int64
 	order0 []int
 	next   int
@@ -119,21 +148,28 @@ type BottleneckInc struct {
 	visited   []int
 	markL     []int
 	stamp     int
-	stackL    []int // left node at each DFS depth
-	stackIter []int // scalar arm: next adjacency slot to try at that depth
+	stackL    []int // left node at each DFS depth; the BFS queue in ModeAny
+	stackIter []int // next adjacency slot (scalar arm) or last right tried (bitset arm) at that depth
 	stackEdge []int // edge chosen at that depth (valid once a child is entered)
+
+	// parent[r] is the edge through which the current breadth-first search
+	// reached right node r (ModeAny only). visits counts the right nodes
+	// all searches have visited since construction.
+	parent []int
+	visits int
 
 	// Bitset kernel state (allocated only when useBits). rows holds the
 	// admitted cells of each left node; cellEdge the minimum admitted edge
 	// index per cell (bit-guarded: read only while the row bit is set).
-	// visMask replaces the right-node visit stamps, stackR the per-depth
-	// candidate cursor (last right tried at that depth).
+	// visMask replaces the right-node visit stamps. freeR marks the free
+	// right nodes, in both modes; the breadth-first search ends at the
+	// lowest one in a candidate word without visiting the rest.
 	useBits  bool
 	words    int
 	rows     []uint64
 	cellEdge []int
 	visMask  []uint64
-	stackR   []int
+	freeR    []uint64
 
 	// Growth gating: an augmenting path must start at a free left node with
 	// admitted edges and end at a free right node with admitted edges, so
@@ -145,17 +181,12 @@ type BottleneckInc struct {
 }
 
 // NewBottleneckInc builds the matcher over the edge set (edgeL[i],
-// edgeR[i]) with weights w and the kernel chosen by density (EngineAuto).
-// The edges below nReal are the real ones, the only ones Peel emits. All
-// three slices are retained, not copied; Peel lowers w under the contract
-// documented on the type.
-func NewBottleneckInc(nL, nR int, edgeL, edgeR []int, w []int64, nReal int) *BottleneckInc {
-	return NewBottleneckIncEngine(nL, nR, edgeL, edgeR, w, nReal, EngineAuto)
-}
-
-// NewBottleneckIncEngine is NewBottleneckInc with an explicit kernel
-// choice; see Engine for the override semantics.
-func NewBottleneckIncEngine(nL, nR int, edgeL, edgeR []int, w []int64, nReal int, engine Engine) *BottleneckInc {
+// edgeR[i]) with weights w, the kernel arm engine resolves to and the given
+// mode. The edges below nReal are the real ones, the only ones Peel emits.
+// All three slices are retained, not copied; Peel lowers w under the
+// contract documented on the type. Every []int the matcher needs is cut
+// from one allocation and every bitset from another.
+func NewBottleneckInc(nL, nR int, edgeL, edgeR []int, w []int64, nReal int, engine Engine, mode Mode) *BottleneckInc {
 	m := len(edgeL)
 	b := &BottleneckInc{
 		nL:      nL,
@@ -164,40 +195,47 @@ func NewBottleneckIncEngine(nL, nR int, edgeL, edgeR []int, w []int64, nReal int
 		edgeR:   edgeR,
 		w:       w,
 		nReal:   nReal,
+		any:     mode == ModeAny,
 		alive:   make([]bool, m),
-		order0:  make([]int, m),
-		heap:    make([]int, m),
-		base:    make([]int, nL+1),
-		adj:     make([]int, m),
-		slot:    make([]int, m),
-		adm:     make([]uint64, rowWords(m)),
-		degL:    make([]int, nL),
-		degR:    make([]int, nR),
-		matchL:  make([]int, nL),
-		matchR:  make([]int, nR),
-		visited: make([]int, nR),
-		markL:   make([]int, nL),
-		roots:   make([]uint64, rowWords(nL)),
+		useBits: resolveEngine(engine, nL, nR, m),
 	}
-	depth := nL
-	if nR < depth {
-		depth = nR
+	depth := min(nL, nR) + 1
+	sortLen, parentLen := m, 0
+	if b.any {
+		sortLen, parentLen = 0, nR
 	}
-	b.stackL = make([]int, depth+1)
-	b.stackIter = make([]int, depth+1)
-	b.stackEdge = make([]int, depth+1)
-	if resolveEngine(engine, nL, nR, m) {
-		b.useBits = true
+	visitedLen, cellLen, maskLen := nR, 0, 0
+	if b.useBits {
 		b.words = rowWords(nR)
-		b.rows = make([]uint64, nL*b.words)
-		b.cellEdge = make([]int, nL*nR)
-		b.visMask = make([]uint64, b.words)
-		b.stackR = make([]int, depth+1)
+		visitedLen, cellLen, maskLen = 0, nL*nR, b.words
 	}
-	// Two counting-sort passes build the (right, edge)-ordered rows: order0
-	// first lists the edges by right node (index order within one), and
-	// distributing that list by left node keeps it within each row. degL
-	// and degR serve as the fill cursors and are cleared by Reset.
+	ints := make([]int, 2*sortLen+parentLen+visitedLen+cellLen+nL+1+2*m+3*nL+2*nR+3*depth)
+	b.order0, ints = ints[:sortLen:sortLen], ints[sortLen:]
+	b.heap, ints = ints[:sortLen:sortLen], ints[sortLen:]
+	b.parent, ints = ints[:parentLen:parentLen], ints[parentLen:]
+	b.visited, ints = ints[:visitedLen:visitedLen], ints[visitedLen:]
+	b.cellEdge, ints = ints[:cellLen:cellLen], ints[cellLen:]
+	b.base, ints = ints[:nL+1:nL+1], ints[nL+1:]
+	b.adj, ints = ints[:m:m], ints[m:]
+	b.slot, ints = ints[:m:m], ints[m:]
+	b.degL, ints = ints[:nL:nL], ints[nL:]
+	b.matchL, ints = ints[:nL:nL], ints[nL:]
+	b.markL, ints = ints[:nL:nL], ints[nL:]
+	b.degR, ints = ints[:nR:nR], ints[nR:]
+	b.matchR, ints = ints[:nR:nR], ints[nR:]
+	b.stackL, ints = ints[:depth:depth], ints[depth:]
+	b.stackIter, b.stackEdge = ints[:depth:depth], ints[depth:]
+	admLen, rootsLen, rowsLen := rowWords(m), rowWords(nL), nL*b.words
+	u := make([]uint64, admLen+rootsLen+rowsLen+2*maskLen)
+	b.adm, u = u[:admLen:admLen], u[admLen:]
+	b.roots, u = u[:rootsLen:rootsLen], u[rootsLen:]
+	b.rows, u = u[:rowsLen:rowsLen], u[rowsLen:]
+	b.visMask, b.freeR = u[:maskLen:maskLen], u[maskLen:]
+	// Three counting passes build the (right, edge)-ordered rows: adj first
+	// lists the edges by right node (index order within one), distributing
+	// that list by left node keeps it within each row and records each
+	// edge's slot, and adj is then rewritten from the slots. degL and degR
+	// serve as the fill cursors and are cleared by Reset.
 	for _, r := range edgeR {
 		b.degR[r]++
 	}
@@ -205,7 +243,7 @@ func NewBottleneckIncEngine(nL, nR int, edgeL, edgeR []int, w []int64, nReal int
 		at, b.degR[r] = at+b.degR[r], at
 	}
 	for e, r := range edgeR {
-		b.order0[b.degR[r]] = e
+		b.adj[b.degR[r]] = e
 		b.degR[r]++
 	}
 	for _, l := range edgeL {
@@ -214,17 +252,20 @@ func NewBottleneckIncEngine(nL, nR int, edgeL, edgeR []int, w []int64, nReal int
 	for i := 0; i < nL; i++ {
 		b.base[i+1] += b.base[i]
 	}
-	for _, e := range b.order0 {
+	for _, e := range b.adj {
 		l := edgeL[e]
-		s := b.base[l] + b.degL[l]
-		b.adj[s] = e
-		b.slot[e] = s
+		b.slot[e] = b.base[l] + b.degL[l]
 		b.degL[l]++
 	}
-	for i := range b.order0 {
-		b.order0[i] = i
+	for e, s := range b.slot {
+		b.adj[s] = e
 	}
-	sort.Sort(edgeIdxByWeightDesc{idx: b.order0, w: w})
+	if !b.any {
+		for i := range b.order0 {
+			b.order0[i] = i
+		}
+		sort.Sort(edgeIdxByWeightDesc{idx: b.order0, w: w})
+	}
 	b.Reset()
 	return b
 }
@@ -248,18 +289,17 @@ func (s edgeIdxByWeightDesc) Less(a, b int) bool {
 	return ia < ib
 }
 
-// Reset reactivates every edge and restores the cold state: no threshold,
-// no admitted edge, an empty heap and an empty matching. The caller must
+// Reset reactivates every edge and restores the cold state: an empty heap,
+// an empty matching and, in ModeBottleneck, no threshold and no admitted
+// edge; in ModeAny every edge is admitted at threshold 0. The caller must
 // have restored the weight slice to its construction-time values first
 // (the pristine sorted order is reused, not recomputed).
 func (b *BottleneckInc) Reset() {
 	for i := range b.alive {
 		b.alive[i] = true
 	}
-	b.t = math.MaxInt64
 	b.next = 0
 	b.nHeap = 0
-	clear(b.adm)
 	clear(b.degL)
 	clear(b.degR)
 	clear(b.rows)
@@ -273,6 +313,51 @@ func (b *BottleneckInc) Reset() {
 	b.size = 0
 	b.freeTouchL = 0
 	b.freeTouchR = 0
+	if b.useBits {
+		setLowBits(b.freeR, b.nR)
+	}
+	if b.any {
+		b.t = 0
+		b.admitAll()
+		return
+	}
+	b.t = math.MaxInt64
+	clear(b.adm)
+}
+
+// admitAll puts every edge into the empty working graph at once, which is
+// what admitting them one by one would leave: every slot's admitted bit,
+// each node's full degree, every left node with an edge a root and, on
+// the bitset arm, every cell with its minimum edge, the first one its
+// (right, edge)-ordered row lists.
+func (b *BottleneckInc) admitAll() {
+	setLowBits(b.adm, len(b.adj))
+	for l := 0; l < b.nL; l++ {
+		start, end := b.base[l], b.base[l+1]
+		if start == end {
+			continue
+		}
+		b.degL[l] = end - start
+		b.roots[l>>6] |= 1 << uint(l&63)
+		b.freeTouchL++
+		if !b.useBits {
+			continue
+		}
+		for _, e := range b.adj[start:end] {
+			r := b.edgeR[e]
+			wi, bit := l*b.words+r>>6, uint64(1)<<uint(r&63)
+			if b.rows[wi]&bit == 0 {
+				b.rows[wi] |= bit
+				b.cellEdge[l*b.nR+r] = e
+			}
+		}
+	}
+	for _, r := range b.edgeR {
+		if b.degR[r] == 0 {
+			b.freeTouchR++
+		}
+		b.degR[r]++
+	}
 }
 
 // Size returns the current matching cardinality.
@@ -283,6 +368,11 @@ func (b *BottleneckInc) MatchedEdge(l int) int { return b.matchL[l] }
 
 // UsesBitset reports which kernel arm this matcher resolved to.
 func (b *BottleneckInc) UsesBitset() bool { return b.useBits }
+
+// Visits returns how many right nodes the searches have visited since
+// construction. Both kernels visit the same right nodes in the same order,
+// so the count is equal across arms.
+func (b *BottleneckInc) Visits() int { return b.visits }
 
 // Deactivate removes edge e from the graph. If e was matched the pair is
 // released. An edge not yet admitted is skipped when its turn comes.
@@ -301,22 +391,40 @@ func (b *BottleneckInc) Deactivate(e int) {
 	}
 }
 
-// Bottleneck returns the threshold t in O(1). After a successful Rematch it
-// is the minimum matched weight: every admitted edge weighs at least t, and
-// the live edges heavier than t hold no matching of the target size, so
-// the matching holds an edge of weight exactly t.
-func (b *BottleneckInc) Bottleneck() int64 { return b.t }
+// Bottleneck returns the minimum matched weight after a successful
+// Rematch: the peel amount. In ModeBottleneck that is the threshold t, in
+// O(1): every admitted edge weighs at least t, and the live edges heavier
+// than t hold no matching of the target size, so the matching holds an
+// edge of weight exactly t. In ModeAny it is one scan of the matching,
+// math.MaxInt64 when nothing is matched.
+//
+//redistlint:hotpath
+func (b *BottleneckInc) Bottleneck() int64 {
+	if !b.any {
+		return b.t
+	}
+	min := int64(math.MaxInt64)
+	for _, e := range b.matchL {
+		if e >= 0 && b.w[e] < min {
+			min = b.w[e]
+		}
+	}
+	return min
+}
 
 // Peel subtracts amount, at most Bottleneck(), from every matched edge in
 // one pass over the left nodes in ascending order. It appends each matched
 // real edge to dst, deactivates the edges that reach zero, and moves those
-// left in (0, t) from the working graph to the re-entry heap; the pairs
-// still at or above t stay matched. It returns dst and the number of edges
+// left in (0, t) from the working graph to the re-entry heap (none in
+// ModeAny, where t is 0); the pairs still at or above t stay matched. A
+// matched edge is alive and admitted, so Peel releases it directly rather
+// than through Deactivate's checks. It returns dst and the number of edges
 // that reached zero.
 //
 //redistlint:hotpath
 func (b *BottleneckInc) Peel(dst []int32, amount int64) ([]int32, int) {
 	died := 0
+	keep := max(b.t, 1) // the pairs left at keep or above stay matched
 	for _, e := range b.matchL {
 		if e < 0 {
 			continue
@@ -327,13 +435,15 @@ func (b *BottleneckInc) Peel(dst []int32, amount int64) ([]int32, int) {
 		}
 		w := b.w[e] - amount
 		b.w[e] = w
-		switch {
-		case w == 0:
-			b.Deactivate(e)
+		if w >= keep {
+			continue
+		}
+		b.unmatch(e)
+		b.remove(e)
+		if w == 0 {
+			b.alive[e] = false
 			died++
-		case w < b.t:
-			b.unmatch(e)
-			b.remove(e)
+		} else {
 			b.push(e)
 		}
 	}
@@ -344,7 +454,9 @@ func (b *BottleneckInc) Peel(dst []int32, amount int64) ([]int32, int) {
 // edges with the given target cardinality, keeping the surviving matched
 // pairs and the threshold of the previous call. It reports whether the
 // target was reached; on success the matching maximizes the minimum
-// matched weight among all matchings of that cardinality.
+// matched weight among all matchings of that cardinality (ModeBottleneck).
+// In ModeAny the matching is a maximum one of the live graph, or has the
+// target size, whichever is smaller.
 //
 //redistlint:hotpath
 func (b *BottleneckInc) Rematch(target int) bool {
@@ -524,13 +636,16 @@ func (b *BottleneckInc) remove(e int) {
 //
 //redistlint:hotpath
 func (b *BottleneckInc) unmatch(e int) {
-	l := b.edgeL[e]
+	l, r := b.edgeL[e], b.edgeR[e]
 	b.matchL[l] = -1
-	b.matchR[b.edgeR[e]] = -1
+	b.matchR[r] = -1
 	b.size--
 	b.freeTouchL++
 	b.freeTouchR++
 	b.roots[l>>6] |= 1 << uint(l&63)
+	if b.useBits {
+		b.freeR[r>>6] |= 1 << uint(r&63)
+	}
 }
 
 // extendDead restores the dead region's closure after a dead left node
@@ -538,13 +653,14 @@ func (b *BottleneckInc) unmatch(e int) {
 // augmenting path leaves its partner, r and everything that search marks
 // join the region: it is again closed and free of free right nodes.
 // Otherwise some dead nodes may now reach a free right node, and the
-// region is reset. The search never flips an edge.
+// region is reset. The search never flips an edge. Only ModeBottleneck
+// admits edges after Reset, so only it gets here.
 //
 //redistlint:hotpath
 func (b *BottleneckInc) extendDead(r int) {
 	b.markRight(r)
 	me := b.matchR[r]
-	if me < 0 || b.search(b.edgeL[me]) >= 0 {
+	if me < 0 || b.dfs(b.edgeL[me]) >= 0 {
 		b.resetDead()
 	}
 }
@@ -568,12 +684,10 @@ func (b *BottleneckInc) grow(target int) {
 			if b.markL[l] == b.stamp {
 				continue // dead root: its search would fail again
 			}
-			top := b.search(l)
-			if top < 0 {
+			if !b.augment(l) {
 				b.markL[l] = b.stamp
 				continue
 			}
-			b.flip(top)
 			b.roots[w] &^= 1 << uint(l&63)
 			b.size++
 			b.freeTouchL--
@@ -583,17 +697,73 @@ func (b *BottleneckInc) grow(target int) {
 	}
 }
 
-// flip applies the augmenting path recorded on the stacks down to depth
-// top. Each stack level t holds the edge from stackL[t] to the right node
-// level t+1 came down through (or to the free right node at the top), so
-// assigning every level's edge rematches the whole alternating path.
+// augment searches for an augmenting path from the free root l over the
+// admitted edges, breadth-first in ModeAny and depth-first in
+// ModeBottleneck, and flips it if one exists. Every search skips marked
+// right nodes and marks and counts each one it visits.
+//
+//redistlint:hotpath
+func (b *BottleneckInc) augment(l int) bool {
+	if b.any {
+		var r int
+		if b.useBits {
+			r = b.bfsBits(l)
+		} else {
+			r = b.bfsScalar(l)
+		}
+		if r < 0 {
+			return false
+		}
+		b.flipPath(r)
+		return true
+	}
+	top := b.dfs(l)
+	if top < 0 {
+		return false
+	}
+	b.flip(top)
+	return true
+}
+
+// flip applies the augmenting path a depth-first search left on the
+// stacks down to depth top. Each stack level t holds the edge from
+// stackL[t] to the right node level t+1 came down through (or to the free
+// right node at the top), so assigning every level's edge rematches the
+// whole alternating path.
 //
 //redistlint:hotpath
 func (b *BottleneckInc) flip(top int) {
+	if b.useBits {
+		r := b.edgeR[b.stackEdge[top]]
+		b.freeR[r>>6] &^= 1 << uint(r&63)
+	}
 	for t := top; t >= 0; t-- {
 		pe := b.stackEdge[t]
 		b.matchL[b.stackL[t]] = pe
 		b.matchR[b.edgeR[pe]] = pe
+	}
+}
+
+// flipPath augments along the path a breadth-first search recorded, which
+// ends at the free right node r: walking parent edges back to the root,
+// every edge on the path becomes matched and the edges between them
+// unmatched.
+//
+//redistlint:hotpath
+func (b *BottleneckInc) flipPath(r int) {
+	if b.useBits {
+		b.freeR[r>>6] &^= 1 << uint(r&63)
+	}
+	for {
+		e := b.parent[r]
+		l := b.edgeL[e]
+		prev := b.matchL[l]
+		b.matchL[l] = e
+		b.matchR[r] = e
+		if prev < 0 {
+			return
+		}
+		r = b.edgeR[prev]
 	}
 }
 
@@ -639,27 +809,28 @@ func (b *BottleneckInc) deadLeft(l int) bool {
 	return b.markL[l] == b.stamp
 }
 
-// search runs the Kuhn DFS from left node root over the admitted edges,
+// dfs runs the Kuhn DFS from left node root over the admitted edges,
 // skipping marked right nodes and marking every right node it visits. It
 // returns the stack depth at which it reached a free right node, with the
 // path on stackL/stackEdge for flip, or -1 if none is reachable.
 //
 //redistlint:hotpath
-func (b *BottleneckInc) search(root int) int {
+func (b *BottleneckInc) dfs(root int) int {
 	if b.useBits {
-		return b.searchBits(root)
+		return b.dfsBits(root)
 	}
-	return b.searchScalar(root)
+	return b.dfsScalar(root)
 }
 
-// searchScalar is search over the scalar adjacency, iteratively with an
-// explicit stack. The traversal tries admitted slots in canonical order,
-// descending into the matched left node of each newly visited right node;
-// the path is recorded on preallocated stacks instead of the goroutine
-// stack, whose growth a 50k-deep recursion used to exhaust.
+// dfsScalar is the depth-first search of ModeBottleneck over the scalar
+// adjacency, iterative with an explicit stack. The traversal tries
+// admitted slots in canonical order, descending into the matched left node
+// of each newly visited right node; the path is recorded on preallocated
+// stacks instead of the goroutine stack, whose growth a 50k-deep recursion
+// used to exhaust.
 //
 //redistlint:hotpath
-func (b *BottleneckInc) searchScalar(root int) int {
+func (b *BottleneckInc) dfsScalar(root int) int {
 	top := 0
 	b.stackL[0] = root
 	b.stackIter[0] = b.base[root]
@@ -677,6 +848,7 @@ func (b *BottleneckInc) searchScalar(root int) int {
 			continue
 		}
 		b.visited[r] = b.stamp
+		b.visits++
 		b.stackEdge[top] = e
 		me := b.matchR[r]
 		if me < 0 {
@@ -707,29 +879,30 @@ func (b *BottleneckInc) nextSlot(from, end int) int {
 	return -1
 }
 
-// searchBits mirrors searchScalar over the bitset rows: the per-depth
-// cursor stackR replaces the slot iterator, nextCell finds the smallest
-// admitted, unmarked right above it with word sweeps, and cellEdge
-// supplies the canonical (minimum admitted) edge of the cell — exactly the
-// first slot the scalar scan would try, and the only one it ever uses per
-// cell thanks to the visit stamp, so the two arms take identical paths.
+// dfsBits mirrors dfsScalar over the bitset rows: the per-depth
+// cursor stackIter holds the last right tried instead of a slot, nextCell
+// finds the smallest admitted, unmarked right above it with word sweeps,
+// and cellEdge supplies the canonical (minimum admitted) edge of the cell
+// — exactly the first slot the scalar scan would try, and the only one it
+// ever uses per cell thanks to the visit stamp, so the two arms take
+// identical paths.
 //
 //redistlint:hotpath
-func (b *BottleneckInc) searchBits(root int) int {
+func (b *BottleneckInc) dfsBits(root int) int {
 	top := 0
 	b.stackL[0] = root
-	b.stackR[0] = -1
+	b.stackIter[0] = -1
 	for top >= 0 {
 		l := b.stackL[top]
-		r := b.nextCell(l, b.stackR[top])
+		r := b.nextCell(l, b.stackIter[top])
 		if r < 0 {
 			top-- // row exhausted: dead end, backtrack
 			continue
 		}
-		b.stackR[top] = r
+		b.stackIter[top] = r
 		b.visMask[r>>6] |= 1 << uint(r&63)
-		e := b.cellEdge[l*b.nR+r]
-		b.stackEdge[top] = e
+		b.visits++
+		b.stackEdge[top] = b.cellEdge[l*b.nR+r]
 		me := b.matchR[r]
 		if me < 0 {
 			return top
@@ -737,7 +910,7 @@ func (b *BottleneckInc) searchBits(root int) int {
 		top++
 		nl := b.edgeL[me]
 		b.stackL[top] = nl
-		b.stackR[top] = -1
+		b.stackIter[top] = -1
 	}
 	return -1
 }
@@ -760,6 +933,88 @@ func (b *BottleneckInc) nextCell(l, after int) int {
 			return w<<6 + bits.TrailingZeros64(cand)
 		}
 		mask = ^uint64(0)
+	}
+	return -1
+}
+
+// bfsScalar is the breadth-first search of ModeAny over the scalar
+// adjacency. It dequeues left nodes first in, first out, scans each one's
+// admitted slots in canonical order and skips marked right nodes,
+// marking and counting each one it visits. A matched right node enqueues
+// its partner; the first free right node ends the search and is
+// returned, with the path back to the root on parent. It returns -1 when
+// no free right node is reachable.
+//
+//redistlint:hotpath
+func (b *BottleneckInc) bfsScalar(root int) int {
+	q := b.stackL
+	q[0] = root
+	head, tail := 0, 1
+	for head < tail {
+		l := q[head]
+		head++
+		end := b.base[l+1]
+		for s := b.nextSlot(b.base[l], end); s >= 0; s = b.nextSlot(s+1, end) {
+			e := b.adj[s]
+			r := b.edgeR[e]
+			if b.visited[r] == b.stamp {
+				continue
+			}
+			b.visited[r] = b.stamp
+			b.visits++
+			b.parent[r] = e
+			me := b.matchR[r]
+			if me < 0 {
+				return r
+			}
+			q[tail] = b.edgeL[me]
+			tail++
+		}
+	}
+	return -1
+}
+
+// bfsBits is bfsScalar over the bitset rows. The unmarked candidates of a
+// row word are row &^ visMask; they ascend by right node, and cellEdge is
+// the lowest admitted parallel edge, the one the scalar scan reaches
+// first. When the word holds a free right the search ends at the lowest
+// one, which the scalar scan reaches after visiting the matched candidates
+// below it; they are counted but neither marked nor enqueued, since the
+// search succeeds there and the region resets. Otherwise every candidate
+// is marked and counted and its partner enqueued in ascending order, as
+// in the scalar scan.
+//
+//redistlint:hotpath
+func (b *BottleneckInc) bfsBits(root int) int {
+	W := b.words
+	q := b.stackL
+	q[0] = root
+	head, tail := 0, 1
+	for head < tail {
+		l := q[head]
+		head++
+		row := b.rows[l*W : l*W+W]
+		for w := 0; w < W; w++ {
+			cand := row[w] &^ b.visMask[w]
+			if cand == 0 {
+				continue
+			}
+			if free := cand & b.freeR[w]; free != 0 {
+				bit := bits.TrailingZeros64(free)
+				b.visits += bits.OnesCount64(cand&(1<<uint(bit)-1)) + 1
+				r := w<<6 + bit
+				b.parent[r] = b.cellEdge[l*b.nR+r]
+				return r
+			}
+			b.visMask[w] |= cand
+			b.visits += bits.OnesCount64(cand)
+			for ; cand != 0; cand &= cand - 1 {
+				r := w<<6 + bits.TrailingZeros64(cand)
+				b.parent[r] = b.cellEdge[l*b.nR+r]
+				q[tail] = b.edgeL[b.matchR[r]]
+				tail++
+			}
+		}
 	}
 	return -1
 }
