@@ -7,9 +7,9 @@
 GO ?= go
 BENCH_COUNT ?= 5
 
-.PHONY: check lint vet build test race race-obs bench-smoke bench-solve-smoke bench-wire-smoke bench bench-compare bench-compare-smoke bench-shard bench-shard-smoke bench-delta bench-delta-smoke fuzz-smoke trace-demo soak-smoke soak-obs-smoke soak-delta-smoke
+.PHONY: check lint vet build test race race-obs bench-smoke bench-solve-smoke bench-wire-smoke bench bench-shard bench-shard-smoke bench-delta bench-delta-smoke fuzz-smoke trace-demo soak-smoke soak-obs-smoke soak-delta-smoke
 
-check: lint build race race-obs bench-smoke bench-solve-smoke bench-wire-smoke bench-compare-smoke bench-shard-smoke bench-delta-smoke soak-smoke soak-obs-smoke soak-delta-smoke
+check: lint build race race-obs bench-smoke bench-solve-smoke bench-wire-smoke bench-shard-smoke bench-delta-smoke soak-smoke soak-obs-smoke soak-delta-smoke
 
 # Static gate: formatting, go vet, and the project linter (see
 # tools/redistlint and the "Enforced invariants" section of DESIGN.md).
@@ -63,23 +63,6 @@ bench-wire-smoke:
 # Full benchmark comparison, serial loop vs worker pool.
 bench:
 	$(GO) test ./internal/engine -run='^$$' -bench=SolveBatch -benchtime=2s
-
-# Old-vs-new peeler comparison: runs the PeelSolve benchmarks (retained
-# cold-start reference vs incremental engine) with -count repetitions and
-# pipes them through tools/benchcompare, which enforces the >= 2x speedup
-# acceptance bar and emits the machine-readable BENCH_PR2.json artifact
-# tracking the perf trajectory.
-bench-compare:
-	$(GO) test ./internal/kpbs -run='^$$' -bench=PeelSolve -benchmem -count=$(BENCH_COUNT) -timeout=30m > bench_peel.txt
-	$(GO) run ./tools/benchcompare -min-speedup 2 -json BENCH_PR2.json bench_peel.txt
-
-# One-iteration smoke of the same pipeline for `make check`: proves both
-# peelers and the comparator still run; no speedup assertion (1 iteration
-# is too noisy to gate on).
-bench-compare-smoke:
-	$(GO) test ./internal/kpbs -run='^$$' -bench=PeelSolve -benchmem -benchtime=1x > bench_peel_smoke.txt
-	$(GO) run ./tools/benchcompare bench_peel_smoke.txt
-	rm -f bench_peel_smoke.txt
 
 # Sharded-vs-monolithic solver comparison on the PR 5 acceptance
 # workloads: block-diagonal 8x(64x64) must reach >= 3x, while the

@@ -137,38 +137,13 @@ func BenchmarkGreedy(b *testing.B)   { benchmarkSolve(b, redistgo.Greedy, 40, 40
 // BenchmarkSolve is the headline end-to-end benchmark of the incremental
 // peeling engine: a fully dense 64x64 instance (4096 edges, every
 // sender/receiver pair active), the worst case for the per-iteration
-// rebuild cost the engine eliminates. internal/kpbs/alloc_test.go holds
-// the matching old-vs-new comparison (BenchmarkPeelSolve ref/inc) that
-// `make bench-compare` gates on.
+// rebuild cost the engine eliminates.
 func BenchmarkSolve(b *testing.B) {
 	b.Run("GGP64x64dense", func(b *testing.B) { benchmarkSolve(b, redistgo.GGP, 64, 64*64) })
 	b.Run("OGGP64x64dense", func(b *testing.B) { benchmarkSolve(b, redistgo.OGGP, 64, 64*64) })
 }
 
 // --- Ablation benches for the design choices DESIGN.md calls out ---
-
-// BenchmarkAblationCoalesce measures the cost saved by the step-coalescing
-// post-pass (an extension, off by default).
-func BenchmarkAblationCoalesce(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	g := redistgo.RandomGraph(rng, 30, 30, 200, 1, 20)
-	var saved, base int64
-	for i := 0; i < b.N; i++ {
-		plain, err := redistgo.Solve(g, 8, 2, redistgo.Options{Algorithm: redistgo.GGP})
-		if err != nil {
-			b.Fatal(err)
-		}
-		merged, err := redistgo.Solve(g, 8, 2, redistgo.Options{Algorithm: redistgo.GGP, Coalesce: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		base = plain.Cost()
-		saved = plain.Cost() - merged.Cost()
-	}
-	if base > 0 {
-		b.ReportMetric(100*float64(saved)/float64(base), "%cost-saved")
-	}
-}
 
 // BenchmarkAblationPack measures the step-packing post-pass (an
 // extension, off by default): fragments of preempted messages fuse back

@@ -39,7 +39,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	seed := fs.Int64("seed", 1, "random seed")
 	format := fs.String("format", "csv", "output format: csv or md")
 	workers := fs.Int("workers", 0, "concurrent solver goroutines for the ratio sweeps (0 = GOMAXPROCS, 1 = serial); output is identical for any value")
-	shard := fs.String("shard", "off", "component sharding inside each solve: off (historical figures), auto or on")
+	shard := fs.String("shard", "off", "component sharding inside each solve: off (historical figures) or auto")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	memprofile := fs.String("memprofile", "", "write a heap profile taken after the run to this file (go tool pprof)")
 	obsFlags := obsflag.Register(fs)

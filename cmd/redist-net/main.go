@@ -39,8 +39,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	betaMS := fs.Float64("beta-ms", 2, "barrier cost in milliseconds")
 	seed := fs.Int64("seed", 1, "random seed")
 	backboneMbit := fs.Float64("backbone-mbit", 100, "backbone throughput in Mbit/s")
-	shard := fs.String("shard", "auto", "component sharding: off, auto (shard multi-component graphs) or on")
-	matcher := fs.String("matcher", "auto", "matching kernels: auto (pick by density), scalar or bitset; schedules are identical either way")
+	shard := fs.String("shard", "auto", "component sharding: off or auto (shard multi-component graphs)")
 	obsFlags := obsflag.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -61,10 +60,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		return fmt.Errorf("k and nodes must be positive")
 	}
 	shardMode, err := redistgo.ParseShardMode(*shard)
-	if err != nil {
-		return err
-	}
-	matcherEngine, err := redistgo.ParseMatcherEngine(*matcher)
 	if err != nil {
 		return err
 	}
@@ -90,7 +85,7 @@ func run(args []string, stdout io.Writer) (err error) {
 
 	schedules := map[string]*redistgo.Schedule{}
 	for name, alg := range map[string]redistgo.Algorithm{"GGP": redistgo.GGP, "OGGP": redistgo.OGGP} {
-		s, err := redistgo.Solve(g, *k, betaUnits, redistgo.Options{Algorithm: alg, Shard: shardMode, Engine: matcherEngine, Obs: observer})
+		s, err := redistgo.Solve(g, *k, betaUnits, redistgo.Options{Algorithm: alg, Shard: shardMode, Obs: observer})
 		if err != nil {
 			return err
 		}

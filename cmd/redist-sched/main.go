@@ -38,9 +38,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 	k := fs.Int("k", 1, "maximum simultaneous communications (backbone constraint)")
 	beta := fs.Int64("beta", 0, "per-step setup delay, in the same unit as the matrix entries")
 	alg := fs.String("alg", "oggp", "algorithm: ggp, oggp, minsteps or greedy")
-	shard := fs.String("shard", "auto", "component sharding: off, auto (shard multi-component graphs) or on")
-	engine := fs.String("engine", "auto", "matching kernels: auto (pick by density), scalar or bitset; schedules are identical either way")
-	coalesce := fs.Bool("coalesce", false, "merge adjacent steps with identical pairs (extension)")
+	shard := fs.String("shard", "auto", "component sharding: off or auto (shard multi-component graphs)")
 	pack := fs.Bool("pack", false, "fuse compatible steps after solving (extension)")
 	gantt := fs.Bool("gantt", false, "print an ASCII Gantt chart")
 	svgPath := fs.String("svg", "", "write an SVG Gantt chart to this file")
@@ -88,11 +86,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	matcherEngine, err := redistgo.ParseMatcherEngine(*engine)
-	if err != nil {
-		return err
-	}
-	sched, err := redistgo.Solve(g, *k, *beta, redistgo.Options{Algorithm: algorithm, Coalesce: *coalesce, Pack: *pack, Shard: shardMode, Engine: matcherEngine, Obs: observer})
+	sched, err := redistgo.Solve(g, *k, *beta, redistgo.Options{Algorithm: algorithm, Pack: *pack, Shard: shardMode, Obs: observer})
 	if err != nil {
 		return err
 	}

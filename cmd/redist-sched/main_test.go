@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"redistgo"
 )
 
 func runCLI(t *testing.T, args []string, stdin string) (string, error) {
@@ -96,12 +98,6 @@ func TestSchedAllAlgorithms(t *testing.T) {
 	}
 }
 
-func TestSchedCoalesceFlag(t *testing.T) {
-	if _, err := runCLI(t, []string{"-k", "3", "-beta", "2", "-coalesce"}, "[[5,3],[2,4]]"); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSchedBadInput(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -170,14 +166,14 @@ func TestSchedObsFlags(t *testing.T) {
 	}
 }
 
-// TestSchedShardFlag: the -shard flag accepts the three modes and a
-// block-diagonal (two-component) matrix schedules identically under
-// auto and on — and identically to off here, where the blocks already
-// saturate k.
+// TestSchedShardFlag: the -shard flag accepts off and auto and refuses
+// anything else, "on" included. On a block-diagonal (two-component)
+// matrix whose sharded schedule differs from the monolith's, -shard auto
+// prints the schedule of a library ShardAuto solve.
 func TestSchedShardFlag(t *testing.T) {
-	const matrix = "[[7,3,0,0],[2,5,0,0],[0,0,4,6],[0,0,8,1]]"
+	const matrix = "[[6,1,0,0],[6,1,0,0],[0,0,8,9],[0,0,9,6]]"
 	outs := map[string]string{}
-	for _, mode := range []string{"off", "auto", "on"} {
+	for _, mode := range []string{"off", "auto"} {
 		out, err := runCLI(t, []string{"-k", "2", "-beta", "1", "-shard", mode}, matrix)
 		if err != nil {
 			t.Fatalf("-shard %s: %v", mode, err)
@@ -187,10 +183,23 @@ func TestSchedShardFlag(t *testing.T) {
 		}
 		outs[mode] = out
 	}
-	if outs["auto"] != outs["on"] {
-		t.Fatal("-shard auto and on disagree on a two-component matrix")
+	if outs["off"] == outs["auto"] {
+		t.Fatal("-shard off and auto agree; the matrix no longer tells them apart")
 	}
-	if _, err := runCLI(t, []string{"-shard", "sometimes"}, "[[1]]"); err == nil {
-		t.Fatal("unknown shard mode accepted")
+	g, err := redistgo.FromMatrix([][]int64{{6, 1, 0, 0}, {6, 1, 0, 0}, {0, 0, 8, 9}, {0, 0, 9, 6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := redistgo.Solve(g, 2, 1, redistgo.Options{Algorithm: redistgo.OGGP, Shard: redistgo.ShardAuto})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(outs["auto"], want.String()) {
+		t.Fatalf("-shard auto printed\n%s\nwant the library ShardAuto schedule\n%s", outs["auto"], want)
+	}
+	for _, mode := range []string{"on", "sometimes"} {
+		if _, err := runCLI(t, []string{"-shard", mode}, "[[1]]"); err == nil {
+			t.Fatalf("shard mode %q accepted", mode)
+		}
 	}
 }

@@ -89,7 +89,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	tenantRate := fs.Float64("tenant-rate", envOrFloat("TENANT_RATE", 0), "per-tenant admission, requests/s; 0 disables (env REDIST_SERVE_TENANT_RATE)")
 	tenantBurst := fs.Float64("tenant-burst", envOrFloat("TENANT_BURST", 0), "per-tenant admission burst; 0 means one second of rate (env REDIST_SERVE_TENANT_BURST)")
 	maxNodes := fs.Int("max-nodes", envOrInt("MAX_NODES", 0), "cap on each side of a requested instance; 0 keeps the codec bound only (env REDIST_SERVE_MAX_NODES)")
-	shard := fs.String("shard", envOr("SHARD", "auto"), "component sharding for served solves: off, auto or on (env REDIST_SERVE_SHARD)")
+	shard := fs.String("shard", envOr("SHARD", "auto"), "component sharding for served solves: off or auto (env REDIST_SERVE_SHARD)")
 	cacheSize := fs.Int("cache-size", envOrInt("CACHE_SIZE", 0), "retained solves in the content-addressed cache; 0 disables (env REDIST_SERVE_CACHE_SIZE)")
 	maxBases := fs.Int("max-bases", envOrInt("MAX_BASES", 0), "delta base chains retained per session; 0 means 4 (env REDIST_SERVE_MAX_BASES)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight solves before closing sessions")

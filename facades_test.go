@@ -54,7 +54,7 @@ func TestSVGFacade(t *testing.T) {
 }
 
 // TestSolveAllPublicAlgorithms exercises every exported algorithm
-// constant plus both post-pass options through the facade.
+// constant plus the Pack post-pass through the facade.
 func TestSolveAllPublicAlgorithms(t *testing.T) {
 	g, err := redistgo.FromMatrix([][]int64{
 		{6, 0, 2},
@@ -65,7 +65,7 @@ func TestSolveAllPublicAlgorithms(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alg := range []redistgo.Algorithm{redistgo.GGP, redistgo.OGGP, redistgo.MinSteps, redistgo.Greedy} {
-		s, err := redistgo.Solve(g, 2, 1, redistgo.Options{Algorithm: alg, Coalesce: true, Pack: true})
+		s, err := redistgo.Solve(g, 2, 1, redistgo.Options{Algorithm: alg, Pack: true})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}

@@ -81,12 +81,6 @@ type Options struct {
 	// never reads the clock itself — timing lives inside the obs views — so
 	// the determinism lint keeps holding).
 	Obs *obs.Observer
-	// Shard is the batch-wide default for kpbs.Options.Shard: it is applied
-	// to every instance whose own Opts.Shard is the zero value (ShardOff),
-	// mirroring how Obs defaults. Component sharding composes with the
-	// batch pool — each instance still occupies one batch worker; the
-	// sharded solver fans out its components internally.
-	Shard kpbs.ShardMode
 }
 
 // SolveBatch solves every instance and returns one Result per instance,
@@ -132,7 +126,7 @@ func SolveBatch(instances []Instance, opts Options) []Result {
 					continue
 				}
 				sp := bo.Instance(w, i)
-				results[i] = solveOne(instances[i], opts.Obs, opts.Shard)
+				results[i] = solveOne(instances[i], opts.Obs)
 				sp.Done(results[i].Err)
 			}
 		}()
@@ -144,9 +138,11 @@ func SolveBatch(instances []Instance, opts Options) []Result {
 
 // solveOne solves a single instance, converting solver panics into
 // errors so a malformed matrix can never take down the whole batch.
-// defObs and defShard are the batch-level defaults, handed to the solver
-// unless the instance brings its own.
-func solveOne(inst Instance, defObs *obs.Observer, defShard kpbs.ShardMode) (res Result) {
+// defObs is the batch-level observer, handed to the solver unless the
+// instance brings its own. Each instance solves in its own Opts.Shard
+// mode; a sharded solve fans its components out internally while the
+// instance occupies one worker.
+func solveOne(inst Instance, defObs *obs.Observer) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = Result{Err: fmt.Errorf("engine: solver panicked: %v", r)}
@@ -154,9 +150,6 @@ func solveOne(inst Instance, defObs *obs.Observer, defShard kpbs.ShardMode) (res
 	}()
 	if inst.Opts.Obs == nil {
 		inst.Opts.Obs = defObs
-	}
-	if inst.Opts.Shard == kpbs.ShardOff {
-		inst.Opts.Shard = defShard
 	}
 	if inst.Cache != nil {
 		s, _, err := inst.Cache.GetOrSolve(inst.G, inst.K, inst.Beta, inst.Opts)
@@ -182,7 +175,7 @@ func solveOne(inst Instance, defObs *obs.Observer, defShard kpbs.ShardMode) (res
 func SolveSerial(instances []Instance) []Result {
 	results := make([]Result, len(instances))
 	for i, inst := range instances {
-		results[i] = solveOne(inst, nil, kpbs.ShardOff)
+		results[i] = solveOne(inst, nil)
 	}
 	return results
 }

@@ -129,53 +129,42 @@ func TestSolveBatchEmpty(t *testing.T) {
 	}
 }
 
-// TestSolveBatchShardDefault: the batch-level Shard option is applied to
-// instances that left Opts.Shard at the zero value, and every instance
-// still solves to a feasible schedule. On multi-component graphs the
-// sharded results must match a per-instance ShardOn solve exactly.
-func TestSolveBatchShardDefault(t *testing.T) {
+// TestSolveBatchPerInstanceShard: every instance solves in its own
+// Opts.Shard mode. One two-component graph, on which the monolith and the
+// sharded pipeline produce different schedules, goes through one batch as
+// alternating ShardOff and ShardAuto instances, and each result must match
+// kpbs.Solve in that instance's mode.
+func TestSolveBatchPerInstanceShard(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	insts := make([]Instance, 8)
-	for i := range insts {
-		m := trafficgen.BlockDiagonal(rng, 3, 4, 0, 1, 100)
-		g, err := bipartite.FromMatrix(m)
+	g, err := bipartite.FromMatrix(trafficgen.BlockDiagonal(rng, 2, 4, 0, 1, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[kpbs.ShardMode]string{}
+	for _, mode := range []kpbs.ShardMode{kpbs.ShardOff, kpbs.ShardAuto} {
+		s, err := kpbs.Solve(g, 6, 1, kpbs.Options{Algorithm: kpbs.OGGP, Shard: mode})
 		if err != nil {
 			t.Fatal(err)
 		}
-		insts[i] = Instance{G: g, K: 6, Beta: 1, Opts: kpbs.Options{Algorithm: kpbs.OGGP}}
+		want[mode] = s.String()
 	}
-	batched := SolveBatch(insts, Options{Workers: 4, Shard: kpbs.ShardAuto})
-	for i, r := range batched {
+	if want[kpbs.ShardOff] == want[kpbs.ShardAuto] {
+		t.Fatal("the instance does not tell the shard modes apart")
+	}
+	insts := make([]Instance, 8)
+	for i := range insts {
+		mode := kpbs.ShardOff
+		if i%2 == 1 {
+			mode = kpbs.ShardAuto
+		}
+		insts[i] = Instance{G: g, K: 6, Beta: 1, Opts: kpbs.Options{Algorithm: kpbs.OGGP, Shard: mode}}
+	}
+	for i, r := range SolveBatch(insts, Options{Workers: 4}) {
 		if r.Err != nil {
 			t.Fatalf("instance %d: %v", i, r.Err)
 		}
-		explicit := insts[i]
-		explicit.Opts.Shard = kpbs.ShardAuto
-		want, err := kpbs.Solve(explicit.G, explicit.K, explicit.Beta, explicit.Opts)
-		if err != nil {
-			t.Fatal(err)
+		if mode := insts[i].Opts.Shard; r.Schedule.String() != want[mode] {
+			t.Fatalf("instance %d: not solved in its own mode %v", i, mode)
 		}
-		if r.Schedule.String() != want.String() {
-			t.Fatalf("instance %d: batch-level Shard not applied", i)
-		}
-	}
-	// An instance that carries its own mode keeps it: ShardOn on a
-	// connected graph still matches the monolith byte for byte, proving the
-	// override does not clobber explicit per-instance settings.
-	g, err := bipartite.FromMatrix(trafficgen.DenseUniform(rng, 6, 6, 1, 50))
-	if err != nil {
-		t.Fatal(err)
-	}
-	own := []Instance{{G: g, K: 3, Beta: 1, Opts: kpbs.Options{Algorithm: kpbs.GGP, Shard: kpbs.ShardOn}}}
-	res := SolveBatch(own, Options{Shard: kpbs.ShardAuto})
-	if res[0].Err != nil {
-		t.Fatal(res[0].Err)
-	}
-	mono, err := kpbs.Solve(g, 3, 1, kpbs.Options{Algorithm: kpbs.GGP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Schedule.String() != mono.String() {
-		t.Fatal("explicit per-instance ShardOn diverged from the monolith on a connected graph")
 	}
 }

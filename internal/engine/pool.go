@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 
-	"redistgo/internal/kpbs"
 	"redistgo/internal/obs"
 )
 
@@ -36,7 +35,6 @@ type Pool struct {
 
 	obs    *obs.PoolObs
 	defObs *obs.Observer
-	shard  kpbs.ShardMode
 
 	mu     sync.RWMutex
 	closed bool
@@ -57,9 +55,6 @@ type PoolOptions struct {
 	// job's solver options unless the instance carries its own observer.
 	// nil disables all instrumentation.
 	Obs *obs.Observer
-	// Shard is the pool-wide default for kpbs.Options.Shard, applied to
-	// every instance whose own Opts.Shard is the zero value.
-	Shard kpbs.ShardMode
 }
 
 // ErrPoolClosed reports a submission to (or a job stranded in) a pool
@@ -97,7 +92,6 @@ func NewPool(opts PoolOptions) *Pool {
 		quit:   make(chan struct{}),
 		obs:    opts.Obs.Pool(),
 		defObs: opts.Obs,
-		shard:  opts.Shard,
 	}
 	p.wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -138,7 +132,7 @@ func (p *Pool) run(w int, job poolJob) {
 		return
 	}
 	sp, wait := job.wait.Dequeue(w)
-	res := solveOne(job.inst, p.defObs, p.shard)
+	res := solveOne(job.inst, p.defObs)
 	res.Wait = wait
 	res.Solve = sp.Done(res.Err)
 	job.result <- res

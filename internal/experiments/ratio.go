@@ -100,10 +100,10 @@ func accumulateRatios(gs []*bipartite.Graph, ks []int, betas []int64, workers in
 	insts := make([]engine.Instance, 0, 2*len(gs))
 	for i, g := range gs {
 		insts = append(insts,
-			engine.Instance{G: g, K: ks[i], Beta: betas[i], Opts: kpbs.Options{Algorithm: kpbs.GGP}},
-			engine.Instance{G: g, K: ks[i], Beta: betas[i], Opts: kpbs.Options{Algorithm: kpbs.OGGP}})
+			engine.Instance{G: g, K: ks[i], Beta: betas[i], Opts: kpbs.Options{Algorithm: kpbs.GGP, Shard: shard}},
+			engine.Instance{G: g, K: ks[i], Beta: betas[i], Opts: kpbs.Options{Algorithm: kpbs.OGGP, Shard: shard}})
 	}
-	res := engine.SolveBatch(insts, engine.Options{Workers: workers, Shard: shard, Obs: o})
+	res := engine.SolveBatch(insts, engine.Options{Workers: workers, Obs: o})
 	for i := range gs {
 		lb := kpbs.LowerBound(gs[i], ks[i], betas[i])
 		if lb <= 0 {

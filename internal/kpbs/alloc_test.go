@@ -203,37 +203,3 @@ func TestPeelerRerunIsReproducible(t *testing.T) {
 		}
 	}
 }
-
-// --- bench-compare benchmarks: incremental engine vs retained cold-start
-// reference, full Solve pipeline on 64×64 dense instances (acceptance
-// criteria: inc must be ≥ 2× faster than ref; see `make bench-compare`).
-
-func benchmarkPeelSolve(b *testing.B, kind matcherKind, reference bool) {
-	rng := rand.New(rand.NewSource(1))
-	g := denseGraph(rng, 64, 20)
-	const k, beta = 32, 1
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var s *Schedule
-		var err error
-		if reference {
-			s, err = solvePeelingReference(g, k, beta, kind, false)
-		} else {
-			s, err = solvePeeling(g, k, beta, kind, false, matching.EngineAuto, nil)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(s.Steps) == 0 {
-			b.Fatal("empty schedule")
-		}
-	}
-}
-
-func BenchmarkPeelSolve(b *testing.B) {
-	b.Run("GGP/ref", func(b *testing.B) { benchmarkPeelSolve(b, matchAny, true) })
-	b.Run("GGP/inc", func(b *testing.B) { benchmarkPeelSolve(b, matchAny, false) })
-	b.Run("OGGP/ref", func(b *testing.B) { benchmarkPeelSolve(b, matchBottleneck, true) })
-	b.Run("OGGP/inc", func(b *testing.B) { benchmarkPeelSolve(b, matchBottleneck, false) })
-}

@@ -285,18 +285,3 @@ func (in *instance) checkRegular() error {
 	}
 	return nil
 }
-
-// asGraph materializes the live working edges as a bipartite.Graph for the
-// matching algorithms, returning also the mapping from the materialized
-// graph's edge indices back to in.edges indices.
-func (in *instance) asGraph() (*bipartite.Graph, []int) {
-	g := bipartite.New(in.nL, in.nR)
-	idx := make([]int, 0, len(in.edges))
-	for i, e := range in.edges {
-		if e.w > 0 {
-			g.AddEdge(e.l, e.r, e.w)
-			idx = append(idx, i)
-		}
-	}
-	return g, idx
-}

@@ -30,8 +30,8 @@ func starGraph(b *testing.B, seed int64, hubs, leaves int) *bipartite.Graph {
 }
 
 // BenchmarkBitsetSolve measures a cold solve of the matching-core
-// workloads that the solver profiles cite, with the kernel arm EngineAuto
-// picks:
+// workloads that the solver profiles cite, with the kernel arm that
+// matching.EngineAuto picks:
 //
 //   - DenseGGP64: the 64x64 dense GGP instance, on the bitset arm.
 //   - DenseOGGP64 and DenseMinSteps64: the bottleneck matcher on the same
@@ -109,8 +109,8 @@ func TestForcedDiagonalSingleStep(t *testing.T) {
 	for i := 0; i < n; i++ {
 		g.AddEdge(i, i, 7)
 	}
-	for _, eng := range []MatcherEngine{EngineScalar, EngineBitset} {
-		s, err := Solve(g, n, 0, Options{Algorithm: GGP, Engine: eng})
+	for _, eng := range []matching.Engine{matching.EngineScalar, matching.EngineBitset} {
+		s, err := Solve(g, n, 0, Options{Algorithm: GGP, engine: eng})
 		if err != nil {
 			t.Fatalf("%v: %v", eng, err)
 		}

@@ -13,11 +13,11 @@ import (
 )
 
 // InstanceKey is the content address of a solve: a SHA-256 digest of the
-// canonicalized instance (algorithm, k, β, post-passes, sharding, engine,
-// dimensions, and the sorted edge list). Two graphs that contain the same
-// cells with the same raw weights hash identically no matter what order
-// their edge lists were built in; instances differing in any solve
-// parameter — k, β, algorithm, engine, post-passes — never share a key.
+// canonicalized instance (algorithm, k, β, Pack, sharding, dimensions,
+// and the sorted edge list). Two graphs that contain the same cells with
+// the same raw weights hash identically no matter what order their edge
+// lists were built in; instances differing in any solve parameter — k, β,
+// algorithm, Pack, sharding — never share a key.
 type InstanceKey [sha256.Size]byte
 
 // HashInstance computes the content address of the instance (g, k, β)
@@ -34,16 +34,12 @@ func HashInstance(g *bipartite.Graph, k int, beta int64, opts Options) InstanceK
 		_, _ = h.Write(buf[:]) // hash.Hash writes never fail
 	}
 	put(uint64(opts.Algorithm))
-	put(uint64(opts.Engine))
 	put(uint64(opts.Shard))
-	var flags uint64
-	if opts.Coalesce {
-		flags |= 1
-	}
+	var pack uint64
 	if opts.Pack {
-		flags |= 2
+		pack = 1
 	}
-	put(flags)
+	put(pack)
 	put(uint64(k))
 	put(uint64(beta))
 	if g == nil {

@@ -46,13 +46,10 @@ func TestHashInstanceLayoutIndependence(t *testing.T) {
 	if HashInstance(build(canon), 4, 2, Options{Algorithm: OGGP}) == base {
 		t.Fatal("algorithm change kept the key")
 	}
-	if HashInstance(build(canon), 4, 2, Options{Algorithm: GGP, Coalesce: true}) == base {
-		t.Fatal("coalesce change kept the key")
+	if HashInstance(build(canon), 4, 2, Options{Algorithm: GGP, Pack: true}) == base {
+		t.Fatal("pack change kept the key")
 	}
-	if HashInstance(build(canon), 4, 2, Options{Algorithm: GGP, Engine: EngineBitset}) == base {
-		t.Fatal("engine change kept the key")
-	}
-	if HashInstance(build(canon), 4, 2, Options{Algorithm: GGP, Shard: ShardOn}) == base {
+	if HashInstance(build(canon), 4, 2, Options{Algorithm: GGP, Shard: shardAlways}) == base {
 		t.Fatal("shard change kept the key")
 	}
 	// Raw weights differing only within a β bucket still denormalize to

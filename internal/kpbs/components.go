@@ -252,10 +252,13 @@ func (s *shardScratch) remap(sched *Schedule) {
 var forceShardWorkers int
 
 // solveSharded runs the component-sharded pipeline. used=false means the
-// solve declined to shard (Shard=auto and the graph has fewer than two
-// components) and the caller should run the monolithic path; any other
-// outcome — including errors — is final.
+// solve declined to shard (ShardOff, or ShardAuto and the graph has fewer
+// than two components) and the caller should run the monolithic path; any
+// other outcome — including errors — is final.
 func solveSharded(g *bipartite.Graph, k int, beta int64, opts Options, so *obs.SolverObs) (*Schedule, bool, error) {
+	if opts.Shard == ShardOff {
+		return nil, false, nil
+	}
 	// One global validation, so sharded and unsharded solves accept and
 	// reject exactly the same instances with the same errors.
 	if err := validateInstance(g, k, beta); err != nil {
@@ -362,25 +365,10 @@ func solveComponentInto(g *bipartite.Graph, sh *sharder, i int, scratch *shardSc
 func solveComponent(g *bipartite.Graph, sh *sharder, i int, scratch *shardScratch, k int, beta int64, opts Options, so *obs.SolverObs) (*Schedule, error) {
 	sub := scratch.subgraph(g, sh, i)
 	co := so.Component(i, sub.LeftCount()+sub.RightCount(), sub.EdgeCount())
-	// Engine resolution per component: Solve validated the option before
-	// sharding, and auto picks by each component's own density, so a
-	// mixed-density instance can peel dense components on the bitset arm
-	// and sparse ones on the scalar arm within one solve.
-	eng, err := opts.Engine.matchingEngine()
-	if err != nil {
-		return nil, err
-	}
-	var s *Schedule
-	switch opts.Algorithm {
-	case GGP:
-		s, err = solvePeeling(sub, k, beta, matchAny, false, eng, co)
-	case OGGP:
-		s, err = solvePeeling(sub, k, beta, matchBottleneck, false, eng, co)
-	case MinSteps:
-		s, err = solvePeeling(sub, k, beta, matchBottleneck, true, eng, co)
-	case Greedy:
-		s, err = solveGreedy(sub, k, beta)
-	}
+	// The engine resolves per component: auto picks by each component's
+	// own density, so a mixed-density instance can peel dense components
+	// on the bitset arm and sparse ones on the scalar arm within one solve.
+	s, err := solveMonolith(sub, k, beta, opts, co)
 	if err != nil {
 		return nil, err
 	}
@@ -448,8 +436,8 @@ type packBin struct {
 func packComponents(parts []*Schedule, k int, beta int64) *Schedule {
 	if len(parts) == 1 {
 		// Nothing to pack across; returning the component schedule untouched
-		// keeps Shard=on byte-identical to the monolithic solve on connected
-		// graphs.
+		// keeps shardAlways byte-identical to the monolithic solve on
+		// connected graphs.
 		return parts[0]
 	}
 	total, comms := 0, 0

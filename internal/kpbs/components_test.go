@@ -99,7 +99,7 @@ func TestSharderSplit(t *testing.T) {
 // TestShardOnMatchesOffOnConnectedGraphs pins the single-component
 // equivalence: on a connected graph the sharded pipeline degenerates to
 // one component whose subgraph compaction matches buildInstance's, so
-// Shard=on must reproduce the monolithic schedule byte for byte.
+// shardAlways must reproduce the monolithic schedule byte for byte.
 func TestShardOnMatchesOffOnConnectedGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := denseGraph(rng, 16, 50)
@@ -109,12 +109,12 @@ func TestShardOnMatchesOffOnConnectedGraphs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			on, err := Solve(g, 8, 2, Options{Algorithm: alg, Shard: ShardOn})
+			on, err := Solve(g, 8, 2, Options{Algorithm: alg, Shard: shardAlways})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if off.String() != on.String() {
-				t.Fatalf("Shard=on diverged from monolith on a connected graph:\n--- off ---\n%s--- on ---\n%s", off, on)
+				t.Fatalf("shardAlways diverged from monolith on a connected graph:\n--- off ---\n%s--- on ---\n%s", off, on)
 			}
 			// Auto must decline to shard and land on the same bytes too.
 			auto, err := Solve(g, 8, 2, Options{Algorithm: alg, Shard: ShardAuto})
@@ -132,7 +132,7 @@ func TestShardOnMatchesOffOnConnectedGraphs(t *testing.T) {
 // the sharding cost claims: on block-diagonal and power-law workloads the
 // sharded schedule must stay feasible, respect the lower bound, never
 // exceed the concatenation bound (the packer's guarantee), and agree
-// between Shard=auto and Shard=on. The sharded cost may exceed the
+// between ShardAuto and shardAlways. The sharded cost may exceed the
 // monolithic one — whole-step packing cannot reproduce the monolith's
 // sub-step interleaving across components (DESIGN.md §9 has the
 // counterexample) — but it must stay within the 2x envelope that the
@@ -164,7 +164,7 @@ func TestShardedStructuredWorkloads(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				on, err := Solve(w.g, w.k, w.beta, Options{Algorithm: alg, Shard: ShardOn})
+				on, err := Solve(w.g, w.k, w.beta, Options{Algorithm: alg, Shard: shardAlways})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -172,7 +172,7 @@ func TestShardedStructuredWorkloads(t *testing.T) {
 					t.Fatalf("sharded schedule infeasible: %v", err)
 				}
 				if auto.String() != on.String() {
-					t.Fatal("Shard=auto and Shard=on disagree on a multi-component graph")
+					t.Fatal("ShardAuto and shardAlways disagree on a multi-component graph")
 				}
 				if lb := LowerBound(w.g, w.k, w.beta); on.Cost() < lb {
 					t.Fatalf("sharded cost %d below lower bound %d", on.Cost(), lb)
@@ -194,13 +194,13 @@ func TestShardedStructuredWorkloads(t *testing.T) {
 func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 	g := blockGraph(t, 42, 8, 6)
 	for _, alg := range []Algorithm{GGP, OGGP, MinSteps, Greedy} {
-		base, err := Solve(g, 12, 1, Options{Algorithm: alg, Shard: ShardOn})
+		base, err := Solve(g, 12, 1, Options{Algorithm: alg, Shard: shardAlways})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 8} {
 			forceShardWorkers = workers
-			s, err := Solve(g, 12, 1, Options{Algorithm: alg, Shard: ShardOn})
+			s, err := Solve(g, 12, 1, Options{Algorithm: alg, Shard: shardAlways})
 			forceShardWorkers = 0
 			if err != nil {
 				t.Fatal(err)
@@ -218,12 +218,12 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 func TestShardedObservationPassive(t *testing.T) {
 	g := blockGraph(t, 5, 5, 7)
 	for _, alg := range []Algorithm{GGP, OGGP} {
-		plain, err := Solve(g, 9, 2, Options{Algorithm: alg, Shard: ShardOn})
+		plain, err := Solve(g, 9, 2, Options{Algorithm: alg, Shard: shardAlways})
 		if err != nil {
 			t.Fatal(err)
 		}
 		o := obs.New()
-		observed, err := Solve(g, 9, 2, Options{Algorithm: alg, Shard: ShardOn, Obs: o})
+		observed, err := Solve(g, 9, 2, Options{Algorithm: alg, Shard: shardAlways, Obs: o})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +268,7 @@ func TestShardScratchSteadyStateAllocs(t *testing.T) {
 func TestShardedSolveRace(t *testing.T) {
 	g := blockGraph(t, 13, 6, 6)
 	o := obs.New()
-	want, err := Solve(g, 10, 1, Options{Algorithm: OGGP, Shard: ShardOn})
+	want, err := Solve(g, 10, 1, Options{Algorithm: OGGP, Shard: shardAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestShardedSolveRace(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			s, err := Solve(g, 10, 1, Options{Algorithm: OGGP, Shard: ShardOn, Obs: o})
+			s, err := Solve(g, 10, 1, Options{Algorithm: OGGP, Shard: shardAlways, Obs: o})
 			if err != nil {
 				errs[i] = err
 				return
@@ -306,7 +306,7 @@ func TestShardedRejectsLikeUnsharded(t *testing.T) {
 	}{{0, 1}, {-3, 0}, {2, -1}}
 	for _, c := range cases {
 		_, errOff := Solve(g, c.k, c.beta, Options{})
-		_, errOn := Solve(g, c.k, c.beta, Options{Shard: ShardOn})
+		_, errOn := Solve(g, c.k, c.beta, Options{Shard: shardAlways})
 		if errOff == nil || errOn == nil {
 			t.Fatalf("k=%d beta=%d accepted", c.k, c.beta)
 		}
@@ -320,7 +320,7 @@ func TestShardedRejectsLikeUnsharded(t *testing.T) {
 // schedule on every path.
 func TestShardedEdgelessGraph(t *testing.T) {
 	g := bipartite.New(3, 3)
-	for _, mode := range []ShardMode{ShardOff, ShardAuto, ShardOn} {
+	for _, mode := range []ShardMode{ShardOff, ShardAuto, shardAlways} {
 		s, err := Solve(g, 2, 7, Options{Shard: mode})
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
@@ -335,7 +335,7 @@ func TestParseShardMode(t *testing.T) {
 	for _, c := range []struct {
 		in   string
 		want ShardMode
-	}{{"off", ShardOff}, {"auto", ShardAuto}, {"on", ShardOn}} {
+	}{{"off", ShardOff}, {"auto", ShardAuto}} {
 		got, err := ParseShardMode(c.in)
 		if err != nil || got != c.want {
 			t.Fatalf("ParseShardMode(%q) = %v, %v", c.in, got, err)
@@ -344,8 +344,12 @@ func TestParseShardMode(t *testing.T) {
 			t.Fatalf("ShardMode(%v).String() = %q, want %q", got, got.String(), c.in)
 		}
 	}
-	if _, err := ParseShardMode("maybe"); err == nil {
-		t.Fatal("ParseShardMode accepted garbage")
+	// The always-shard path is test-only (shardAlways), so no flag
+	// spelling reaches it.
+	for _, in := range []string{"on", "always", "maybe"} {
+		if _, err := ParseShardMode(in); err == nil {
+			t.Fatalf("ParseShardMode accepted %q", in)
+		}
 	}
 }
 
@@ -360,7 +364,7 @@ func TestShardedGoldenTwoComponent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		on, err := Solve(g, 3, 1, Options{Algorithm: alg, Shard: ShardOn})
+		on, err := Solve(g, 3, 1, Options{Algorithm: alg, Shard: shardAlways})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -378,7 +382,7 @@ func TestShardedGoldenTwoComponent(t *testing.T) {
 // then reallocates instead of overwriting the next step's comms.
 func TestPackedStepsDoNotAlias(t *testing.T) {
 	g := blockGraph(t, 7, 4, 6)
-	s, err := Solve(g, 8, 1, Options{Algorithm: GGP, Shard: ShardOn})
+	s, err := Solve(g, 8, 1, Options{Algorithm: GGP, Shard: shardAlways})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"redistgo/internal/bipartite"
-	"redistgo/internal/matching"
 	"redistgo/internal/obs"
 )
 
@@ -100,7 +99,6 @@ type Result struct {
 	simple bool // monolithic peeling config: delta engine applies
 	unit   bool // MinSteps: unit normalized weights
 	kind   matcherKind
-	eng    matching.Engine
 
 	broken bool
 
@@ -135,10 +133,6 @@ func NewResult(g *bipartite.Graph, k int, beta int64, opts Options) (*Result, er
 	default:
 		return nil, fmt.Errorf("kpbs: unknown algorithm %v", opts.Algorithm)
 	}
-	eng, err := opts.Engine.matchingEngine()
-	if err != nil {
-		return nil, err
-	}
 	if g == nil {
 		return nil, fmt.Errorf("kpbs: nil graph")
 	}
@@ -160,7 +154,6 @@ func NewResult(g *bipartite.Graph, k int, beta int64, opts Options) (*Result, er
 		simple: opts.Shard == ShardOff && opts.Algorithm != Greedy,
 		unit:   opts.Algorithm == MinSteps,
 		kind:   kind,
-		eng:    eng,
 	}
 	if err := r.recompute(); err != nil {
 		return nil, err
@@ -424,7 +417,7 @@ func (r *Result) recompute() error {
 	so := r.opts.Obs.Solver(r.opts.Algorithm.String())
 	r.steps = nil
 	if in != nil {
-		p := newPeeler(in, r.kind, r.eng)
+		p := newPeeler(in, r.kind, r.opts.engine)
 		p.so = so
 		if r.steps, err = p.run(); err != nil {
 			return err
@@ -441,13 +434,10 @@ func (r *Result) observe() {
 }
 
 // finish denormalizes the retained normalized steps against the current
-// raw weights, applies the post-passes and closes the solve observation,
+// raw weights, applies Pack and closes the solve observation,
 // mirroring Solve's tail exactly. The reuse path runs only this.
 func (r *Result) finish(so *obs.SolverObs) {
 	r.sched = r.out.denormalize(r.g, r.steps, r.beta, r.unit)
-	if r.opts.Coalesce {
-		r.sched.Coalesce()
-	}
 	if r.opts.Pack {
 		r.sched.Pack(r.k)
 	}

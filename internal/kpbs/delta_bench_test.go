@@ -119,7 +119,7 @@ func BenchmarkDeltaSolve(b *testing.B) {
 				return mat
 			}, swapEdits},
 		{"StructuralChurn", Options{Algorithm: GGP}, denseBase, churnEdits},
-		{"ColdBase", Options{Algorithm: GGP, Shard: ShardOn}, denseBase, jitterEdits},
+		{"ColdBase", Options{Algorithm: GGP, Shard: shardAlways}, denseBase, jitterEdits},
 	}
 	for _, w := range workloads {
 		b.Run(w.name, func(b *testing.B) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"redistgo/internal/bipartite"
+	"redistgo/internal/matching"
 )
 
 // graphFromMatrix builds the canonical graph of a flat row-major matrix.
@@ -66,15 +67,15 @@ func randomEdits(rng *rand.Rand, mat []int64, nL, nR, count int, maxW int64) []E
 func deltaConfigs() []Options {
 	return []Options{
 		{Algorithm: GGP},
-		{Algorithm: GGP, Engine: EngineScalar},
-		{Algorithm: GGP, Engine: EngineBitset},
+		{Algorithm: GGP, engine: matching.EngineScalar},
+		{Algorithm: GGP, engine: matching.EngineBitset},
 		{Algorithm: OGGP},
 		{Algorithm: MinSteps},
 		{Algorithm: Greedy},
-		{Algorithm: GGP, Shard: ShardOn},
+		{Algorithm: GGP, Shard: shardAlways},
 		{Algorithm: GGP, Shard: ShardAuto},
 		{Algorithm: OGGP, Shard: ShardAuto},
-		{Algorithm: GGP, Coalesce: true, Pack: true},
+		{Algorithm: GGP, Pack: true},
 	}
 }
 

@@ -31,7 +31,7 @@ func FuzzSolveDelta(f *testing.F) {
 	f.Add(int64(5), 17, 17, int64(64), 17, int64(8), 4, 3, 6) // k = n
 	f.Add(int64(6), 9, 9, int64(30), 4, int64(2), 5, 4, 3)
 	// Sharded bases on 12%-dense instances of 4, 6 and 2 components: GGP
-	// ShardOn, GGP ShardAuto, OGGP ShardAuto.
+	// shardAlways, GGP ShardAuto, OGGP ShardAuto.
 	f.Add(int64(14), 12, 12, int64(50), 4, int64(2), 6, 5, 6)
 	f.Add(int64(12), 10, 12, int64(40), 3, int64(4), 7, 5, 8)
 	f.Add(int64(10), 12, 10, int64(50), 5, int64(1), 8, 5, 6)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"redistgo/internal/bipartite"
+	"redistgo/internal/matching"
 	"redistgo/internal/trafficgen"
 )
 
@@ -69,9 +70,9 @@ func TestBottleneckScheduleDigest(t *testing.T) {
 	h := sha256.New()
 	for _, in := range digestCorpus(t) {
 		for _, alg := range []Algorithm{OGGP, MinSteps} {
-			for _, eng := range []MatcherEngine{EngineScalar, EngineBitset} {
+			for _, eng := range []matching.Engine{matching.EngineScalar, matching.EngineBitset} {
 				for _, shard := range []ShardMode{ShardOff, ShardAuto} {
-					s, err := Solve(in.g, in.k, 1, Options{Algorithm: alg, Engine: eng, Shard: shard})
+					s, err := Solve(in.g, in.k, 1, Options{Algorithm: alg, engine: eng, Shard: shard})
 					if err != nil {
 						t.Fatalf("%s %v %v %v: %v", in.name, alg, eng, shard, err)
 					}
@@ -95,9 +96,9 @@ func TestGGPScheduleDigest(t *testing.T) {
 	corpus = append(corpus, digestInstance{"dense64", mustGraph(t, trafficgen.DenseUniform(rng, 64, 64, 1, 20)), 32})
 	h := sha256.New()
 	for _, in := range corpus {
-		for _, eng := range []MatcherEngine{EngineScalar, EngineBitset} {
+		for _, eng := range []matching.Engine{matching.EngineScalar, matching.EngineBitset} {
 			for _, shard := range []ShardMode{ShardOff, ShardAuto} {
-				s, err := Solve(in.g, in.k, 1, Options{Algorithm: GGP, Engine: eng, Shard: shard})
+				s, err := Solve(in.g, in.k, 1, Options{Algorithm: GGP, engine: eng, Shard: shard})
 				if err != nil {
 					t.Fatalf("%s %v %v: %v", in.name, eng, shard, err)
 				}

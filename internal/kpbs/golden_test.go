@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"redistgo/internal/bipartite"
+	"redistgo/internal/matching"
 )
 
 // Golden snapshots lock the exact output of the schedulers on a fixed
@@ -62,11 +63,11 @@ func TestGoldenEngineArms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scalar, err := Solve(goldenGraph(t), 3, 1, Options{Algorithm: alg, Engine: EngineScalar})
+		scalar, err := Solve(goldenGraph(t), 3, 1, Options{Algorithm: alg, engine: matching.EngineScalar})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bitset, err := Solve(goldenGraph(t), 3, 1, Options{Algorithm: alg, Engine: EngineBitset})
+		bitset, err := Solve(goldenGraph(t), 3, 1, Options{Algorithm: alg, engine: matching.EngineBitset})
 		if err != nil {
 			t.Fatal(err)
 		}

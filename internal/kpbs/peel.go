@@ -32,11 +32,10 @@ const (
 // peel runs the WRGP loop (paper §4.1, Figure 3) on the augmented
 // weight-regular instance through the incremental engine (see residual.go):
 // the perfect matching is repaired across iterations instead of recomputed,
-// and the residual graph is mutated in place instead of rematerialized. The
-// cold-start loop this replaced is retained as peelReference. eng selects
-// the matching kernels (scalar or bitset; auto resolves by density). so —
-// nil to disable — receives one event per peeling iteration; it observes
-// the loop and never steers it.
+// and the residual graph is mutated in place instead of rematerialized. eng
+// selects the matching kernels (scalar or bitset; auto resolves by
+// density). so — nil to disable — receives one event per peeling
+// iteration; it observes the loop and never steers it.
 func (in *instance) peel(kind matcherKind, eng matching.Engine, so *obs.SolverObs) ([]normStep, error) {
 	p := newPeeler(in, kind, eng)
 	p.so = so

@@ -10,16 +10,16 @@ import (
 
 // peeler is the incremental peeling engine behind GGP, OGGP and MinSteps.
 //
-// The cold-start loop (retained as peelReference) materialized a fresh
-// bipartite.Graph and ran a matching from scratch at every iteration, even
-// though a peel only zeroes the minimum-weight matched edges and leaves the
-// rest of the perfect matching intact. The peeler instead keeps one mutable
-// residual view of the augmented graph for the whole solve:
+// A cold-start loop would materialize a fresh bipartite.Graph and run a
+// matching from scratch at every iteration, even though a peel only zeroes
+// the minimum-weight matched edges and leaves the rest of the perfect
+// matching intact. The peeler instead keeps one mutable residual view of
+// the augmented graph for the whole solve:
 //
 //   - Residual state: the static endpoints of in.edges are extracted once
 //     into parallel arrays; w holds the live weights and is the only thing
 //     a peel mutates. Edges that reach zero are deactivated in O(1) inside
-//     the matcher's adjacency — asGraph is never called again.
+//     the matcher's adjacency; no graph is rebuilt.
 //   - Warm-started matchings: one matching.BottleneckInc keeps the
 //     matching across peels and repairs only the exposed nodes. For GGP it
 //     runs in ModeAny, with every live edge admitted and one breadth-first

@@ -182,45 +182,6 @@ func (s *Schedule) Validate(g *bipartite.Graph, k int) error {
 	return nil
 }
 
-// Coalesce merges adjacent steps whose communication pairs are identical,
-// summing amounts and saving one β per merge. This is a post-processing
-// extension, not part of the paper's algorithms; it never increases cost.
-// It returns the number of merges performed.
-func (s *Schedule) Coalesce() int {
-	if len(s.Steps) < 2 {
-		return 0
-	}
-	key := func(st Step) string {
-		pairs := make([]string, len(st.Comms))
-		for i, c := range st.Comms {
-			pairs[i] = fmt.Sprintf("%d:%d", c.L, c.R)
-		}
-		sort.Strings(pairs)
-		return strings.Join(pairs, ",")
-	}
-	merged := 0
-	out := s.Steps[:1]
-	for _, st := range s.Steps[1:] {
-		last := &out[len(out)-1]
-		if key(*last) == key(st) {
-			amt := make(map[[2]int]int64, len(last.Comms))
-			for _, c := range st.Comms {
-				amt[[2]int{c.L, c.R}] = c.Amount
-			}
-			for i := range last.Comms {
-				c := &last.Comms[i]
-				c.Amount = safemath.Add(c.Amount, amt[[2]int{c.L, c.R}])
-			}
-			last.recomputeDuration()
-			merged++
-			continue
-		}
-		out = append(out, st)
-	}
-	s.Steps = out
-	return merged
-}
-
 // String renders a human-readable multi-line description of the schedule.
 func (s *Schedule) String() string {
 	var b strings.Builder

@@ -113,79 +113,6 @@ func TestValidateOnePortViolations(t *testing.T) {
 	}
 }
 
-func TestCoalesceMergesIdenticalAdjacentSteps(t *testing.T) {
-	s := &Schedule{Beta: 5, Steps: []Step{
-		{Comms: []Comm{{0, 0, 4}, {1, 1, 4}}, Duration: 4},
-		{Comms: []Comm{{1, 1, 2}, {0, 0, 1}}, Duration: 2}, // same pairs, reordered
-		{Comms: []Comm{{0, 1, 3}}, Duration: 3},
-	}}
-	before := s.Cost()
-	merged := s.Coalesce()
-	if merged != 1 {
-		t.Fatalf("merged = %d, want 1", merged)
-	}
-	if s.NumSteps() != 2 {
-		t.Fatalf("steps = %d, want 2", s.NumSteps())
-	}
-	if s.Steps[0].Duration != 6 {
-		t.Fatalf("merged duration = %d, want 6", s.Steps[0].Duration)
-	}
-	if s.Cost() != before-5 {
-		t.Fatalf("cost = %d, want %d (one β saved)", s.Cost(), before-5)
-	}
-}
-
-func TestCoalesceNoOpOnDistinctSteps(t *testing.T) {
-	s := &Schedule{Beta: 1, Steps: []Step{
-		{Comms: []Comm{{0, 0, 4}}, Duration: 4},
-		{Comms: []Comm{{0, 1, 3}}, Duration: 3},
-	}}
-	if merged := s.Coalesce(); merged != 0 {
-		t.Fatalf("merged = %d, want 0", merged)
-	}
-	short := &Schedule{Beta: 1}
-	if merged := short.Coalesce(); merged != 0 {
-		t.Fatalf("empty schedule merged = %d, want 0", merged)
-	}
-}
-
-func TestQuickCoalescePreservesValidity(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomInstance(rng, 8, 30, 25)
-		k := 1 + rng.Intn(8)
-		s, err := Solve(g, k, 3, Options{Algorithm: GGP})
-		if err != nil {
-			return false
-		}
-		before := s.Cost()
-		s.Coalesce()
-		return s.Validate(g, k) == nil && s.Cost() <= before
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCoalesceOptionInSolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := randomInstance(rng, 8, 40, 20)
-	plain, err := Solve(g, 3, 2, Options{Algorithm: GGP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coalesced, err := Solve(g, 3, 2, Options{Algorithm: GGP, Coalesce: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if coalesced.Cost() > plain.Cost() {
-		t.Fatalf("coalesced cost %d > plain cost %d", coalesced.Cost(), plain.Cost())
-	}
-	if err := coalesced.Validate(g, 3); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestScheduleStringAndGantt(t *testing.T) {
 	g := mustGraph(t, [][]int64{
 		{4, 0},

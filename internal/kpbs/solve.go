@@ -55,9 +55,10 @@ const (
 	// components and otherwise falls back to the monolithic path; the
 	// detection pass is a single O(m α(m)) union-find sweep.
 	ShardAuto
-	// ShardOn always runs the sharded pipeline, even on connected graphs
-	// (where it produces a byte-identical schedule to ShardOff).
-	ShardOn
+	// shardAlways runs the sharded pipeline even on connected graphs, where
+	// it produces the monolithic schedule byte for byte. Tests use it to
+	// drive the sharded path on any instance.
+	shardAlways
 )
 
 // String returns the mode's flag spelling.
@@ -67,8 +68,8 @@ func (m ShardMode) String() string {
 		return "off"
 	case ShardAuto:
 		return "auto"
-	case ShardOn:
-		return "on"
+	case shardAlways:
+		return "always"
 	}
 	return fmt.Sprintf("ShardMode(%d)", int(m))
 }
@@ -80,79 +81,18 @@ func ParseShardMode(s string) (ShardMode, error) {
 		return ShardOff, nil
 	case "auto":
 		return ShardAuto, nil
-	case "on":
-		return ShardOn, nil
 	}
-	return 0, fmt.Errorf("kpbs: unknown shard mode %q (want auto, on or off)", s)
-}
-
-// MatcherEngine selects the candidate-iteration kernel inside the
-// incremental matchers the peeler runs on (matching.Engine; see
-// DESIGN.md §11).
-type MatcherEngine int
-
-const (
-	// EngineAuto — the zero value and the default — picks the bitset
-	// kernels on instances dense enough for word-parallel sweeps to win,
-	// and the scalar kernels otherwise. The two arms produce byte-identical
-	// schedules, so the choice is purely a performance knob.
-	EngineAuto MatcherEngine = iota
-	// EngineScalar forces the scalar kernels (the differential oracle arm).
-	EngineScalar
-	// EngineBitset forces the bitset kernels where representable.
-	EngineBitset
-)
-
-// String returns the engine's flag spelling.
-func (e MatcherEngine) String() string {
-	switch e {
-	case EngineAuto:
-		return "auto"
-	case EngineScalar:
-		return "scalar"
-	case EngineBitset:
-		return "bitset"
-	}
-	return fmt.Sprintf("MatcherEngine(%d)", int(e))
-}
-
-// ParseMatcherEngine parses the -engine flag spelling used by the cmds.
-func ParseMatcherEngine(s string) (MatcherEngine, error) {
-	switch s {
-	case "auto":
-		return EngineAuto, nil
-	case "scalar":
-		return EngineScalar, nil
-	case "bitset":
-		return EngineBitset, nil
-	}
-	return 0, fmt.Errorf("kpbs: unknown matcher engine %q (want auto, scalar or bitset)", s)
-}
-
-// matchingEngine maps the option onto the matching package's engine enum.
-func (e MatcherEngine) matchingEngine() (matching.Engine, error) {
-	switch e {
-	case EngineAuto:
-		return matching.EngineAuto, nil
-	case EngineScalar:
-		return matching.EngineScalar, nil
-	case EngineBitset:
-		return matching.EngineBitset, nil
-	}
-	return 0, fmt.Errorf("kpbs: unknown matcher engine %v", e)
+	return 0, fmt.Errorf("kpbs: unknown shard mode %q (want auto or off)", s)
 }
 
 // Options configure Solve beyond the instance parameters.
 type Options struct {
 	// Algorithm to run; GGP by default.
 	Algorithm Algorithm
-	// Coalesce merges adjacent steps with identical communication pairs
-	// after solving, saving one β per merge. Off by default so results
-	// reproduce the paper's algorithms verbatim.
-	Coalesce bool
 	// Pack merges node-disjoint steps that fit within k together after
 	// solving, saving β plus the shorter duration per merge (see
-	// Schedule.Pack). Off by default for the same reason.
+	// Schedule.Pack). Off by default so results reproduce the paper's
+	// algorithms verbatim.
 	Pack bool
 	// Shard splits the instance into connected components, peels them in
 	// parallel and packs the per-component steps back into shared global
@@ -163,12 +103,6 @@ type Options struct {
 	// schedules, but carries no monolith-relative guarantee beyond the
 	// per-component approximation bounds — see DESIGN.md §9.
 	Shard ShardMode
-	// Engine selects the matching kernels of the peeling algorithms:
-	// EngineAuto — the zero value — resolves by instance density, and the
-	// scalar/bitset overrides pin one arm (schedules are byte-identical
-	// either way; the scalar arm exists as the differential oracle and
-	// bench baseline). Greedy ignores the option.
-	Engine MatcherEngine
 	// Obs attaches the observability layer: per-solve metrics and per-peel
 	// trace events (step index, matching size, bottleneck weight, residual
 	// edges, warm-start reuse) are recorded through it. nil — the default —
@@ -177,6 +111,11 @@ type Options struct {
 	// strictly passive: the schedule is byte-identical with Obs set or nil
 	// (TestSolveObsDeterminism and FuzzSolve assert this).
 	Obs *obs.Observer
+	// engine pins the matching kernels of the peeling algorithms. The zero
+	// value, matching.EngineAuto, resolves by each instance's density;
+	// tests pin the scalar or the bitset arm, whose schedules are
+	// byte-identical (DESIGN.md §11). Greedy ignores it.
+	engine matching.Engine
 }
 
 // Solve computes a feasible K-PBS schedule for the instance (g, k, beta)
@@ -189,53 +128,37 @@ func Solve(g *bipartite.Graph, k int, beta int64, opts Options) (*Schedule, erro
 	default:
 		return nil, fmt.Errorf("kpbs: unknown algorithm %v", opts.Algorithm)
 	}
-	eng, err := opts.Engine.matchingEngine()
-	if err != nil {
-		return nil, err
-	}
 	// A nil opts.Obs yields a nil view whose methods all no-op; the solve
 	// itself never branches on whether it is being observed.
 	so := opts.Obs.Solver(opts.Algorithm.String())
-	var s *Schedule
-	if opts.Shard != ShardOff {
-		sharded, used, serr := solveSharded(g, k, beta, opts, so)
-		if used {
-			if serr != nil {
-				return nil, serr
-			}
-			if opts.Coalesce {
-				sharded.Coalesce()
-			}
-			if opts.Pack {
-				sharded.Pack(k)
-			}
-			so.Done(len(sharded.Steps), sharded.Cost())
-			return sharded, nil
-		}
-		// ShardAuto on a single-component graph: fall through to the
-		// monolithic path below.
-	}
-	switch opts.Algorithm {
-	case GGP:
-		s, err = solvePeeling(g, k, beta, matchAny, false, eng, so)
-	case OGGP:
-		s, err = solvePeeling(g, k, beta, matchBottleneck, false, eng, so)
-	case MinSteps:
-		s, err = solvePeeling(g, k, beta, matchBottleneck, true, eng, so)
-	case Greedy:
-		s, err = solveGreedy(g, k, beta)
+	s, used, err := solveSharded(g, k, beta, opts, so)
+	if !used {
+		// ShardOff, or ShardAuto on a single-component graph: the
+		// monolithic path.
+		s, err = solveMonolith(g, k, beta, opts, so)
 	}
 	if err != nil {
 		return nil, err
-	}
-	if opts.Coalesce {
-		s.Coalesce()
 	}
 	if opts.Pack {
 		s.Pack(k)
 	}
 	so.Done(len(s.Steps), s.Cost())
 	return s, nil
+}
+
+// solveMonolith runs the selected algorithm on g as one instance. The
+// sharded path runs it on each component.
+func solveMonolith(g *bipartite.Graph, k int, beta int64, opts Options, so *obs.SolverObs) (*Schedule, error) {
+	switch opts.Algorithm {
+	case GGP:
+		return solvePeeling(g, k, beta, matchAny, false, opts.engine, so)
+	case OGGP:
+		return solvePeeling(g, k, beta, matchBottleneck, false, opts.engine, so)
+	case MinSteps:
+		return solvePeeling(g, k, beta, matchBottleneck, true, opts.engine, so)
+	}
+	return solveGreedy(g, k, beta)
 }
 
 // solvePeeling is the common GGP/OGGP/MinSteps pipeline: normalize,

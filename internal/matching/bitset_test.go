@@ -3,8 +3,6 @@ package matching
 import (
 	"math/rand"
 	"testing"
-
-	"redistgo/internal/bipartite"
 )
 
 // --- engine selection -------------------------------------------------------
@@ -171,59 +169,6 @@ func TestBottleneckIncEngineDifferential(t *testing.T) {
 				if cS[i] != cB[i] {
 					t.Fatalf("trial %d round %d: emitted edge %d is %d (scalar) vs %d (bitset)", trial, round, i, cS[i], cB[i])
 				}
-			}
-		}
-	}
-}
-
-// --- BottleneckScratch allocation regression --------------------------------
-
-// TestBottleneckScratchSteadyStateAllocs is the regression test for the
-// hoisted Figure-6 scratch: after a warm-up probe, the only allocation a
-// Perfect call may perform is the returned matching copy. The duplicated
-// per-call closures and adjacency rebuilds this replaced cost ~10 extra
-// allocations per probe.
-func TestBottleneckScratchSteadyStateAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	g := randomRegularish(rng, 48, 400, 50)
-	var s BottleneckScratch
-	if _, ok := s.Perfect(g); !ok {
-		t.Fatal("warm-up probe found no perfect matching")
-	}
-	avg := testing.AllocsPerRun(20, func() {
-		if _, ok := s.Perfect(g); !ok {
-			t.Fatal("probe found no perfect matching")
-		}
-	})
-	// One alloc: the EdgeOfLeft copy handed to the caller.
-	if avg > 1 {
-		t.Fatalf("steady-state Perfect performs %.1f allocs/run, want <= 1", avg)
-	}
-}
-
-// TestBottleneckScratchMatchesPackageFuncs checks the scratch-based entry
-// points against the allocate-per-call wrappers on random graphs.
-func TestBottleneckScratchMatchesPackageFuncs(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	var s BottleneckScratch
-	for trial := 0; trial < 40; trial++ {
-		n := 1 + rng.Intn(12)
-		g := bipartite.New(n, n)
-		for i := 0; i < rng.Intn(3*n+1); i++ {
-			g.AddEdge(rng.Intn(n), rng.Intn(n), 1+rng.Int63n(9))
-		}
-		wantM, wantOK := BottleneckPerfect(g)
-		gotM, gotOK := s.Perfect(g)
-		if wantOK != gotOK {
-			t.Fatalf("trial %d: ok %v vs %v", trial, gotOK, wantOK)
-		}
-		if !wantOK {
-			continue
-		}
-		for l := 0; l < n; l++ {
-			if wantM.EdgeOfLeft[l] != gotM.EdgeOfLeft[l] {
-				t.Fatalf("trial %d: left %d matched to %d, want %d",
-					trial, l, gotM.EdgeOfLeft[l], wantM.EdgeOfLeft[l])
 			}
 		}
 	}

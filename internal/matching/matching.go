@@ -1,14 +1,15 @@
 // Package matching provides bipartite matching algorithms for the K-PBS
-// schedulers:
+// schedulers. The peeler runs on the incremental matcher BottleneckInc
+// (bottleneck_inc.go); the cold matchers below solve one graph from
+// scratch and are the oracles its tests compare against:
 //
-//   - Maximum: Hopcroft–Karp maximum-cardinality matching, O(m√n). This is
-//     the "any matching algorithm" slot of GGP (paper §4.1 cites [22]; the
-//     peeling loop is independent of the matcher).
+//   - Maximum: Hopcroft–Karp maximum-cardinality matching, O(m√n) — the
+//     "any matching algorithm" slot of GGP (paper §4.1 cites [22]).
 //   - Perfect: a perfect matching of a balanced graph, or a report that
 //     none exists.
 //   - BottleneckPerfect / BottleneckMaximum: a (perfect / maximum)
 //     matching whose minimum edge weight is as large as possible — the
-//     paper's Figure-6 procedure, used by OGGP: insert edges in decreasing
+//     paper's Figure-6 procedure of OGGP: insert edges in decreasing
 //     weight order and grow the matching with augmenting paths until it
 //     reaches the target cardinality.
 //
@@ -206,22 +207,13 @@ func Perfect(g *bipartite.Graph) (Matching, bool) {
 	return m, true
 }
 
-// BottleneckScratch holds the working state of the Figure-6 bottleneck
-// procedure so repeated probes — one per peeling iteration in the
-// reference oracle — stop re-allocating the adjacency, match arrays and
-// visit stamps every call. The zero value is ready to use; internal
-// buffers grow to the largest graph seen and are reused thereafter, so at
-// steady state a probe's only allocation is the returned matching copy.
-// Not safe for concurrent use; each goroutine needs its own scratch.
-type BottleneckScratch struct {
-	order   []int
-	weights []int64
-	sorter  edgeIdxByWeightDesc
-
-	// Kuhn state over the inserted prefix. adj is CSR with full-degree
-	// offsets in base; the inserted edges of left node l occupy
-	// adj[base[l] : base[l]+fill[l]] in insertion (weight) order — the
-	// exact traversal order of the per-call implementation this replaced.
+// bottleneckSearch is the working state of one run of the Figure-6
+// bottleneck procedure: Kuhn's augmenting-path search over the edges
+// inserted so far. adj is CSR with full-degree offsets in base; the
+// inserted edges of left node l occupy adj[base[l] : base[l]+fill[l]] in
+// insertion (weight) order.
+type bottleneckSearch struct {
+	g          *bipartite.Graph
 	base, fill []int
 	adj        []int
 	matchL     []int
@@ -231,40 +223,19 @@ type BottleneckScratch struct {
 	size       int
 }
 
-// ensure sizes every buffer for an nL×nR graph with m edges. Growth-only:
-// a scratch that has seen the largest graph of a workload never allocates
-// again.
-func (s *BottleneckScratch) ensure(nL, nR, m int) {
-	if cap(s.order) < m {
-		s.order = make([]int, m)
-		s.weights = make([]int64, m)
-		s.adj = make([]int, m)
-	}
-	if cap(s.base) < nL+1 {
-		s.base = make([]int, nL+1)
-		s.fill = make([]int, nL)
-		s.matchL = make([]int, nL)
-	}
-	if cap(s.matchR) < nR {
-		s.matchR = make([]int, nR)
-		s.visitedR = make([]int, nR)
-		s.stamp = 0
-	}
-}
-
 // augment searches an augmenting path from left node l over the inserted
 // edges (Kuhn DFS with visit stamps).
-func (s *BottleneckScratch) augment(g *bipartite.Graph, l int) bool {
+func (s *bottleneckSearch) augment(l int) bool {
 	end := s.base[l] + s.fill[l]
 	for i := s.base[l]; i < end; i++ {
 		edge := s.adj[i]
-		r := g.Edge(edge).R
+		r := s.g.Edge(edge).R
 		if s.visitedR[r] == s.stamp {
 			continue
 		}
 		s.visitedR[r] = s.stamp
 		me := s.matchR[r]
-		if me < 0 || s.augment(g, g.Edge(me).L) {
+		if me < 0 || s.augment(s.g.Edge(me).L) {
 			s.matchL[l] = edge
 			s.matchR[r] = edge
 			return true
@@ -275,13 +246,13 @@ func (s *BottleneckScratch) augment(g *bipartite.Graph, l int) bool {
 
 // tryGrow attempts one augmentation from any free left node; returns true
 // if the matching grew.
-func (s *BottleneckScratch) tryGrow(g *bipartite.Graph, nL int) bool {
-	for l := 0; l < nL; l++ {
+func (s *bottleneckSearch) tryGrow() bool {
+	for l := range s.matchL {
 		if s.matchL[l] >= 0 || s.fill[l] == 0 {
 			continue
 		}
 		s.stamp++
-		if s.augment(g, l) {
+		if s.augment(l) {
 			s.size++
 			return true
 		}
@@ -294,9 +265,8 @@ func (s *BottleneckScratch) tryGrow(g *bipartite.Graph, nL int) bool {
 // each insertion we try to grow the matching; we stop as soon as the
 // matching reaches target. The resulting matching maximizes the minimum
 // edge weight among all matchings of that cardinality.
-func (s *BottleneckScratch) bottleneck(g *bipartite.Graph, target int) (Matching, bool) {
+func bottleneck(g *bipartite.Graph, target int) (Matching, bool) {
 	nL, nR, m := g.LeftCount(), g.RightCount(), g.EdgeCount()
-	s.ensure(nL, nR, m)
 	if target == 0 {
 		out := make([]int, nL)
 		for i := range out {
@@ -304,99 +274,78 @@ func (s *BottleneckScratch) bottleneck(g *bipartite.Graph, target int) (Matching
 		}
 		return Matching{EdgeOfLeft: out}, true
 	}
-	order := s.order[:m]
-	weights := s.weights[:m]
+	order := make([]int, m)
+	weights := make([]int64, m)
 	for i := range order {
 		order[i] = i
 		weights[i] = g.Edge(i).Weight
 	}
 	// Index tiebreak for equal weights: without it the permutation of a
 	// weight class is at the mercy of the sort implementation, and the
-	// chosen matching (hence OGGP's output schedule) with it. The sorter is
-	// a retained field so the sort.Interface conversion does not allocate
-	// on every probe.
-	s.sorter.idx, s.sorter.w = order, weights
-	sort.Sort(&s.sorter)
-	base := s.base[:nL+1]
-	for i := range base {
-		base[i] = 0
+	// chosen matching with it.
+	sort.Sort(edgeIdxByWeightDesc{idx: order, w: weights})
+	s := &bottleneckSearch{
+		g:        g,
+		base:     make([]int, nL+1),
+		fill:     make([]int, nL),
+		adj:      make([]int, m),
+		matchL:   make([]int, nL),
+		matchR:   make([]int, nR),
+		visitedR: make([]int, nR),
 	}
 	for i := 0; i < m; i++ {
-		base[g.Edge(i).L+1]++
+		s.base[g.Edge(i).L+1]++
 	}
 	for i := 0; i < nL; i++ {
-		base[i+1] += base[i]
+		s.base[i+1] += s.base[i]
 	}
-	fill := s.fill[:nL]
-	for i := range fill {
-		fill[i] = 0
+	for i := range s.matchL {
+		s.matchL[i] = -1
 	}
-	matchL := s.matchL[:nL]
-	for i := range matchL {
-		matchL[i] = -1
+	for i := range s.matchR {
+		s.matchR[i] = -1
 	}
-	matchR := s.matchR[:nR]
-	for i := range matchR {
-		matchR[i] = -1
-	}
-	s.size = 0
 	i := 0
 	for i < m {
 		// Insert the whole group of equal-weight edges before augmenting:
 		// augmentation order within a weight class cannot change the
 		// bottleneck value, and batching keeps the loop simple.
-		w := g.Edge(order[i]).Weight
-		for i < m && g.Edge(order[i]).Weight == w {
+		w := weights[order[i]]
+		for i < m && weights[order[i]] == w {
 			e := order[i]
 			l := g.Edge(e).L
-			s.adj[base[l]+fill[l]] = e
-			fill[l]++
+			s.adj[s.base[l]+s.fill[l]] = e
+			s.fill[l]++
 			i++
 		}
-		for s.size < target && s.tryGrow(g, nL) {
+		for s.size < target && s.tryGrow() {
 		}
 		if s.size == target {
-			return Matching{EdgeOfLeft: append([]int(nil), matchL...), Size: s.size}, true
+			return Matching{EdgeOfLeft: s.matchL, Size: s.size}, true
 		}
 	}
 	return Matching{}, false
 }
 
-// Perfect returns a perfect matching of g maximizing the minimum edge
-// weight, or ok=false if g has no perfect matching, reusing the scratch's
-// buffers.
-func (s *BottleneckScratch) Perfect(g *bipartite.Graph) (Matching, bool) {
+// BottleneckPerfect returns a perfect matching of g maximizing the minimum
+// edge weight, or ok=false if g has no perfect matching.
+func BottleneckPerfect(g *bipartite.Graph) (Matching, bool) {
 	if g.LeftCount() != g.RightCount() {
 		return Matching{}, false
 	}
-	return s.bottleneck(g, g.LeftCount())
-}
-
-// Maximum returns a maximum-cardinality matching of g whose minimum edge
-// weight is maximum among all maximum matchings, reusing the scratch's
-// buffers for the bottleneck phase.
-func (s *BottleneckScratch) Maximum(g *bipartite.Graph) Matching {
-	max := Maximum(g)
-	m, ok := s.bottleneck(g, max.Size)
-	if !ok {
-		// Unreachable: the full edge set admits a matching of size max.Size.
-		return max
-	}
-	return m
+	return bottleneck(g, g.LeftCount())
 }
 
 // BottleneckMaximum returns a maximum-cardinality matching of g whose
 // minimum edge weight is maximum among all maximum matchings.
 func BottleneckMaximum(g *bipartite.Graph) Matching {
-	var s BottleneckScratch
-	return s.Maximum(g)
-}
-
-// BottleneckPerfect returns a perfect matching of g maximizing the minimum
-// edge weight, or ok=false if g has no perfect matching.
-func BottleneckPerfect(g *bipartite.Graph) (Matching, bool) {
-	var s BottleneckScratch
-	return s.Perfect(g)
+	max := Maximum(g)
+	m, ok := bottleneck(g, max.Size)
+	if !ok {
+		// Unreachable: the full edge set admits a matching of size max.Size.
+		return max
+	}
+	return m
 }
 
 // Validate checks that m is a well-formed matching of g: edge indices in

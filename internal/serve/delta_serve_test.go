@@ -10,6 +10,7 @@ import (
 	"redistgo/internal/bipartite"
 	"redistgo/internal/kpbs"
 	"redistgo/internal/obs"
+	"redistgo/internal/trafficgen"
 	"redistgo/internal/wire"
 )
 
@@ -452,5 +453,71 @@ func TestServeCacheHit(t *testing.T) {
 	}
 	if got := o.Metrics.Snapshot().Counters["solver.cache.checkouts_total"]; got != 1 {
 		t.Errorf("cache checkouts = %d, want 1", got)
+	}
+}
+
+// TestServeShardMode: a served solve runs in Config.Shard, and so does a
+// delta on its base. A block-diagonal 3×(4×4) instance, on which the
+// monolith and the sharded pipeline produce different schedules, is served
+// under ShardOff and under ShardAuto; each response must be byte-identical
+// to kpbs.Solve in that mode, before and after a delta.
+func TestServeShardMode(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	base := trafficgen.BlockDiagonal(rng, 3, 4, 0, 1, 100)
+	edited := make([][]int64, len(base))
+	for i := range base {
+		edited[i] = append([]int64(nil), base[i]...)
+	}
+	edits := []kpbs.Edit{{L: 0, R: 1, W: 1 + base[0][1]%50}, {L: 9, R: 10, W: 77}}
+	for _, e := range edits {
+		edited[e.L][e.R] = e.W
+	}
+	// want encodes kpbs.Solve of the matrix in the mode.
+	want := func(m [][]int64, alg kpbs.Algorithm, mode kpbs.ShardMode, id uint64) []byte {
+		t.Helper()
+		g, err := bipartite.FromMatrix(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := kpbs.Solve(g, 6, 1, kpbs.Options{Algorithm: alg, Shard: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := wire.EncodeSolveResp(id, s, wire.TraceContext{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	g, err := bipartite.FromMatrix(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []kpbs.Algorithm{kpbs.GGP, kpbs.OGGP} {
+		for _, m := range [][][]int64{base, edited} {
+			if bytes.Equal(want(m, alg, kpbs.ShardOff, 1), want(m, alg, kpbs.ShardAuto, 1)) {
+				t.Fatalf("%v: the instance does not tell the shard modes apart", alg)
+			}
+		}
+		for _, mode := range []kpbs.ShardMode{kpbs.ShardOff, kpbs.ShardAuto} {
+			s := newServer(t, Config{Shard: mode})
+			cl, err := Dial(s.Addr(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := wire.SolveRequest{ID: 1, K: 6, Beta: 1, Algorithm: alg,
+				N1: g.LeftCount(), N2: g.RightCount(), Edges: g.Edges()}
+			if _, raw, err := cl.Solve(req); err != nil {
+				t.Fatal(err)
+			} else if !bytes.Equal(raw, want(base, alg, mode, 1)) {
+				t.Fatalf("%v shard %v: served schedule differs from kpbs.Solve in that mode", alg, mode)
+			}
+			if _, raw, err := cl.SolveDelta(wire.DeltaRequest{ID: 2, Base: 1, Edits: edits}); err != nil {
+				t.Fatal(err)
+			} else if !bytes.Equal(raw, want(edited, alg, mode, 2)) {
+				t.Fatalf("%v shard %v: delta response differs from kpbs.Solve in that mode", alg, mode)
+			}
+			cl.Close()
+		}
 	}
 }

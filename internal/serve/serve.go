@@ -68,7 +68,7 @@ type Config struct {
 	// MaxNodes caps each side of a requested instance below the codec's
 	// own wire.MaxInstanceNodes; ≤ 0 keeps the codec bound only.
 	MaxNodes int
-	// Shard is the pool-wide kpbs sharding default for served solves.
+	// Shard is the kpbs sharding mode of every served solve.
 	Shard kpbs.ShardMode
 	// CacheSize enables the content-addressed solve cache with that many
 	// entries: repeated solves of byte-identical instances (across all
@@ -156,7 +156,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		ln:      ln,
-		pool:    engine.NewPool(engine.PoolOptions{Workers: cfg.Workers, QueueDepth: cfg.QueueDepth, Obs: cfg.Obs, Shard: cfg.Shard}),
+		pool:    engine.NewPool(engine.PoolOptions{Workers: cfg.Workers, QueueDepth: cfg.QueueDepth, Obs: cfg.Obs}),
 		so:      cfg.Obs.Serve(),
 		spans:   cfg.Obs.Spans(),
 		slo:     cfg.Obs.TenantSLO(),
@@ -351,8 +351,8 @@ func (s *Server) handleSolve(id int, conn net.Conn, f wire.Frame, rec *obs.ReqRe
 			fmt.Sprintf("tenant %d admission budget exhausted", f.Src))
 	}
 
-	inst := engine.Instance{G: req.Graph(), K: req.K, Beta: req.Beta,
-		Opts: kpbs.Options{Algorithm: req.Algorithm}, Cache: s.cache}
+	opts := kpbs.Options{Algorithm: req.Algorithm, Shard: s.cfg.Shard, Obs: s.cfg.Obs}
+	inst := engine.Instance{G: req.Graph(), K: req.K, Beta: req.Beta, Opts: opts, Cache: s.cache}
 	rec.Mark(obs.PhaseQueue)
 	// The job context is Background on purpose: once admitted, a request
 	// is solved even while the server drains — that is the drain.
@@ -399,17 +399,9 @@ func (s *Server) handleSolve(id int, conn net.Conn, f wire.Frame, rec *obs.ReqRe
 	slot.Respond(res.Wait, res.Solve)
 	rec.Finish(obs.OutcomeOK)
 	logReq("ok")
-	// The response id becomes addressable as a delta base. The registered
-	// options mirror what solveOne resolved (pool-default shard and
-	// observer), so a later base materialization — cache checkout or cold
-	// build — reproduces this exact solve.
-	opts := inst.Opts
-	if opts.Obs == nil {
-		opts.Obs = s.cfg.Obs
-	}
-	if opts.Shard == kpbs.ShardOff {
-		opts.Shard = s.cfg.Shard
-	}
+	// The response id becomes addressable as a delta base under the options
+	// it was solved with, so a later base materialization — cache checkout
+	// or cold build — reproduces this exact solve.
 	bases.register(req.ID, inst.G, req.K, req.Beta, opts)
 	return true
 }

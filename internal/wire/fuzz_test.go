@@ -144,7 +144,7 @@ func FuzzDecodeSolveResp(f *testing.F) {
 	f.Add(seedV2[:4])                           // V2 with a truncated trace extension
 	f.Add(append([]byte{CodecV2}, seed[1:]...)) // V2 version byte on a V1 body
 	f.Add([]byte{})
-	// The round-trip schedules: packed sharded, Greedy and Coalesce/Pack
+	// The round-trip schedules: packed sharded, Greedy and Pack
 	// steps, zero-comm steps, far endpoints, amounts near MaxInt64 and
 	// multi-byte varints.
 	for _, s := range roundTripSchedules(f) {

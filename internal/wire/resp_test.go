@@ -174,7 +174,7 @@ func roundTripSchedules(tb testing.TB) map[string]*kpbs.Schedule {
 	return map[string]*kpbs.Schedule{
 		"packed sharded OGGP": solve(blocks, 8, 3, kpbs.Options{Algorithm: kpbs.OGGP, Shard: kpbs.ShardAuto}),
 		"greedy":              solve(dense, 4, 16, kpbs.Options{Algorithm: kpbs.Greedy}),
-		"coalesce and pack":   solve(dense, 4, 16, kpbs.Options{Algorithm: kpbs.GGP, Coalesce: true, Pack: true}),
+		"pack":                solve(dense, 4, 16, kpbs.Options{Algorithm: kpbs.GGP, Pack: true}),
 		"zero-comm steps": {Beta: 2, Steps: []kpbs.Step{
 			{}, {Comms: []kpbs.Comm{{L: 0, R: 0, Amount: 1}}, Duration: 1}, {}, {},
 		}},

@@ -98,35 +98,11 @@ const (
 	// ShardAuto shards when the graph has two or more connected
 	// components and falls back to the monolith otherwise.
 	ShardAuto = kpbs.ShardAuto
-	// ShardOn always runs the sharded pipeline, even on connected graphs
-	// (where it produces the monolithic schedule byte for byte).
-	ShardOn = kpbs.ShardOn
 )
 
-// ParseShardMode parses "off", "auto" or "on" — the accepted values of
-// the cmd/ -shard flags.
+// ParseShardMode parses "off" or "auto" — the accepted values of the
+// cmd/ -shard flags.
 func ParseShardMode(s string) (ShardMode, error) { return kpbs.ParseShardMode(s) }
-
-// MatcherEngine selects the matching kernels inside the peeling
-// algorithms (Options.Engine): bitset word-parallel sweeps or the scalar
-// reference arm. Both produce byte-identical schedules; the knob is
-// purely about speed.
-type MatcherEngine = kpbs.MatcherEngine
-
-// The available matcher engines.
-const (
-	// EngineAuto (the default) picks the bitset kernels on instances dense
-	// enough for word-parallel sweeps to win, scalar otherwise.
-	EngineAuto = kpbs.EngineAuto
-	// EngineScalar forces the scalar kernels.
-	EngineScalar = kpbs.EngineScalar
-	// EngineBitset forces the bitset kernels where representable.
-	EngineBitset = kpbs.EngineBitset
-)
-
-// ParseMatcherEngine parses "auto", "scalar" or "bitset" — the accepted
-// values of the cmd/ -engine flags.
-func ParseMatcherEngine(s string) (MatcherEngine, error) { return kpbs.ParseMatcherEngine(s) }
 
 // Solve schedules the communications of g under the 1-port constraint
 // with at most k simultaneous transfers and per-step setup delay beta

@@ -65,7 +65,7 @@ func TestEndToEndRealTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := redistgo.Solve(g, k, 0, redistgo.Options{Algorithm: redistgo.OGGP, Coalesce: true})
+	sched, err := redistgo.Solve(g, k, 0, redistgo.Options{Algorithm: redistgo.OGGP, Pack: true})
 	if err != nil {
 		t.Fatal(err)
 	}

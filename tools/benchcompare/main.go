@@ -5,9 +5,6 @@
 // -variants — averages the ns/op samples of each across -count
 // repetitions, and reports the speedup old/new per pair.
 //
-//	go test ./internal/kpbs -run='^$' -bench=PeelSolve -count=5 > bench.txt
-//	go run ./tools/benchcompare -min-speedup 2 -json BENCH_PR2.json bench.txt
-//
 //	go test ./internal/kpbs -run='^$' -bench=ShardSolve -count=5 > bench.txt
 //	go run ./tools/benchcompare -variants unsharded,sharded \
 //	    -min-speedup 3 -expect Dense64=0.95 -json BENCH_PR5.json bench.txt
@@ -18,8 +15,8 @@
 // slower", speedup ≥ 0.95, while the sharded workloads must reach 3x).
 //
 // The JSON file is the machine-readable perf-trajectory artifact tracked
-// in the repository (BENCH_PR2.json, BENCH_PR5.json); the exit status
-// enforces the minimums so `make bench-compare` / `make bench-shard` fail
+// in the repository (BENCH_PR5.json, BENCH_PR10.json); the exit status
+// enforces the minimums so `make bench-shard` / `make bench-delta` fail
 // when an engine regresses below its acceptance bar.
 package main
 
@@ -38,7 +35,7 @@ import (
 
 // benchLine matches e.g.
 //
-//	BenchmarkPeelSolve/GGP/ref-8   9   123878975 ns/op   360175633 B/op   59913 allocs/op
+//	BenchmarkShardSolve/BlockDiag8x64/OGGP/unsharded-8   5   63878975 ns/op   9175633 B/op   5913 allocs/op
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op)?(?:\s+([\d.]+) allocs/op)?`)
 
 type sample struct {
