@@ -165,8 +165,10 @@ soak-delta-smoke:
 # Short real fuzzing burst per target, on top of the seed corpora that
 # `make race` always replays: the solver, the batch and peeler
 # differentials, delta solving, the incremental matcher's peel sequences
-# in both of its modes, and the wire-protocol decoders. One
-# package:target pair per entry; CI runs `make fuzz-smoke FUZZTIME=30s`.
+# in both of its modes, the wire-protocol frame reader and decoders, and
+# the block-cyclic traffic generator — every fuzz target in the module.
+# One package:target pair per entry; CI runs
+# `make fuzz-smoke FUZZTIME=30s`.
 FUZZTIME ?= 10s
 FUZZ_TARGETS = \
 	internal/kpbs:FuzzSolve \
@@ -175,6 +177,9 @@ FUZZ_TARGETS = \
 	internal/kpbs:FuzzSolveDelta \
 	internal/matching:FuzzBottleneckIncPeel \
 	internal/matching:FuzzIncrementalPeel \
+	internal/trafficgen:FuzzBlockCyclic \
+	internal/wire:FuzzRead \
+	internal/wire:FuzzReadStream \
 	internal/wire:FuzzDecodeSolveReq \
 	internal/wire:FuzzDecodeSolveResp \
 	internal/wire:FuzzDecodeDeltaReq

@@ -40,7 +40,8 @@ func Figure9Config(runs int, seed int64) BetaConfig {
 }
 
 // FigureNetworkConfig returns the paper's Figure 10 (k = 3) or Figure 11
-// (k = 7) setup.
+// (k = 7) setup, with brute force run on the calibrated TCP model (a zero
+// Congestion runs it on the ideal fluid network instead).
 func FigureNetworkConfig(k, runs int, seed int64) NetworkConfig {
 	return experiments.FigureNetworkConfig(k, runs, seed)
 }

@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
+
+	"redistgo/internal/netsim"
 )
 
 func TestRatioVsKSmoke(t *testing.T) {
@@ -163,6 +166,32 @@ func TestNetworkExperimentShape(t *testing.T) {
 	// Larger transfers take longer.
 	if points[1].BruteAvg <= points[0].BruteAvg {
 		t.Fatal("brute-force time did not grow with n")
+	}
+}
+
+// TestNetworkIdealModelGain pins what the Figure 10 gains rest on. With
+// the TCP model switched off (a zero Congestion: brute force runs on the
+// same ideal fluid network as the schedules), OGGP gains nothing over
+// brute force at k = 3: within ±0.5% of the brute-force time at n = 10,
+// 50 and 100 MB. So the 11–13% the figure reports come from the model's
+// fitted terms, not from the schedules alone.
+func TestNetworkIdealModelGain(t *testing.T) {
+	cfg := FigureNetworkConfig(3, 2, 1)
+	cfg.NsMB = []float64{10, 50, 100}
+	cfg.Congestion = netsim.Config{}
+	points, err := Network(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range points {
+		gain := (p.BruteAvg - p.OGGPTime) / p.BruteAvg
+		t.Logf("n=%g MB: brute force %.2f s, OGGP %.2f s, gain %.2f%%", p.NMB, p.BruteAvg, p.OGGPTime, 100*gain)
+		if math.Abs(gain) > 0.005 {
+			t.Errorf("n=%g MB: OGGP gains %.2f%% over brute force on the ideal network, want 0 within 0.5%%", p.NMB, 100*gain)
+		}
+		if p.BruteSpread != 0 {
+			t.Errorf("n=%g MB: brute force spreads %.2f%% across runs on the ideal network, want 0", p.NMB, 100*p.BruteSpread)
+		}
 	}
 }
 

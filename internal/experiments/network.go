@@ -16,14 +16,18 @@ import (
 // testbed platform (two 10-node clusters, 100 Mbit backbone, NICs shaped
 // to 100/k Mbit/s), as the message-size upper bound n grows.
 type NetworkConfig struct {
-	K          int       // simultaneous communications (paper: 3, 5, 7)
-	Nodes      int       // nodes per cluster (paper: 10)
-	MinMB      float64   // lower bound of the uniform message size (paper: 10 MB)
-	NsMB       []float64 // sweep of upper bounds n in MB
-	BruteRuns  int       // brute-force seeds per point (captures nondeterminism)
-	BetaSec    float64   // barrier cost β in seconds
-	Seed       int64
-	Congestion netsim.Config // template for the TCP model; Platform is overwritten
+	K         int       // simultaneous communications (paper: 3, 5, 7)
+	Nodes     int       // nodes per cluster (paper: 10)
+	MinMB     float64   // lower bound of the uniform message size (paper: 10 MB)
+	NsMB      []float64 // sweep of upper bounds n in MB
+	BruteRuns int       // brute-force seeds per point (captures nondeterminism)
+	BetaSec   float64   // barrier cost β in seconds
+	Seed      int64
+	// Congestion is the brute-force TCP model; Network overwrites its
+	// Platform and Seed. FigureNetworkConfig sets the calibrated default
+	// (netsim.DefaultConfig); the zero value is the ideal fluid network,
+	// on which brute force and the schedules share bandwidth alike.
+	Congestion netsim.Config
 	// Shard selects component sharding inside each solve (kpbs
 	// Options.Shard). The testbed matrices are dense all-pairs traffic —
 	// a single component — so any mode reproduces the same schedules.
@@ -31,16 +35,18 @@ type NetworkConfig struct {
 }
 
 // FigureNetworkConfig returns the paper's Figure 10 (k=3) or Figure 11
-// (k=7) setup when called with that k.
+// (k=7) setup when called with that k, with brute force run on the
+// calibrated TCP model.
 func FigureNetworkConfig(k int, runs int, seed int64) NetworkConfig {
 	return NetworkConfig{
-		K:         k,
-		Nodes:     10,
-		MinMB:     10,
-		NsMB:      []float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100},
-		BruteRuns: runs,
-		BetaSec:   0.002, // an MPI barrier on 100 Mbit Ethernet: ~2 ms
-		Seed:      seed,
+		K:          k,
+		Nodes:      10,
+		MinMB:      10,
+		NsMB:       []float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100},
+		BruteRuns:  runs,
+		BetaSec:    0.002, // an MPI barrier on 100 Mbit Ethernet: ~2 ms
+		Seed:       seed,
+		Congestion: netsim.DefaultConfig(netsim.Platform{}, 0),
 	}
 }
 
@@ -126,9 +132,6 @@ func Network(cfg NetworkConfig) ([]NetworkPoint, error) {
 		var brute stats.Summary
 		for run := 0; run < cfg.BruteRuns; run++ {
 			simCfg := cfg.Congestion
-			if simCfg.CongestionAlpha == 0 && simCfg.JitterSigma == 0 {
-				simCfg = netsim.DefaultConfig(platform, 0)
-			}
 			simCfg.Platform = platform
 			simCfg.Seed = cfg.Seed*7919 + int64(ni)*127 + int64(run)
 			sim, err := netsim.New(simCfg)

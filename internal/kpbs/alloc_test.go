@@ -24,11 +24,7 @@ func denseGraph(rng *rand.Rand, n int, maxW int64) *bipartite.Graph {
 // matcher scratch), then asserts reset+run performs zero allocations.
 func peelAllocsZero(t *testing.T, g *bipartite.Graph, kind matcherKind, eng matching.Engine) *peeler {
 	t.Helper()
-	in, err := buildInstance(g, 8, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := newPeeler(in, kind, eng)
+	p := newPeeler(wholeInstance(g, 8, 1, false), kind, eng)
 	warm, err := p.run()
 	if err != nil {
 		t.Fatal(err)
@@ -100,20 +96,32 @@ func TestBitsetSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// allocRuns is how many solves the allocation bounds below average over.
+// testing.AllocsPerRun counts every allocation in the process and divides
+// by the run count with integer division, so with few runs a handful of
+// stray allocations elsewhere in the process moves the count; at 30 the
+// logged counts repeat run after run.
+const allocRuns = 30
+
 // TestColdSolveAllocs bounds what one cold solve allocates. The steady-
 // state tests above cover warm reruns only; a cold solve allocates its
 // instance, matcher, peel output and schedule afresh, but each a fixed
 // number of times, never once per step. A dense 64×64 GGP instance at
-// k = 32 and β = 1 peels 1,288 steps and must stay within 200 allocations
-// under both shard modes.
+// k = 32 and β = 1 peels 1,288 steps in 56 allocations under ShardOff and
+// 65 under ShardAuto, whose split finds one component and solves it whole.
+// Each bound sits under 10% above its count, so a solve that doubles its
+// allocations fails.
 func TestColdSolveAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := denseGraph(rng, 64, 20)
-	for _, shard := range []ShardMode{ShardOff, ShardAuto} {
-		t.Run(shard.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		shard ShardMode
+		bound float64
+	}{{ShardOff, 61}, {ShardAuto, 71}} {
+		t.Run(tc.shard.String(), func(t *testing.T) {
 			var solveErr error
-			avg := testing.AllocsPerRun(3, func() {
-				if _, err := Solve(g, 32, 1, Options{Algorithm: GGP, Shard: shard}); err != nil {
+			avg := testing.AllocsPerRun(allocRuns, func() {
+				if _, err := Solve(g, 32, 1, Options{Algorithm: GGP, Shard: tc.shard}); err != nil {
 					solveErr = err
 				}
 			})
@@ -121,8 +129,8 @@ func TestColdSolveAllocs(t *testing.T) {
 				t.Fatal(solveErr)
 			}
 			t.Logf("%.0f allocs per cold solve", avg)
-			if avg > 200 {
-				t.Fatalf("cold dense 64x64 GGP solve makes %.0f allocations, want at most 200", avg)
+			if avg > tc.bound {
+				t.Fatalf("cold dense 64x64 GGP solve makes %.0f allocations, want at most %.0f", avg, tc.bound)
 			}
 		})
 	}
@@ -130,16 +138,16 @@ func TestColdSolveAllocs(t *testing.T) {
 
 // TestShardedSolveAllocs bounds what one cold sharded solve allocates. A
 // power-law 256×256 OGGP instance (2,000 flows, k = 32, β = 1, the served
-// power-law shape) splits into one giant component and many small ones;
-// each component costs a fixed number of allocations, and the
-// cross-component pack a fixed number for the whole schedule, never one
-// per packed step. The instance has 8 components, and the solve makes
-// about 480 allocations, plus about 5 per worker (one shard scratch each):
-// 516 at 8 workers, the most its components can use.
+// power-law shape) splits into one giant component and 7 small ones; each
+// component costs a fixed number of allocations, and the cross-component
+// pack a fixed number for the whole schedule, never one per packed step.
+// The solve makes 265 allocations with one component worker and 286 with
+// 8, the most its components can use (each worker numbers nodes in its own
+// maps). The bound sits under 10% above 265, and above 286.
 func TestShardedSolveAllocs(t *testing.T) {
 	g := powerLawGraph(t, 1, 256, 2000)
 	var solveErr error
-	avg := testing.AllocsPerRun(3, func() {
+	avg := testing.AllocsPerRun(allocRuns, func() {
 		if _, err := Solve(g, 32, 1, Options{Algorithm: OGGP, Shard: ShardAuto}); err != nil {
 			solveErr = err
 		}
@@ -148,8 +156,8 @@ func TestShardedSolveAllocs(t *testing.T) {
 		t.Fatal(solveErr)
 	}
 	t.Logf("%.0f allocs per sharded solve", avg)
-	if avg > 600 {
-		t.Fatalf("sharded power-law 256x256 OGGP solve makes %.0f allocations, want at most 600", avg)
+	if avg > 291 {
+		t.Fatalf("sharded power-law 256x256 OGGP solve makes %.0f allocations, want at most 291", avg)
 	}
 }
 
@@ -162,11 +170,7 @@ func TestPeelerRerunIsReproducible(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	g := denseGraph(rng, 12, 9)
 	for _, kind := range []matcherKind{matchAny, matchBottleneck} {
-		in, err := buildInstance(g, 6, 2, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := newPeeler(in, kind, matching.EngineAuto)
+		p := newPeeler(wholeInstance(g, 6, 2, false), kind, matching.EngineAuto)
 		first, err := p.run()
 		if err != nil {
 			t.Fatal(err)

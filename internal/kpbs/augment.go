@@ -15,23 +15,89 @@ type workEdge struct {
 }
 
 // instance is a fully prepared K-PBS working instance: weights normalized
-// by β, isolated nodes compacted away, and the graph augmented into a
-// balanced weight-regular graph whose perfect matchings contain at most k
-// real edges (paper §4.2.2, Proposition 1).
+// by β, nodes numbered by numbering (isolated ones get no number), and the
+// graph augmented into a balanced weight-regular graph whose perfect
+// matchings contain at most k real edges (paper §4.2.2, Proposition 1).
 //
-// The first nReal working edges are the original graph's edges, in graph
-// order, so working edge i < nReal is original edge i; the virtual edges
-// the augmentation adds (filler edges between two fresh nodes, top-up
-// edges joining a fresh node to an existing one) follow them.
+// The first nReal working edges are the edge set's edges, in set order, so
+// working edge i < nReal is the set's edge i; the virtual edges the
+// augmentation adds (filler edges between two fresh nodes, top-up edges
+// joining a fresh node to an existing one) follow them.
 type instance struct {
-	edges      []workEdge
-	nReal      int   // real edges: edges[:nReal], in graph order
-	nL, nR     int   // augmented node counts; nL == nR
-	realL      int   // work left nodes < realL map to original left nodes
-	realR      int   // work right nodes < realR map to original right nodes
-	mapL, mapR []int // compacted index -> original node id
-	k          int   // effective k (clamped to active node counts)
-	regular    int64 // common node weight R of the augmented graph
+	edges   []workEdge
+	nReal   int   // real edges: edges[:nReal], in set order
+	nL, nR  int   // augmented node counts; nL == nR
+	realL   int   // work left nodes < realL are the set's numbered left nodes
+	realR   int   // work right nodes < realR are the set's numbered right nodes
+	k       int   // effective k (clamped to active node counts)
+	regular int64 // common node weight R of the augmented graph
+}
+
+// edgeSet is the part of a graph one solve schedules: the edges of g at the
+// ascending indices idx, or every edge of g when idx is nil. Solve's
+// monolithic path and Result schedule the whole graph; each component
+// worker schedules its component's edges straight from the parent graph, so
+// every schedule comes out in the parent's node ids.
+type edgeSet struct {
+	g   *bipartite.Graph
+	idx []int
+}
+
+// len returns the number of edges in the set.
+func (s edgeSet) len() int {
+	if s.idx == nil {
+		return s.g.EdgeCount()
+	}
+	return len(s.idx)
+}
+
+// edge returns the set's i-th edge.
+func (s edgeSet) edge(i int) bipartite.Edge {
+	if s.idx == nil {
+		return s.g.Edge(i)
+	}
+	return s.g.Edge(s.idx[i])
+}
+
+// numbering gives the nodes an edge set touches dense ids in order of first
+// appearance over its edges. Isolated nodes get none: they cannot
+// communicate, and keeping them would force useless virtual top-up edges.
+// It is the one node numbering of every solve (the monolith, each component,
+// Greedy and Result), so a connected graph numbers the same whether it is
+// solved whole or as one component. The maps are epoch-stamped and never
+// cleared: one numbering serves any number of edge sets of its graph with no
+// allocation (TestShardScratchSteadyStateAllocs).
+type numbering struct {
+	l, r   []numSlot // node of g -> id, valid when stamped with epoch
+	epoch  int
+	nL, nR int // ids handed out on each side by the last number call
+}
+
+// numSlot is one node's id and the epoch that stamped it.
+type numSlot struct{ id, stamp int }
+
+func newNumbering(g *bipartite.Graph) *numbering {
+	return &numbering{l: make([]numSlot, g.LeftCount()), r: make([]numSlot, g.RightCount())}
+}
+
+// number numbers the nodes of the edge set s, which must be drawn from the
+// graph the numbering was made for.
+//
+//redistlint:hotpath
+func (nb *numbering) number(s edgeSet) {
+	nb.epoch++
+	nb.nL, nb.nR = 0, 0
+	for i, m := 0, s.len(); i < m; i++ {
+		e := s.edge(i)
+		if sl := &nb.l[e.L]; sl.stamp != nb.epoch {
+			*sl = numSlot{id: nb.nL, stamp: nb.epoch}
+			nb.nL++
+		}
+		if sr := &nb.r[e.R]; sr.stamp != nb.epoch {
+			*sr = numSlot{id: nb.nR, stamp: nb.epoch}
+			nb.nR++
+		}
+	}
 }
 
 // normalizeWeight returns ⌈w/β⌉ for β > 0, or w unchanged for β = 0
@@ -44,50 +110,22 @@ func normalizeWeight(w, beta int64) int64 {
 	return ceilDiv(w, beta)
 }
 
-// buildInstance compacts, normalizes and augments g. With unitWeights set,
-// every edge gets weight 1 instead of its normalized weight — this turns
-// GGP into an optimal step-count scheduler (the MinSteps extension).
-// It returns nil (and no error) for an edgeless graph.
-func buildInstance(g *bipartite.Graph, k int, beta int64, unitWeights bool) (*instance, error) {
-	if err := validateInstance(g, k, beta); err != nil {
-		return nil, err
+// buildInstance normalizes and augments the edge set s, whose nodes nb
+// has numbered. With unitWeights set, every edge gets weight 1 instead of
+// its normalized weight — this turns GGP into an optimal step-count
+// scheduler (the MinSteps extension). It returns nil for an empty set. It
+// does not validate: the caller validated the whole graph, and a
+// component's weight sums and effective k are bounded by the whole graph's,
+// so that one check covers every edge set drawn from it.
+func buildInstance(s edgeSet, nb *numbering, k int, beta int64, unitWeights bool) *instance {
+	m := s.len()
+	if m == 0 {
+		return nil
 	}
-	if g.EdgeCount() == 0 {
-		return nil, nil
-	}
-
-	in := &instance{}
-
-	// Compact away isolated nodes: they cannot communicate, and keeping
-	// them would force useless virtual top-up edges.
-	compactL := make([]int, g.LeftCount())
-	compactR := make([]int, g.RightCount())
-	for i := range compactL {
-		compactL[i] = -1
-	}
-	for i := range compactR {
-		compactR[i] = -1
-	}
-	m := g.EdgeCount()
-	for i := 0; i < m; i++ {
-		e := g.Edge(i)
-		if compactL[e.L] < 0 {
-			compactL[e.L] = len(in.mapL)
-			in.mapL = append(in.mapL, e.L)
-		}
-		if compactR[e.R] < 0 {
-			compactR[e.R] = len(in.mapR)
-			in.mapR = append(in.mapR, e.R)
-		}
-	}
-	in.realL = len(in.mapL)
-	in.realR = len(in.mapR)
-	in.nL = in.realL
-	in.nR = in.realR
+	in := &instance{nReal: m, nL: nb.nL, nR: nb.nR, realL: nb.nL, realR: nb.nR, k: k}
 
 	// A matching cannot contain more edges than active nodes on either
 	// side, so larger k values are equivalent (paper §2.4).
-	in.k = k
 	if in.realL < in.k {
 		in.k = in.realL
 	}
@@ -101,19 +139,16 @@ func buildInstance(g *bipartite.Graph, k int, beta int64, unitWeights bool) (*in
 	// the augmentation by 2·(realL + realR) + 5k edges.
 	in.edges = make([]workEdge, m, m+2*(in.realL+in.realR)+5*in.k)
 	for i := range in.edges {
-		e := g.Edge(i)
-		w := e.Weight
-		if unitWeights {
-			w = 1
-		} else {
-			w = normalizeWeight(w, beta)
+		e := s.edge(i)
+		w := int64(1)
+		if !unitWeights {
+			w = normalizeWeight(e.Weight, beta)
 		}
-		in.edges[i] = workEdge{l: compactL[e.L], r: compactR[e.R], w: w}
+		in.edges[i] = workEdge{l: nb.l[e.L].id, r: nb.r[e.R].id, w: w}
 	}
-	in.nReal = m
 
 	in.augment()
-	return in, nil
+	return in
 }
 
 // nodeWeights returns the current per-node weight sums.

@@ -51,9 +51,9 @@ func starGraph(b *testing.B, seed int64, hubs, leaves int) *bipartite.Graph {
 func BenchmarkBitsetSolve(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	dense := denseGraph(rng, 64, 20)
-	peel := func(k int, kind matcherKind, unit bool) func(*bipartite.Graph) (*Schedule, error) {
+	solveWith := func(k int, alg Algorithm) func(*bipartite.Graph) (*Schedule, error) {
 		return func(g *bipartite.Graph) (*Schedule, error) {
-			return solvePeeling(g, k, 1, kind, unit, matching.EngineAuto, nil)
+			return Solve(g, k, 1, Options{Algorithm: alg})
 		}
 	}
 	served := make([]*bipartite.Graph, 32)
@@ -65,15 +65,15 @@ func BenchmarkBitsetSolve(b *testing.B) {
 		graphs []*bipartite.Graph // solved in turn, one per op
 		solve  func(*bipartite.Graph) (*Schedule, error)
 	}{
-		{"DenseGGP64", []*bipartite.Graph{dense}, peel(32, matchAny, false)},
-		{"DenseOGGP64", []*bipartite.Graph{dense}, peel(32, matchBottleneck, false)},
-		{"DenseMinSteps64", []*bipartite.Graph{dense}, peel(32, matchBottleneck, true)},
-		{"PowerLawOGGP", []*bipartite.Graph{powerLawGraph(b, 1, 256, 2000)}, peel(32, matchBottleneck, false)},
+		{"DenseGGP64", []*bipartite.Graph{dense}, solveWith(32, GGP)},
+		{"DenseOGGP64", []*bipartite.Graph{dense}, solveWith(32, OGGP)},
+		{"DenseMinSteps64", []*bipartite.Graph{dense}, solveWith(32, MinSteps)},
+		{"PowerLawOGGP", []*bipartite.Graph{powerLawGraph(b, 1, 256, 2000)}, solveWith(32, OGGP)},
 		{"ShardedPowerLawOGGP", served, func(g *bipartite.Graph) (*Schedule, error) {
 			return Solve(g, 32, 1, Options{Algorithm: OGGP, Shard: ShardAuto})
 		}},
-		{"SparseChainGGP", []*bipartite.Graph{chainGraph(b, 2, 256)}, peel(16, matchAny, false)},
-		{"SparseStarGGP", []*bipartite.Graph{starGraph(b, 3, 16, 16)}, peel(16, matchAny, false)},
+		{"SparseChainGGP", []*bipartite.Graph{chainGraph(b, 2, 256)}, solveWith(16, GGP)},
+		{"SparseStarGGP", []*bipartite.Graph{starGraph(b, 3, 16, 16)}, solveWith(16, GGP)},
 	}
 	for _, w := range workloads {
 		b.Run(w.name, func(b *testing.B) {

@@ -25,8 +25,10 @@ import (
 //
 //  1. sharder.split — one union-find pass over the edges, O(m α(m)),
 //     grouping the edge indices by component in discovery order.
-//  2. solveComponents — a bounded worker pool peels every component with
-//     the selected algorithm. Output is deterministic regardless of the
+//  2. solveComponents — a bounded worker pool runs the selected algorithm
+//     on every component's edge set, straight from the parent graph
+//     (solveSet, the chain a monolithic solve runs), so each part comes
+//     out in global node ids. Output is deterministic regardless of the
 //     worker count or scheduling order: results are indexed by component
 //     id and merged in component order, never in completion order.
 //  3. packComponents — first-fit-decreasing bin packing of the
@@ -166,122 +168,36 @@ func (sh *sharder) largestComponentEdges() int {
 	return max
 }
 
-// shardScratch is one worker's reusable arena for extracting component
-// subproblems: global-to-local node maps (epoch-stamped, never cleared)
-// and the local-to-global maps the remap step needs. One instance per
-// worker — workers share nothing mutable.
-type shardScratch struct {
-	localL, localR []int // global node -> component-local id
-	stampL, stampR []int
-	epoch          int
-	origL, origR   []int // component-local id -> global node
-	nL, nR         int   // node counts of the component mapped last
-}
-
-func newShardScratch(g *bipartite.Graph) *shardScratch {
-	return &shardScratch{
-		localL: make([]int, g.LeftCount()),
-		localR: make([]int, g.RightCount()),
-		stampL: make([]int, g.LeftCount()),
-		stampR: make([]int, g.RightCount()),
-	}
-}
-
-// mapComponent assigns component-local node ids to component c of g in
-// edge-scan order — exactly the order buildInstance compacts nodes, so a
-// single-component graph maps to an identical working instance. Zero
-// allocations at steady state (arena growth only).
-//
-//redistlint:hotpath
-func (s *shardScratch) mapComponent(g *bipartite.Graph, sh *sharder, c int) {
-	s.epoch++
-	s.nL, s.nR = 0, 0
-	idx := sh.componentEdges(c)
-	s.origL = ensureInts(s.origL, len(idx))
-	s.origR = ensureInts(s.origR, len(idx))
-	for _, ei := range idx {
-		e := g.Edge(ei)
-		if s.stampL[e.L] != s.epoch {
-			s.stampL[e.L] = s.epoch
-			s.localL[e.L] = s.nL
-			s.origL[s.nL] = e.L
-			s.nL++
-		}
-		if s.stampR[e.R] != s.epoch {
-			s.stampR[e.R] = s.epoch
-			s.localR[e.R] = s.nR
-			s.origR[s.nR] = e.R
-			s.nR++
-		}
-	}
-}
-
-// subgraph materializes component c as a standalone bipartite graph in
-// local node ids, edges in original order. The graph itself allocates, its
-// edge list once — it feeds straight into buildInstance, which allocates
-// its working instance anyway; only the mapping arenas above are
-// steady-state free.
-func (s *shardScratch) subgraph(g *bipartite.Graph, sh *sharder, c int) *bipartite.Graph {
-	s.mapComponent(g, sh, c)
-	idx := sh.componentEdges(c)
-	sub := bipartite.New(s.nL, s.nR)
-	sub.Grow(len(idx))
-	for _, ei := range idx {
-		e := g.Edge(ei)
-		sub.AddEdge(s.localL[e.L], s.localR[e.R], e.Weight)
-	}
-	return sub
-}
-
-// remap rewrites a component schedule's node ids back to the global ids
-// of the original graph. Must run before the scratch maps the next
-// component.
-func (s *shardScratch) remap(sched *Schedule) {
-	for si := range sched.Steps {
-		comms := sched.Steps[si].Comms
-		for ci := range comms {
-			comms[ci].L = s.origL[comms[ci].L]
-			comms[ci].R = s.origR[comms[ci].R]
-		}
-	}
-}
-
 // forceShardWorkers pins the component worker count when > 0. It is a
 // test hook: the determinism tests solve with 1 and with many workers and
 // require byte-identical schedules.
 var forceShardWorkers int
 
-// solveSharded runs the component-sharded pipeline. used=false means the
-// solve declined to shard (ShardOff, or ShardAuto and the graph has fewer
-// than two components) and the caller should run the monolithic path; any
-// other outcome — including errors — is final.
-func solveSharded(g *bipartite.Graph, k int, beta int64, opts Options, so *obs.SolverObs) (*Schedule, bool, error) {
-	if opts.Shard == ShardOff {
-		return nil, false, nil
-	}
-	// One global validation, so sharded and unsharded solves accept and
-	// reject exactly the same instances with the same errors.
-	if err := validateInstance(g, k, beta); err != nil {
-		return nil, true, err
-	}
-	if g.EdgeCount() == 0 {
-		if opts.Shard == ShardAuto {
-			return nil, false, nil
-		}
-		return &Schedule{Beta: beta}, true, nil
+// shardFor splits g into its connected components when mode takes the
+// sharded path, and returns nil for the monolithic path: under ShardOff, on
+// an edgeless graph, and under ShardAuto on a connected graph. A single
+// component gains nothing from the sharded machinery, so auto hands the
+// monolithic path an untouched instance (the split costs O(m α(m)),
+// negligible against the peel).
+func shardFor(g *bipartite.Graph, mode ShardMode) *sharder {
+	if mode == ShardOff || g.EdgeCount() == 0 {
+		return nil
 	}
 	sh := newSharder()
 	sh.split(g)
-	if opts.Shard == ShardAuto && sh.nComp < 2 {
-		// A single component gains nothing from the sharded machinery; the
-		// auto heuristic hands the monolithic path an untouched instance
-		// (the split pass costs O(m α(m)), negligible against the peel).
-		return nil, false, nil
+	if mode == ShardAuto && sh.nComp < 2 {
+		return nil
 	}
+	return sh
+}
+
+// solveSharded runs the component-sharded pipeline on g, split by sh:
+// every component solved on its own, then the cross-component pack.
+func solveSharded(g *bipartite.Graph, sh *sharder, k int, beta int64, opts Options, so *obs.SolverObs) (*Schedule, error) {
 	so.Sharded(sh.nComp, sh.largestComponentEdges(), g.EdgeCount())
 	parts, err := solveComponents(g, sh, k, beta, opts, so)
 	if err != nil {
-		return nil, true, err
+		return nil, err
 	}
 	concat := 0
 	for _, p := range parts {
@@ -289,14 +205,15 @@ func solveSharded(g *bipartite.Graph, k int, beta int64, opts Options, so *obs.S
 	}
 	out := packComponents(parts, k, beta)
 	so.Packed(concat, len(out.Steps))
-	return out, true, nil
+	return out, nil
 }
 
-// solveComponents peels every component on a bounded worker pool and
-// returns the per-component schedules indexed by component id. Workers
-// claim components off an atomic cursor; the output position of a result
-// depends only on its component id, so schedules are byte-identical for
-// any worker count or interleaving.
+// solveComponents solves every component on a bounded worker pool and
+// returns the per-component schedules, in global node ids, indexed by
+// component id. Workers claim components off an atomic cursor; the output
+// position of a result depends only on its component id, so schedules are
+// byte-identical for any worker count or interleaving. Each worker reuses
+// one numbering for all the components it claims.
 func solveComponents(g *bipartite.Graph, sh *sharder, k int, beta int64, opts Options, so *obs.SolverObs) ([]*Schedule, error) {
 	c := sh.nComp
 	parts := make([]*Schedule, c)
@@ -316,13 +233,13 @@ func solveComponents(g *bipartite.Graph, sh *sharder, k int, beta int64, opts Op
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			scratch := newShardScratch(g)
+			nb := newNumbering(g)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= c {
 					return
 				}
-				solveComponentInto(g, sh, i, scratch, k, beta, opts, so, parts, errs, panics, panicked)
+				solveComponentInto(g, sh, i, nb, k, beta, opts, so, parts, errs, panics, panicked)
 			}
 		}()
 	}
@@ -347,34 +264,33 @@ func solveComponents(g *bipartite.Graph, sh *sharder, k int, beta int64, opts Op
 
 // solveComponentInto solves component i into parts[i], capturing the
 // error or panic in the same slot.
-func solveComponentInto(g *bipartite.Graph, sh *sharder, i int, scratch *shardScratch, k int, beta int64, opts Options, so *obs.SolverObs, parts []*Schedule, errs []error, panics []any, panicked []bool) {
+func solveComponentInto(g *bipartite.Graph, sh *sharder, i int, nb *numbering, k int, beta int64, opts Options, so *obs.SolverObs, parts []*Schedule, errs []error, panics []any, panicked []bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			panicked[i] = true
 			panics[i] = r
 		}
 	}()
-	parts[i], errs[i] = solveComponent(g, sh, i, scratch, k, beta, opts, so)
+	parts[i], errs[i] = solveComponent(g, sh, i, nb, k, beta, opts, so)
 }
 
-// solveComponent extracts component i and runs the selected algorithm on
-// it. The global k is passed through unchanged: buildInstance clamps it
-// to the component's active node counts, exactly as the monolithic solve
-// clamps it to the whole graph's. The returned schedule is already in
-// global node ids.
-func solveComponent(g *bipartite.Graph, sh *sharder, i int, scratch *shardScratch, k int, beta int64, opts Options, so *obs.SolverObs) (*Schedule, error) {
-	sub := scratch.subgraph(g, sh, i)
-	co := so.Component(i, sub.LeftCount()+sub.RightCount(), sub.EdgeCount())
-	// The engine resolves per component: auto picks by each component's
-	// own density, so a mixed-density instance can peel dense components
-	// on the bitset arm and sparse ones on the scalar arm within one solve.
-	s, err := solveMonolith(sub, k, beta, opts, co)
+// solveComponent runs the selected algorithm on component i's edges of g.
+// The global k is passed through unchanged: buildInstance clamps it to the
+// component's active node counts, exactly as the monolithic solve clamps it
+// to the whole graph's. The engine resolves per component too: auto picks
+// by each component's own density, so a mixed-density instance can peel
+// dense components on the bitset arm and sparse ones on the scalar arm
+// within one solve.
+func solveComponent(g *bipartite.Graph, sh *sharder, i int, nb *numbering, k int, beta int64, opts Options, so *obs.SolverObs) (*Schedule, error) {
+	set := edgeSet{g: g, idx: sh.componentEdges(i)}
+	nb.number(set)
+	co := so.Component(i, nb.nL+nb.nR, set.len())
+	_, s, err := solveSet(set, nb, k, beta, opts, new(denormArena), co)
 	if err != nil {
 		return nil, err
 	}
-	scratch.remap(s)
-	co.Done(len(s.Steps), s.Cost())
-	return s, nil
+	finish(&s, k, false, co)
+	return &s, nil
 }
 
 // packEntry is one component step inside the cross-component packer.

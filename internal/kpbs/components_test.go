@@ -37,21 +37,19 @@ func powerLawGraph(t testing.TB, seed int64, n, edges int) *bipartite.Graph {
 	return g
 }
 
-// componentConcatCost solves every component separately with the
-// monolithic path and sums the costs — the cost of concatenating the
-// per-component schedules, which the sharded solve must never exceed.
+// componentConcatCost sums the costs of the per-component schedules that
+// solveComponents returns — the cost of concatenating them, which the
+// sharded solve must never exceed.
 func componentConcatCost(t testing.TB, g *bipartite.Graph, k int, beta int64, alg Algorithm) int64 {
 	t.Helper()
 	sh := newSharder()
 	sh.split(g)
-	scr := newShardScratch(g)
+	parts, err := solveComponents(g, sh, k, beta, Options{Algorithm: alg}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var total int64
-	for c := 0; c < sh.nComp; c++ {
-		sub := scr.subgraph(g, sh, c)
-		s, err := Solve(sub, k, beta, Options{Algorithm: alg})
-		if err != nil {
-			t.Fatalf("component %d: %v", c, err)
-		}
+	for _, s := range parts {
 		total = safemath.Add(total, s.Cost())
 	}
 	return total
@@ -98,8 +96,8 @@ func TestSharderSplit(t *testing.T) {
 
 // TestShardOnMatchesOffOnConnectedGraphs pins the single-component
 // equivalence: on a connected graph the sharded pipeline degenerates to
-// one component whose subgraph compaction matches buildInstance's, so
-// shardAlways must reproduce the monolithic schedule byte for byte.
+// one component, whose edge set and node numbering are the whole graph's,
+// so shardAlways must reproduce the monolithic schedule byte for byte.
 func TestShardOnMatchesOffOnConnectedGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := denseGraph(rng, 16, 50)
@@ -241,21 +239,27 @@ func TestShardedObservationPassive(t *testing.T) {
 }
 
 // TestShardScratchSteadyStateAllocs: the sharding layer itself — the
-// union-find split and the per-worker component mapping arenas — must be
-// allocation-free once warmed up, mirroring the peeler's own contract.
+// union-find split and the per-worker numbering of each component's nodes —
+// must be allocation-free once warmed up, mirroring the peeler's own
+// contract. Numbering the whole graph after its components reuses the same
+// maps.
 func TestShardScratchSteadyStateAllocs(t *testing.T) {
 	g := blockGraph(t, 8, 6, 8)
 	sh := newSharder()
-	scr := newShardScratch(g)
+	nb := newNumbering(g)
 	warm := func() {
 		sh.split(g)
 		for c := 0; c < sh.nComp; c++ {
-			scr.mapComponent(g, sh, c)
+			nb.number(edgeSet{g: g, idx: sh.componentEdges(c)})
 		}
+		nb.number(edgeSet{g: g})
 	}
 	warm()
 	if sh.nComp != 6 {
 		t.Fatalf("nComp = %d, want 6", sh.nComp)
+	}
+	if nb.nL != g.LeftCount() || nb.nR != g.RightCount() {
+		t.Fatalf("whole graph numbered %dx%d nodes, want %dx%d", nb.nL, nb.nR, g.LeftCount(), g.RightCount())
 	}
 	if avg := testing.AllocsPerRun(20, warm); avg != 0 {
 		t.Fatalf("sharding scratch allocates at steady state: %.1f allocs/run, want 0", avg)

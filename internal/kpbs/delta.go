@@ -97,14 +97,15 @@ type Result struct {
 	opts Options
 
 	simple bool // monolithic peeling config: delta engine applies
-	unit   bool // MinSteps: unit normalized weights
-	kind   matcherKind
 
 	broken bool
 
 	// Normalized steps of the last monolithic peel; nil for an edgeless
 	// graph. They alias the arenas of the peeler that produced them.
 	steps []normStep
+	// num numbers g's nodes for every rebuild; nil unless simple. Edits
+	// never change g's node counts, so it lasts the Result's life.
+	num *numbering
 
 	// Edit-overlay scratch: deduplicated edited cells in first-touch order.
 	ovIdx map[uint64]int
@@ -128,11 +129,6 @@ type Result struct {
 // — because edits address cells and cold-equivalence is defined against
 // the canonical graph of the patched matrix. g is cloned, not retained.
 func NewResult(g *bipartite.Graph, k int, beta int64, opts Options) (*Result, error) {
-	switch opts.Algorithm {
-	case GGP, OGGP, MinSteps, Greedy:
-	default:
-		return nil, fmt.Errorf("kpbs: unknown algorithm %v", opts.Algorithm)
-	}
 	if g == nil {
 		return nil, fmt.Errorf("kpbs: nil graph")
 	}
@@ -142,18 +138,15 @@ func NewResult(g *bipartite.Graph, k int, beta int64, opts Options) (*Result, er
 			return nil, fmt.Errorf("%w (build the graph with bipartite.FromMatrix); edge %d (%d,%d) follows (%d,%d)", ErrNonCanonical, i, b.L, b.R, a.L, a.R)
 		}
 	}
-	kind := matchAny
-	if opts.Algorithm == OGGP || opts.Algorithm == MinSteps {
-		kind = matchBottleneck
-	}
 	r := &Result{
 		g:      g.Clone(),
 		k:      k,
 		beta:   beta,
 		opts:   opts,
 		simple: opts.Shard == ShardOff && opts.Algorithm != Greedy,
-		unit:   opts.Algorithm == MinSteps,
-		kind:   kind,
+	}
+	if r.simple {
+		r.num = newNumbering(g)
 	}
 	if err := r.recompute(); err != nil {
 		return nil, err
@@ -229,6 +222,7 @@ func (r *Result) SolveDelta(edits []Edit) (*Schedule, error) {
 		// β (or MinSteps' unit weights) absorbed every raw change: the
 		// normalized solve is unchanged, only denormalization re-runs.
 		r.stats.Path = DeltaReuse
+		r.sched = r.out.denormalize(edgeSet{g: r.g}, r.steps, r.beta, r.opts.Algorithm == MinSteps)
 		r.finish(r.opts.Obs.Solver(r.opts.Algorithm.String()))
 	}
 	if err != nil {
@@ -298,7 +292,7 @@ func (r *Result) classify() (structural, normChanged bool) {
 			structural = true
 			continue
 		}
-		if !r.simple || r.unit {
+		if !r.simple || r.opts.Algorithm == MinSteps {
 			continue // cold bases skip normalization; unit weights ignore it
 		}
 		if normalizeWeight(base, r.beta) != normalizeWeight(fin, r.beta) {
@@ -401,6 +395,9 @@ func (s cellOverlay) Swap(a, b int) {
 
 // recompute rebuilds the solve from the (already patched) retained graph:
 // the rebuild and cold paths of the delta engine, also used by NewResult.
+// Both run Solve's chain: the cold path through Solve itself, the rebuild
+// path phase by phase, to keep the normalized steps and denormalize into
+// the retained arenas.
 func (r *Result) recompute() error {
 	if !r.simple {
 		s, err := Solve(r.g, r.k, r.beta, r.opts)
@@ -410,18 +407,15 @@ func (r *Result) recompute() error {
 		r.lastSched = s
 		return nil
 	}
-	in, err := buildInstance(r.g, r.k, r.beta, r.unit)
-	if err != nil {
+	if err := validateInstance(r.g, r.k, r.beta, r.opts.Algorithm); err != nil {
 		return err
 	}
 	so := r.opts.Obs.Solver(r.opts.Algorithm.String())
-	r.steps = nil
-	if in != nil {
-		p := newPeeler(in, r.kind, r.opts.engine)
-		p.so = so
-		if r.steps, err = p.run(); err != nil {
-			return err
-		}
+	set := edgeSet{g: r.g}
+	r.num.number(set)
+	var err error
+	if r.steps, r.sched, err = solveSet(set, r.num, r.k, r.beta, r.opts, &r.out, so); err != nil {
+		return err
 	}
 	r.finish(so)
 	return nil
@@ -433,15 +427,10 @@ func (r *Result) observe() {
 	r.opts.Obs.DeltaSolve(r.opts.Algorithm.String(), r.stats.Path.String(), r.stats.Edits)
 }
 
-// finish denormalizes the retained normalized steps against the current
-// raw weights, applies Pack and closes the solve observation,
-// mirroring Solve's tail exactly. The reuse path runs only this.
+// finish runs Solve's tail (finish) on the retained schedule, which
+// aliases the retained arenas, and makes it the Result's schedule.
 func (r *Result) finish(so *obs.SolverObs) {
-	r.sched = r.out.denormalize(r.g, r.steps, r.beta, r.unit)
-	if r.opts.Pack {
-		r.sched.Pack(r.k)
-	}
-	so.Done(len(r.sched.Steps), r.sched.Cost())
+	finish(&r.sched, r.k, r.opts.Pack, so)
 	r.lastSched = &r.sched
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"redistgo/internal/bipartite"
 	"redistgo/internal/matching"
-	"redistgo/internal/obs"
 )
 
 // normStep is a peeled step in normalized units. peel is the amount
@@ -29,19 +28,6 @@ const (
 	matchBottleneck = matching.ModeBottleneck
 )
 
-// peel runs the WRGP loop (paper §4.1, Figure 3) on the augmented
-// weight-regular instance through the incremental engine (see residual.go):
-// the perfect matching is repaired across iterations instead of recomputed,
-// and the residual graph is mutated in place instead of rematerialized. eng
-// selects the matching kernels (scalar or bitset; auto resolves by
-// density). so — nil to disable — receives one event per peeling
-// iteration; it observes the loop and never steers it.
-func (in *instance) peel(kind matcherKind, eng matching.Engine, so *obs.SolverObs) ([]normStep, error) {
-	p := newPeeler(in, kind, eng)
-	p.so = so
-	return p.run()
-}
-
 // wrgpGraph runs plain WRGP on an already weight-regular balanced graph
 // without any augmentation or normalization (paper §4.1: k unbounded,
 // β ignored). Exposed through SolveWRGP for completeness and tests.
@@ -54,6 +40,7 @@ func wrgpGraph(g *bipartite.Graph, kind matcherKind) ([]normStep, error) {
 		return nil, fmt.Errorf("kpbs: WRGP requires a balanced graph, got %dx%d", g.LeftCount(), g.RightCount())
 	}
 	in := &instance{
+		edges:   make([]workEdge, g.EdgeCount()),
 		nReal:   g.EdgeCount(),
 		nL:      g.LeftCount(),
 		nR:      g.RightCount(),
@@ -62,18 +49,9 @@ func wrgpGraph(g *bipartite.Graph, kind matcherKind) ([]normStep, error) {
 		k:       g.LeftCount(),
 		regular: r,
 	}
-	in.mapL = make([]int, in.realL)
-	in.mapR = make([]int, in.realR)
-	for i := range in.mapL {
-		in.mapL[i] = i
-	}
-	for i := range in.mapR {
-		in.mapR[i] = i
-	}
-	in.edges = make([]workEdge, g.EdgeCount())
 	for i := range in.edges {
 		e := g.Edge(i)
 		in.edges[i] = workEdge{l: e.L, r: e.R, w: e.Weight}
 	}
-	return in.peel(kind, matching.EngineAuto, nil)
+	return newPeeler(in, kind, matching.EngineAuto).run()
 }

@@ -122,96 +122,104 @@ type Options struct {
 // using the selected algorithm. The returned schedule transfers exactly
 // the weights of g (amounts are in the same units as the edge weights)
 // and satisfies the 1-port and k constraints.
+//
+// Every solve runs one chain of phases (DESIGN.md §2): validateInstance
+// checks the whole graph once; then, for the whole graph or for each of
+// its components, a numbering numbers the nodes of the edge set and
+// solveSet schedules it; finally finish runs the Pack post-pass and closes
+// the observation. Result runs the same chain (delta.go).
 func Solve(g *bipartite.Graph, k int, beta int64, opts Options) (*Schedule, error) {
-	switch opts.Algorithm {
-	case GGP, OGGP, MinSteps, Greedy:
-	default:
-		return nil, fmt.Errorf("kpbs: unknown algorithm %v", opts.Algorithm)
+	if err := validateInstance(g, k, beta, opts.Algorithm); err != nil {
+		return nil, err
 	}
 	// A nil opts.Obs yields a nil view whose methods all no-op; the solve
 	// itself never branches on whether it is being observed.
 	so := opts.Obs.Solver(opts.Algorithm.String())
-	s, used, err := solveSharded(g, k, beta, opts, so)
-	if !used {
-		// ShardOff, or ShardAuto on a single-component graph: the
-		// monolithic path.
-		s, err = solveMonolith(g, k, beta, opts, so)
+	var s *Schedule
+	var err error
+	if sh := shardFor(g, opts.Shard); sh != nil {
+		s, err = solveSharded(g, sh, k, beta, opts, so)
+	} else {
+		set, nb := edgeSet{g: g}, newNumbering(g)
+		nb.number(set)
+		var whole Schedule
+		_, whole, err = solveSet(set, nb, k, beta, opts, new(denormArena), so)
+		s = &whole
 	}
 	if err != nil {
 		return nil, err
 	}
-	if opts.Pack {
-		s.Pack(k)
-	}
-	so.Done(len(s.Steps), s.Cost())
+	finish(s, k, opts.Pack, so)
 	return s, nil
 }
 
-// solveMonolith runs the selected algorithm on g as one instance. The
-// sharded path runs it on each component.
-func solveMonolith(g *bipartite.Graph, k int, beta int64, opts Options, so *obs.SolverObs) (*Schedule, error) {
-	switch opts.Algorithm {
-	case GGP:
-		return solvePeeling(g, k, beta, matchAny, false, opts.engine, so)
-	case OGGP:
-		return solvePeeling(g, k, beta, matchBottleneck, false, opts.engine, so)
-	case MinSteps:
-		return solvePeeling(g, k, beta, matchBottleneck, true, opts.engine, so)
+// solveSet schedules the edge set s, whose nodes nb has numbered, with the
+// selected algorithm. Greedy schedules it directly. GGP, OGGP and MinSteps
+// normalize and augment it (buildInstance), build the matcher and peel
+// (newPeeler, peeler.run), and denormalize the normalized steps into a, in
+// the node ids of s's graph. GGP peels any perfect matching (§4.2), OGGP
+// and MinSteps the bottleneck one (§4.3), and MinSteps peels unit weights.
+// Solve's monolithic path, every component worker and Result all run it.
+// It also returns the normalized steps, which Result keeps for its reuse
+// path; they alias the peeler's arenas, and Greedy and an empty set have
+// none.
+func solveSet(s edgeSet, nb *numbering, k int, beta int64, opts Options, a *denormArena, so *obs.SolverObs) ([]normStep, Schedule, error) {
+	if opts.Algorithm == Greedy {
+		return nil, solveGreedy(s, nb, k, beta), nil
 	}
-	return solveGreedy(g, k, beta)
+	kind := matchBottleneck
+	if opts.Algorithm == GGP {
+		kind = matchAny
+	}
+	unit := opts.Algorithm == MinSteps
+	var steps []normStep
+	if in := buildInstance(s, nb, k, beta, unit); in != nil {
+		p := newPeeler(in, kind, opts.engine)
+		p.so = so
+		var err error
+		if steps, err = p.run(); err != nil {
+			return nil, Schedule{}, err
+		}
+	}
+	return steps, a.denormalize(s, steps, beta, unit), nil
 }
 
-// solvePeeling is the common GGP/OGGP/MinSteps pipeline: normalize,
-// augment to weight-regular, peel, then convert the normalized steps back
-// to a schedule in original units.
-func solvePeeling(g *bipartite.Graph, k int, beta int64, kind matcherKind, unitWeights bool, eng matching.Engine, so *obs.SolverObs) (*Schedule, error) {
-	in, err := buildInstance(g, k, beta, unitWeights)
-	if err != nil {
-		return nil, err
+// finish is the tail of every solve: the optional Pack post-pass, then the
+// observation of the finished schedule. Solve and Result run it on the
+// whole schedule, each component worker (without Pack) on its part.
+func finish(s *Schedule, k int, pack bool, so *obs.SolverObs) {
+	if pack {
+		s.Pack(k)
 	}
-	if in == nil {
-		return &Schedule{Beta: beta}, nil
-	}
-	steps, err := in.peel(kind, eng, so)
-	if err != nil {
-		return nil, err
-	}
-	return coldSchedule(g, steps, beta, unitWeights), nil
+	so.Done(len(s.Steps), s.Cost())
 }
 
 // denormArena holds what denormalize writes: the remaining raw weight per
 // edge, one Comm arena shared by every step, and the steps themselves. A
-// Result retains one across deltas; a cold solve starts from an empty one
-// (coldSchedule), so each buffer is allocated once, at the size the peel
-// output gives.
+// Result retains one across deltas; a cold solve starts from an empty one,
+// so each buffer is allocated once, at the size the peel output gives.
 type denormArena struct {
 	rem   []int64
 	comms []Comm
 	steps []Step
 }
 
-// coldSchedule denormalizes a cold solve's peel output into fresh arenas.
-func coldSchedule(g *bipartite.Graph, steps []normStep, beta int64, unitWeights bool) *Schedule {
-	var a denormArena
-	s := a.denormalize(g, steps, beta, unitWeights)
-	return &s
-}
-
-// denormalize converts normalized peeled steps back into original time
-// units. For β > 0 each edge was allotted ⌈w/β⌉ normalized units; the real
-// transfer per step is min(remaining, peel·β), so the final chunk shrinks
-// to exactly exhaust the edge and the real cost is never above the
-// normalized cost. In unit-weight mode (MinSteps) each edge appears in
-// exactly one step and carries its full weight. Steps left without a
-// communication are dropped. The schedule aliases the arena, whose buffers
-// grow only when the peel output outgrows them.
+// denormalize converts the normalized steps peeled from the edge set s
+// back into original time units, in the node ids of s's graph. For β > 0
+// each edge was allotted ⌈w/β⌉ normalized units; the real transfer per
+// step is min(remaining, peel·β), so the final chunk shrinks to exactly
+// exhaust the edge and the real cost is never above the normalized cost.
+// In unit-weight mode (MinSteps) each edge appears in exactly one step and
+// carries its full weight. Steps left without a communication are dropped.
+// The schedule aliases the arena, whose buffers grow only when the peel
+// output outgrows them.
 //
 //redistlint:hotpath
-func (a *denormArena) denormalize(g *bipartite.Graph, steps []normStep, beta int64, unitWeights bool) Schedule {
-	n := g.EdgeCount()
+func (a *denormArena) denormalize(s edgeSet, steps []normStep, beta int64, unitWeights bool) Schedule {
+	n := s.len()
 	a.rem = ensureInt64s(a.rem, n)
 	for i := 0; i < n; i++ {
-		a.rem[i] = g.Edge(i).Weight
+		a.rem[i] = s.edge(i).Weight
 	}
 	total := 0
 	for _, ns := range steps {
@@ -240,7 +248,7 @@ func (a *denormArena) denormalize(g *bipartite.Graph, steps []normStep, beta int
 				continue
 			}
 			a.rem[orig] -= amount
-			e := g.Edge(int(orig))
+			e := s.edge(int(orig))
 			a.comms[nc] = Comm{L: e.L, R: e.R, Amount: amount}
 			nc++
 		}
@@ -251,11 +259,11 @@ func (a *denormArena) denormalize(g *bipartite.Graph, steps []normStep, beta int
 			nst++
 		}
 	}
-	s := Schedule{Beta: beta}
+	out := Schedule{Beta: beta}
 	if nst > 0 {
-		s.Steps = a.steps[:nst]
+		out.Steps = a.steps[:nst]
 	}
-	return s
+	return out
 }
 
 // SolveWRGP runs the plain WRGP peeler (paper §4.1) on a weight-regular
@@ -276,55 +284,52 @@ func SolveWRGP(g *bipartite.Graph, bottleneck bool) (*Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	return coldSchedule(g, steps, 0, false), nil
+	var a denormArena
+	s := a.denormalize(edgeSet{g: g}, steps, 0, false)
+	return &s, nil
 }
 
-// solveGreedy is a non-preemptive list-scheduling baseline: edges sorted
-// by decreasing weight; each step greedily packs up to k compatible edges
-// in that order. It respects the instance constraints but has no
-// approximation guarantee; it exists to quantify what the peeling buys.
-func solveGreedy(g *bipartite.Graph, k int, beta int64) (*Schedule, error) {
-	if err := validateInstance(g, k, beta); err != nil {
-		return nil, err
-	}
-	order := make([]int, g.EdgeCount())
-	weights := make([]int64, g.EdgeCount())
+// solveGreedy is a non-preemptive list-scheduling baseline on the edge set
+// s: edges sorted by decreasing weight; each step greedily packs up to k
+// compatible edges in that order. It respects the instance constraints but
+// has no approximation guarantee; it exists to quantify what the peeling
+// buys. nb has numbered s's nodes, so the per-step port marks cover only
+// the nodes s touches.
+func solveGreedy(s edgeSet, nb *numbering, k int, beta int64) Schedule {
+	order := make([]int, s.len())
+	weights := make([]int64, s.len())
 	for i := range order {
 		order[i] = i
-		weights[i] = g.Edge(i).Weight
+		weights[i] = s.edge(i).Weight
 	}
 	sort.Sort(idxByWeightDesc{idx: order, w: weights})
-	out := &Schedule{Beta: beta}
-	usedL := make([]bool, g.LeftCount())
-	usedR := make([]bool, g.RightCount())
+	out := Schedule{Beta: beta}
+	usedL := make([]bool, nb.nL)
+	usedR := make([]bool, nb.nR)
 	// Edges scheduled in a step are compacted out of the scan list, so each
 	// pass only walks the edges still pending — the previous version
 	// rescanned the full sorted list (finished edges included) every step,
 	// going quadratic in the step count on dense instances.
 	for len(order) > 0 {
-		for i := range usedL {
-			usedL[i] = false
-		}
-		for i := range usedR {
-			usedR[i] = false
-		}
+		clear(usedL)
+		clear(usedR)
 		var st Step
 		pending := order[:0]
 		for _, ei := range order {
-			e := g.Edge(ei)
-			if len(st.Comms) == k || usedL[e.L] || usedR[e.R] {
+			e := s.edge(ei)
+			l, r := nb.l[e.L].id, nb.r[e.R].id
+			if len(st.Comms) == k || usedL[l] || usedR[r] {
 				pending = append(pending, ei)
 				continue
 			}
-			usedL[e.L] = true
-			usedR[e.R] = true
+			usedL[l], usedR[r] = true, true
 			st.Comms = append(st.Comms, Comm{L: e.L, R: e.R, Amount: e.Weight})
 		}
 		order = pending
 		st.recomputeDuration()
 		out.Steps = append(out.Steps, st)
 	}
-	return out, nil
+	return out
 }
 
 // idxByWeightDesc sorts an index slice by decreasing weight, index

@@ -165,8 +165,8 @@ func TestAugmentationProducesRegularGraph(t *testing.T) {
 		g := randomInstance(rng, 8, 30, 25)
 		k := 1 + rng.Intn(10)
 		beta := rng.Int63n(5)
-		in, err := buildInstance(g, k, beta, false)
-		if err != nil || in == nil {
+		in := wholeInstance(g, k, beta, false)
+		if in == nil {
 			return false
 		}
 		if err := in.checkRegular(); err != nil {
@@ -198,11 +198,11 @@ func TestAugmentationPropositionOne(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomInstance(rng, 6, 20, 15)
 		k := 1 + rng.Intn(8)
-		in, err := buildInstance(g, k, 1, false)
-		if err != nil || in == nil {
+		in := wholeInstance(g, k, 1, false)
+		if in == nil {
 			return false
 		}
-		steps, err := in.peel(matchAny, matching.EngineAuto, nil)
+		steps, err := newPeeler(in, matchAny, matching.EngineAuto).run()
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -220,14 +220,23 @@ func TestAugmentationPropositionOne(t *testing.T) {
 	}
 }
 
+// wholeInstance numbers the nodes of every edge of g and builds the
+// working instance of them.
+func wholeInstance(g *bipartite.Graph, k int, beta int64, unit bool) *instance {
+	set, nb := edgeSet{g: g}, newNumbering(g)
+	nb.number(set)
+	return buildInstance(set, nb, k, beta, unit)
+}
+
 // TestInstanceRealEdgesFirst pins the layout the peel relies on to tell
 // real edges from virtual ones: the first nReal working edges are the
-// graph's edges in graph order, so working edge i < nReal maps back through
-// mapL/mapR to the endpoints of g.Edge(i) with its normalized weight, and
-// every edge after them is virtual, touching at least one fresh node. A
-// virtual edge placed before a real one, or reordered real edges, fails
-// it. The corpus must reach both augmentation phases: case-2 fillers (two
-// fresh nodes) and case-1 top-ups (one fresh node).
+// graph's edges in graph order, so working edge i < nReal has the
+// endpoints of g.Edge(i), numbered in order of first appearance over the
+// edges, and its normalized weight; every edge after them is virtual,
+// touching at least one fresh node. A virtual edge placed before a real
+// one, reordered real edges, or another node numbering fails it. The
+// corpus must reach both augmentation phases: case-2 fillers (two fresh
+// nodes) and case-1 top-ups (one fresh node).
 func TestInstanceRealEdgesFirst(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	fillers, topUps := 0, 0
@@ -236,9 +245,20 @@ func TestInstanceRealEdgesFirst(t *testing.T) {
 		k := 1 + rng.Intn(6)
 		beta := rng.Int63n(5)
 		unit := trial%4 == 0
-		in, err := buildInstance(g, k, beta, unit)
-		if err != nil {
-			t.Fatal(err)
+		in := wholeInstance(g, k, beta, unit)
+		// The first-appearance numbering, computed independently.
+		idL, idR := map[int]int{}, map[int]int{}
+		for i := 0; i < g.EdgeCount(); i++ {
+			e := g.Edge(i)
+			if _, ok := idL[e.L]; !ok {
+				idL[e.L] = len(idL)
+			}
+			if _, ok := idR[e.R]; !ok {
+				idR[e.R] = len(idR)
+			}
+		}
+		if in.realL != len(idL) || in.realR != len(idR) {
+			t.Fatalf("trial %d: %dx%d real nodes, graph touches %dx%d", trial, in.realL, in.realR, len(idL), len(idR))
 		}
 		if in.nReal != g.EdgeCount() {
 			t.Fatalf("trial %d: nReal %d, graph has %d edges", trial, in.nReal, g.EdgeCount())
@@ -260,7 +280,7 @@ func TestInstanceRealEdgesFirst(t *testing.T) {
 			if unit {
 				want = 1
 			}
-			if we.l >= in.realL || we.r >= in.realR || in.mapL[we.l] != e.L || in.mapR[we.r] != e.R || we.w != want {
+			if we.l != idL[e.L] || we.r != idR[e.R] || we.w != want {
 				t.Fatalf("trial %d: working edge %d is (%d, %d) weight %d, want graph edge (%d, %d) weight %d", trial, i, we.l, we.r, we.w, e.L, e.R, want)
 			}
 		}

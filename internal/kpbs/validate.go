@@ -10,11 +10,17 @@ import (
 // validateInstance is the single validation path shared by every
 // algorithm (GGP, OGGP, MinSteps, Greedy): all of them accept and reject
 // exactly the same (g, k, β) triples, so callers can switch algorithms
-// without changing their error handling. It checks the parameters, the
-// graph invariants, and that the instance's aggregate quantities fit in
-// int64 once normalized — oversized instances are rejected up front
-// instead of overflowing deep inside the augmentation.
-func validateInstance(g *bipartite.Graph, k int, beta int64) error {
+// without changing their error handling. It checks the algorithm, the
+// parameters, the graph invariants, and that the instance's aggregate
+// quantities fit in int64 once normalized — oversized instances are
+// rejected up front instead of overflowing deep inside the augmentation.
+// Each solve runs it once, on the whole graph (Solve and Result.recompute).
+func validateInstance(g *bipartite.Graph, k int, beta int64, alg Algorithm) error {
+	switch alg {
+	case GGP, OGGP, MinSteps, Greedy:
+	default:
+		return fmt.Errorf("kpbs: unknown algorithm %v", alg)
+	}
 	if k <= 0 {
 		return fmt.Errorf("kpbs: k must be positive, got %d", k)
 	}

@@ -70,8 +70,8 @@ func TestDeltaReqValidation(t *testing.T) {
 		"neg weight":   func() []byte { b := append([]byte(nil), good...); b[len(b)-8] = 0x80; return b }(),
 		"huge l coord": func() []byte { b := append([]byte(nil), good...); b[len(b)-16] = 0xFF; return b }(),
 	}
-	for name, p := range mutations {
-		if _, err := DecodeDeltaReq(p); err == nil {
+	for _, name := range sortedKeys(mutations) {
+		if _, err := DecodeDeltaReq(mutations[name]); err == nil {
 			t.Fatalf("%s payload accepted", name)
 		} else if !IsProtocolError(err) {
 			t.Fatalf("%s payload: want *ProtocolError, got %T", name, err)

@@ -147,8 +147,9 @@ func FuzzDecodeSolveResp(f *testing.F) {
 	// The round-trip schedules: packed sharded, Greedy and Pack
 	// steps, zero-comm steps, far endpoints, amounts near MaxInt64 and
 	// multi-byte varints.
-	for _, s := range roundTripSchedules(f) {
-		p, err := EncodeSolveResp(5, s, TraceContext{})
+	schedules := roundTripSchedules(f)
+	for _, name := range sortedKeys(schedules) {
+		p, err := EncodeSolveResp(5, schedules[name], TraceContext{})
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -113,27 +115,30 @@ func TestDecodeSolveRespCanonical(t *testing.T) {
 // field would have truncated — and, as kpbs validation does, a step whose
 // Duration is not its largest amount.
 func TestEncodeSolveRespRejectsInvalid(t *testing.T) {
-	for name, c := range map[string]kpbs.Comm{
+	badComms := map[string]kpbs.Comm{
 		"L at MaxInstanceNodes": {L: MaxInstanceNodes, R: 0, Amount: 1},
 		"R at MaxInstanceNodes": {L: 0, R: MaxInstanceNodes, Amount: 1},
 		"L above 2^32":          {L: 1<<32 + 1, R: 0, Amount: 1},
 		"negative R":            {L: 0, R: -1, Amount: 1},
 		"zero amount":           {L: 0, R: 0, Amount: 0},
 		"negative amount":       {L: 0, R: 0, Amount: -3},
-	} {
+	}
+	for _, name := range sortedKeys(badComms) {
+		c := badComms[name]
 		sched := &kpbs.Schedule{Steps: []kpbs.Step{{Comms: []kpbs.Comm{c}, Duration: c.Amount}}}
 		if _, err := EncodeSolveResp(1, sched, TraceContext{}); err == nil {
 			t.Errorf("%s: encoder accepted %+v", name, c)
 		}
 	}
 	comms := []kpbs.Comm{{L: 0, R: 1, Amount: 5}, {L: 1, R: 0, Amount: 8}}
-	for name, st := range map[string]kpbs.Step{
+	badSteps := map[string]kpbs.Step{
 		"duration unset":           {Comms: comms},
 		"duration below the max":   {Comms: comms, Duration: 5},
 		"duration above the max":   {Comms: comms, Duration: 9},
 		"empty step with duration": {Duration: 3},
-	} {
-		sched := &kpbs.Schedule{Steps: []kpbs.Step{st}}
+	}
+	for _, name := range sortedKeys(badSteps) {
+		sched := &kpbs.Schedule{Steps: []kpbs.Step{badSteps[name]}}
 		if _, err := EncodeSolveResp(1, sched, TraceContext{}); err == nil || !strings.Contains(err.Error(), "largest amount") {
 			t.Errorf("%s: encoder accepted it or named another fault (err %v)", name, err)
 		}
@@ -217,5 +222,39 @@ func TestEncodeSolveRespAllocs(t *testing.T) {
 	})
 	if allocs != 1 {
 		t.Fatalf("encoding a dense 64x64 response makes %.1f allocations, want 1", allocs)
+	}
+}
+
+// TestSolveRespPinnedSizes pins the size and SHA-256 of the untraced
+// response to each respShapes instance, solved as redist-serve solves it
+// (ShardAuto): 85,153 bytes for the dense 64×64 GGP instance, the size
+// DESIGN.md §10.1 and README.md quote for dense64-ggp, then the power-law
+// 256×256 OGGP and the small 16×16 GGP instances. A change to a served
+// schedule or to the body layout that moves one byte fails here; the
+// power-law instance has several components, so it covers the sharded
+// path end to end.
+func TestSolveRespPinnedSizes(t *testing.T) {
+	want := []struct {
+		name   string
+		size   int
+		sha256 string
+	}{
+		{"DenseGGP64", 85153, "450d4b8e3564330709b0d0ecd2fd43ac74e86c6a065ec4c9487479be6c3fd247"},
+		{"PowerLawOGGP256", 6329, "43055f56c7a673777bc92ffbfef03d5be2ac3ea350275382ece41aa3eb04dab9"},
+		{"MixedSmallGGP16", 2935, "3fa47e36f03a96dae8272d30ae2e6b5067abfe77981882807daddbb65143fd15"},
+	}
+	shapes := respShapes()
+	if len(shapes) != len(want) {
+		t.Fatalf("%d response shapes, %d pinned", len(shapes), len(want))
+	}
+	for i, s := range shapes {
+		p, err := EncodeSolveResp(1, s.schedule(t), TraceContext{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := want[i]
+		if sum := fmt.Sprintf("%x", sha256.Sum256(p)); s.name != w.name || len(p) != w.size || sum != w.sha256 {
+			t.Errorf("%s: %d-byte payload, SHA-256 %s; want %s at %d bytes, %s", s.name, len(p), sum, w.name, w.size, w.sha256)
+		}
 	}
 }

@@ -67,9 +67,9 @@ func TestEncodeSolveReqRejectsInvalid(t *testing.T) {
 		"negative weight":  func(r *SolveRequest) { r.Edges[0].Weight = -5 },
 		"zero weight":      func(r *SolveRequest) { r.Edges[0].Weight = 0 },
 	}
-	for name, mutate := range cases {
+	for _, name := range sortedKeys(cases) {
 		req := sampleRequest()
-		mutate(&req)
+		cases[name](&req)
 		if _, err := EncodeSolveReq(req); err == nil {
 			t.Errorf("%s: encode accepted an invalid request", name)
 		}
@@ -92,8 +92,8 @@ func TestDecodeSolveReqRejectsMalformed(t *testing.T) {
 		"trailing garbage":    append(append([]byte(nil), valid...), 0xAA),
 		"edge count overflow": overwriteEdgeCount(valid, 1<<30),
 	}
-	for name, p := range mutants {
-		req, err := DecodeSolveReq(p)
+	for _, name := range sortedKeys(mutants) {
+		req, err := DecodeSolveReq(mutants[name])
 		if err == nil {
 			t.Errorf("%s: decoder accepted malformed payload: %+v", name, req)
 			continue
@@ -128,7 +128,8 @@ func TestSolveRespRoundTrip(t *testing.T) {
 	}
 	schedules := roundTripSchedules(t)
 	schedules["sample request"] = sampled
-	for name, sched := range schedules {
+	for _, name := range sortedKeys(schedules) {
+		sched := schedules[name]
 		t.Run(name, func(t *testing.T) {
 			p, err := EncodeSolveResp(req.ID, sched, TraceContext{})
 			if err != nil {
@@ -183,13 +184,14 @@ func TestDecodeSolveRespRejectsMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, p := range map[string][]byte{
+	mutants := map[string][]byte{
 		"empty":            {},
 		"bad version":      append([]byte{CodecV2 + 1}, valid[1:]...),
 		"truncated":        valid[:len(valid)-3],
 		"trailing garbage": append(append([]byte(nil), valid...), 1, 2, 3),
-	} {
-		if _, err := DecodeSolveResp(p); err == nil {
+	}
+	for _, name := range sortedKeys(mutants) {
+		if _, err := DecodeSolveResp(mutants[name]); err == nil {
 			t.Errorf("%s: decoder accepted malformed payload", name)
 		} else if !IsProtocolError(err) {
 			t.Errorf("%s: want *ProtocolError, got %T: %v", name, err, err)
@@ -343,13 +345,14 @@ func TestTraceCrossVersionRejected(t *testing.T) {
 	for i := 1; i <= 16; i++ {
 		zeroID[i] = 0
 	}
-	for name, p := range map[string][]byte{
+	mutants := map[string][]byte{
 		"V2 version on V1 body":  append([]byte{CodecV2}, v1[1:]...),
 		"V1 version on V2 body":  append([]byte{CodecV1}, v2[1:]...),
 		"V2 with zero trace id":  zeroID,
 		"V2 truncated mid-trace": v2[:10],
-	} {
-		if got, err := DecodeSolveReq(p); err == nil {
+	}
+	for _, name := range sortedKeys(mutants) {
+		if got, err := DecodeSolveReq(mutants[name]); err == nil {
 			t.Errorf("%s: decoder accepted %+v", name, got)
 		} else if !IsProtocolError(err) {
 			t.Errorf("%s: want *ProtocolError, got %T: %v", name, err, err)

@@ -2,12 +2,26 @@ package wire
 
 import (
 	"bytes"
+	"cmp"
 	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// sortedKeys returns m's keys in ascending order. The tests range over
+// them instead of over m, so that table cases, subtests and fuzz seeds run
+// and are numbered in the same order on every run.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
 
 func TestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
@@ -116,8 +130,8 @@ func TestMsgTypeString(t *testing.T) {
 		MsgXfer: "XFER", MsgData: "DATA", MsgAck: "ACK",
 		MsgBarrier: "BARRIER", MsgDone: "DONE",
 	}
-	for ty, want := range names {
-		if ty.String() != want {
+	for _, ty := range sortedKeys(names) {
+		if want := names[ty]; ty.String() != want {
 			t.Fatalf("%d.String() = %q, want %q", ty, ty.String(), want)
 		}
 	}

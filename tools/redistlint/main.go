@@ -9,8 +9,9 @@
 //
 // Analyzers and their scopes:
 //
-//	determinism       solver + experiment packages (tests included): no
-//	                  time.Now, no global math/rand, no map iteration
+//	determinism       solver, experiment, wire and traffic-generator
+//	                  packages (tests included): no time.Now, no global
+//	                  math/rand, no map iteration
 //	safemath          internal/kpbs non-test code: int64 +, *, << must go
 //	                  through internal/safemath
 //	hotpath           any function annotated //redistlint:hotpath: no
@@ -69,6 +70,8 @@ var deterministicPkgs = map[string]bool{
 	"redistgo/internal/engine":      true,
 	"redistgo/internal/stats":       true,
 	"redistgo/internal/experiments": true,
+	"redistgo/internal/wire":        true,
+	"redistgo/internal/trafficgen":  true,
 }
 
 // concurrencyPkgs are the packages whose goroutine and locking structure
