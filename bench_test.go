@@ -247,22 +247,6 @@ func BenchmarkExtensionAggregation(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionAdaptive regenerates the adaptive-rescheduling sweep
-// (paper §6 future work 2): gain vs backbone degradation depth.
-func BenchmarkExtensionAdaptive(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultAdaptiveSweepConfig(2, int64(i+1))
-		cfg.Fractions = []float64{0.5}
-		points, err := experiments.AdaptiveSweep(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(100*points[0].Improvement, "%gain-at-half-capacity")
-		}
-	}
-}
-
 // BenchmarkNetsimBruteForce measures the fluid engine on the paper's
 // 10x10 all-pairs workload.
 func BenchmarkNetsimBruteForce(b *testing.B) {

@@ -6,6 +6,7 @@
 //	redist-experiments -fig 9 -runs 2000            # ratio vs beta
 //	redist-experiments -fig 10 -runs 5              # testbed, k=3
 //	redist-experiments -fig 11 -runs 5 -format md   # testbed, k=7
+//	redist-experiments -fig agg -runs 50            # gateway aggregation vs beta
 //
 // The paper used 100000 Monte-Carlo runs per point for Figures 7–9; the
 // default here is smaller so a full regeneration takes seconds, and the
@@ -34,7 +35,7 @@ func main() {
 
 func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("redist-experiments", flag.ContinueOnError)
-	fig := fs.String("fig", "7", "figure to regenerate: 7, 8, 9, 10, 11, or the extension sweeps agg, adapt")
+	fig := fs.String("fig", "7", "figure to regenerate: 7, 8, 9, 10, 11, or the extension sweep agg")
 	runs := fs.Int("runs", 0, "Monte-Carlo runs per point (0 = figure-specific default)")
 	seed := fs.Int64("seed", 1, "random seed")
 	format := fs.String("format", "csv", "output format: csv or md")
@@ -152,18 +153,8 @@ func run(args []string, stdout io.Writer) (err error) {
 			return experiments.WriteAggregationMarkdown(stdout, points)
 		}
 		return experiments.WriteAggregationCSV(stdout, points)
-	case "adapt":
-		n := defaultRuns(*runs, 5)
-		points, err := experiments.AdaptiveSweep(experiments.DefaultAdaptiveSweepConfig(n, *seed))
-		if err != nil {
-			return err
-		}
-		if md {
-			return experiments.WriteAdaptiveMarkdown(stdout, points)
-		}
-		return experiments.WriteAdaptiveCSV(stdout, points)
 	}
-	return fmt.Errorf("unknown figure %q (want 7, 8, 9, 10, 11, agg or adapt)", *fig)
+	return fmt.Errorf("unknown figure %q (want 7, 8, 9, 10, 11 or agg)", *fig)
 }
 
 func defaultRuns(requested, def int) int {

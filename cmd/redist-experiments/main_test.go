@@ -86,6 +86,35 @@ func TestFigures10And11Markdown(t *testing.T) {
 	}
 }
 
+func TestAggregationSweep(t *testing.T) {
+	out, err := runCLI(t, "-fig", "agg", "-runs", "2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, err := csv.NewReader(strings.NewReader(out)).ReadAll()
+	if err != nil {
+		t.Fatalf("output is not CSV: %v", err)
+	}
+	if strings.Join(records[0], ",") != "beta,direct_cost,plan_cost,steps_saved,improvement" {
+		t.Fatalf("bad header: %v", records[0])
+	}
+	if len(records) != 7 { // header + 6 beta values
+		t.Fatalf("rows = %d, want 7", len(records))
+	}
+
+	out, err = runCLI(t, "-fig", "agg", "-runs", "2", "-format", "md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if lines[0] != "| β | direct cost | plan cost | backbone steps saved | gain |" {
+		t.Fatalf("bad markdown header: %q", lines[0])
+	}
+	if len(lines) != 8 { // header + separator + 6 beta values
+		t.Fatalf("markdown lines = %d, want 8", len(lines))
+	}
+}
+
 func TestBadArguments(t *testing.T) {
 	cases := [][]string{
 		{"-fig", "12"},
@@ -97,6 +126,12 @@ func TestBadArguments(t *testing.T) {
 		if _, err := runCLI(t, args...); err == nil {
 			t.Fatalf("args %v accepted", args)
 		}
+	}
+	// The deleted adapt sweep is an unknown figure, and the error names
+	// exactly the figures the switch accepts.
+	_, err := runCLI(t, "-fig", "adapt")
+	if want := `unknown figure "adapt" (want 7, 8, 9, 10, 11 or agg)`; err == nil || err.Error() != want {
+		t.Fatalf("unknown figure: error %v, want %q", err, want)
 	}
 }
 

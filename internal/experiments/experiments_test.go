@@ -195,6 +195,56 @@ func TestNetworkIdealModelGain(t *testing.T) {
 	}
 }
 
+// TestNetworkModelTermAblation pins how much of the Figure 10–11 gain
+// each term of the brute-force TCP model sets. Brute force runs with one
+// subset of the four terms at a time (8 runs, seed 1, n = 10, 50 and
+// 100 MB; the seeds follow the sweep index, so only n = 10 is the
+// figures' instance), and OGGP's gain over it must match the table
+// within ±0.05 points. EXPERIMENTS.md and DESIGN.md §5 quote the table.
+// At k = 3 the gain comes from the congestion α and the flow overhead;
+// at k = 7 the ideal network ("none") still shows 2.5–3.5% at 50–100 MB.
+func TestNetworkModelTermAblation(t *testing.T) {
+	def := netsim.DefaultConfig(netsim.Platform{}, 0)
+	rows := []struct {
+		terms  string
+		model  netsim.Config
+		k3, k7 [3]float64 // OGGP gain in % at n = 10, 50, 100 MB
+	}{
+		{"all four", def,
+			[3]float64{11.07, 11.45, 11.99}, [3]float64{13.61, 16.64, 16.46}},
+		{"none", netsim.Config{},
+			[3]float64{-0.09, -0.04, 0.05}, [3]float64{-0.06, 3.50, 2.51}},
+		{"α only", netsim.Config{CongestionAlpha: def.CongestionAlpha},
+			[3]float64{6.45, 6.12, 6.04}, [3]float64{1.21, 4.40, 3.52}},
+		{"flow overhead only", netsim.Config{FlowOverhead: def.FlowOverhead},
+			[3]float64{5.57, 5.62, 5.71}, [3]float64{12.23, 15.35, 14.48}},
+		{"the two jitters only", netsim.Config{JitterSigma: def.JitterSigma, RunJitterSigma: def.RunJitterSigma},
+			[3]float64{-0.73, 0.03, 0.78}, [3]float64{0.32, 4.08, 3.85}},
+	}
+	for _, row := range rows {
+		for _, k := range []int{3, 7} {
+			want := row.k3
+			if k == 7 {
+				want = row.k7
+			}
+			cfg := FigureNetworkConfig(k, 8, 1)
+			cfg.NsMB = []float64{10, 50, 100}
+			cfg.Congestion = row.model
+			points, err := Network(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range points {
+				gain := 100 * (p.BruteAvg - p.OGGPTime) / p.BruteAvg
+				t.Logf("%s, k=%d, n=%g MB: OGGP gain %.2f%%", row.terms, k, p.NMB, gain)
+				if math.Abs(gain-want[i]) > 0.05 {
+					t.Errorf("%s, k=%d, n=%g MB: OGGP gain %.2f%%, want %.2f%% ± 0.05", row.terms, k, p.NMB, gain, want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestNetworkValidation(t *testing.T) {
 	bad := []NetworkConfig{
 		{},

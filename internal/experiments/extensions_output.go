@@ -38,36 +38,3 @@ func WriteAggregationMarkdown(w io.Writer, points []AggregationPoint) error {
 	}
 	return nil
 }
-
-// WriteAdaptiveCSV renders the adaptive sweep as CSV.
-func WriteAdaptiveCSV(w io.Writer, points []AdaptivePoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"capacity_fraction", "static_s", "adaptive_s", "improvement"}); err != nil {
-		return err
-	}
-	for _, p := range points {
-		rec := []string{
-			formatF(p.Fraction), formatF(p.StaticTime), formatF(p.AdaptiveTime),
-			formatF(p.Improvement),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteAdaptiveMarkdown renders the adaptive sweep as markdown.
-func WriteAdaptiveMarkdown(w io.Writer, points []AdaptivePoint) error {
-	if _, err := fmt.Fprint(w, "| remaining capacity | static (s) | adaptive (s) | gain |\n|---|---|---|---|\n"); err != nil {
-		return err
-	}
-	for _, p := range points {
-		if _, err := fmt.Fprintf(w, "| %.0f%% | %.2f | %.2f | %.1f%% |\n",
-			100*p.Fraction, p.StaticTime, p.AdaptiveTime, 100*p.Improvement); err != nil {
-			return err
-		}
-	}
-	return nil
-}

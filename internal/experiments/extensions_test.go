@@ -48,41 +48,6 @@ func TestAggregationSweepValidation(t *testing.T) {
 	}
 }
 
-func TestAdaptiveSweepShape(t *testing.T) {
-	cfg := DefaultAdaptiveSweepConfig(2, 1)
-	cfg.Fractions = []float64{1.0, 0.5}
-	points, err := AdaptiveSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 2 {
-		t.Fatalf("points = %d", len(points))
-	}
-	// No degradation: adaptive ≈ static. Halved capacity: adaptive wins.
-	if points[0].Improvement > 0.05 || points[0].Improvement < -0.05 {
-		t.Fatalf("stable-backbone improvement should be ~0, got %.3f", points[0].Improvement)
-	}
-	if points[1].Improvement <= 0.03 {
-		t.Fatalf("degraded-backbone improvement %.3f too small", points[1].Improvement)
-	}
-}
-
-func TestAdaptiveSweepValidation(t *testing.T) {
-	bad := []AdaptiveSweepConfig{
-		{},
-		{Runs: 1, Nodes: 1, Horizon: 1, MinMB: 1, MaxMB: 2, NICMbit: 1, FullMbit: 1, Fractions: []float64{2}},
-		{Runs: 1, Nodes: 1, Horizon: 1, MinMB: 1, MaxMB: 2, NICMbit: 1, FullMbit: 1, Fractions: []float64{0}},
-		{Runs: 1, Nodes: 1, Horizon: 1, MinMB: 1, MaxMB: 2, NICMbit: 1, FullMbit: 1},
-		{Runs: 1, Nodes: 1, Horizon: 1, MinMB: 0, MaxMB: 2, NICMbit: 1, FullMbit: 1, Fractions: []float64{1}},
-		{Runs: 1, Nodes: 1, Horizon: 1, MinMB: 1, MaxMB: 2, NICMbit: 1, FullMbit: 1, DropAfter: -1, Fractions: []float64{1}},
-	}
-	for i, cfg := range bad {
-		if _, err := AdaptiveSweep(cfg); err == nil {
-			t.Fatalf("case %d accepted", i)
-		}
-	}
-}
-
 func TestExtensionOutputRenderers(t *testing.T) {
 	agg := []AggregationPoint{{Beta: 64, DirectCost: 100, PlanCost: 40, StepsSaved: 20, Improvement: 0.6}}
 	var buf bytes.Buffer
@@ -97,22 +62,6 @@ func TestExtensionOutputRenderers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "60.0%") {
-		t.Fatalf("markdown: %q", buf.String())
-	}
-
-	ad := []AdaptivePoint{{Fraction: 0.5, StaticTime: 50, AdaptiveTime: 40, Improvement: 0.2}}
-	buf.Reset()
-	if err := WriteAdaptiveCSV(&buf, ad); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "capacity_fraction") {
-		t.Fatalf("csv: %q", buf.String())
-	}
-	buf.Reset()
-	if err := WriteAdaptiveMarkdown(&buf, ad); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "| 50% |") {
 		t.Fatalf("markdown: %q", buf.String())
 	}
 }

@@ -93,6 +93,7 @@ func (s *Simulator) RunAsync(comms []AsyncComm, k int, beta float64) (AsyncResul
 	p := s.cfg.Platform
 	nicSend := p.T1 / 8
 	nicRecv := p.T2 / 8
+	backbone := p.Backbone / 8
 
 	now := 0.0
 	done := 0
@@ -134,7 +135,7 @@ func (s *Simulator) RunAsync(comms []AsyncComm, k int, beta float64) (AsyncResul
 	}
 	promote()
 
-	maxEvents := 6*n + 2*len(s.cfg.BackboneProfile) + 8
+	maxEvents := 6*n + 8
 	for event := 0; done < n; event++ {
 		if event > maxEvents {
 			return AsyncResult{}, fmt.Errorf("netsim: async execution did not converge after %d events", event)
@@ -197,13 +198,11 @@ func (s *Simulator) RunAsync(comms []AsyncComm, k int, beta float64) (AsyncResul
 					resources = append(resources, resource{capacity: nicRecv, flows: members})
 				}
 			}
-			bb := s.cfg.BackboneProfile.CapacityAt(now, p.Backbone) / 8
-			resources = append(resources, resource{capacity: bb, flows: all})
+			resources = append(resources, resource{capacity: backbone, flows: all})
 			rates = maxMinRates(len(idx), w, resources)
 		}
 
-		// Next event: a transfer completion, a setup completion, or a
-		// backbone capacity change.
+		// Next event: a transfer completion or a setup completion.
 		dt := math.Inf(1)
 		for j, i := range idx {
 			if rates[j] <= 0 {
@@ -217,9 +216,6 @@ func (s *Simulator) RunAsync(comms []AsyncComm, k int, beta float64) (AsyncResul
 			if state[i] == asyncSetup && setupEnd[i]-now < dt {
 				dt = setupEnd[i] - now
 			}
-		}
-		if next := s.cfg.BackboneProfile.NextChangeAfter(now); next-now < dt {
-			dt = next - now
 		}
 		if math.IsInf(dt, 1) {
 			return AsyncResult{}, fmt.Errorf("netsim: async execution stalled with %d/%d comms done", done, n)

@@ -49,12 +49,6 @@ type Config struct {
 
 	// Seed drives the jitter; the same seed reproduces the same run.
 	Seed int64
-
-	// BackboneProfile optionally makes the backbone capacity vary over
-	// time (piecewise constant). Empty means the constant
-	// Platform.Backbone. Used by the dynamic-backbone experiments
-	// (paper §6 future work).
-	BackboneProfile Profile
 }
 
 // Default congestion-model parameters (see DESIGN.md §5 for calibration).
@@ -96,10 +90,6 @@ type Simulator struct {
 // Platform returns the simulator's platform description.
 func (s *Simulator) Platform() Platform { return s.cfg.Platform }
 
-// Profile returns the simulator's backbone capacity profile (possibly
-// empty).
-func (s *Simulator) Profile() Profile { return s.cfg.BackboneProfile }
-
 // New returns a Simulator for the given configuration.
 func New(cfg Config) (*Simulator, error) {
 	if err := cfg.Platform.Validate(); err != nil {
@@ -107,9 +97,6 @@ func New(cfg Config) (*Simulator, error) {
 	}
 	if cfg.CongestionAlpha < 0 || cfg.JitterSigma < 0 || cfg.FlowOverhead < 0 || cfg.RunJitterSigma < 0 {
 		return nil, fmt.Errorf("netsim: congestion parameters must be non-negative")
-	}
-	if err := cfg.BackboneProfile.Validate(); err != nil {
-		return nil, err
 	}
 	return &Simulator{cfg: cfg}, nil
 }
@@ -166,34 +153,11 @@ func (s *Simulator) BruteForce(flows []Flow) (Result, error) {
 // flows share the network fairly and without congestion derating: the
 // scheduler guarantees at most k compatible flows.
 func (s *Simulator) RunSteps(steps [][]Flow, beta float64) (Result, error) {
-	return s.runSteps(steps, beta, false, 0)
-}
-
-// RunStepsCongested is RunSteps with the TCP congestion model active
-// inside each step: a step whose flows oversubscribe the (possibly
-// time-varying) backbone pays the derating penalty. This is the honest
-// execution model for schedules computed with a stale k while the
-// backbone capacity drifts (paper §6 dynamic case).
-func (s *Simulator) RunStepsCongested(steps [][]Flow, beta float64) (Result, error) {
-	return s.runSteps(steps, beta, true, 0)
-}
-
-// RunStepsFrom is RunStepsCongested starting at an absolute time offset,
-// so that a multi-round adaptive driver can execute rounds back-to-back
-// against one backbone profile.
-func (s *Simulator) RunStepsFrom(steps [][]Flow, beta, start float64) (Result, error) {
-	return s.runSteps(steps, beta, true, start)
-}
-
-func (s *Simulator) runSteps(steps [][]Flow, beta float64, tcpModel bool, start float64) (Result, error) {
 	if beta < 0 {
 		return Result{}, fmt.Errorf("netsim: negative beta %g", beta)
 	}
-	if start < 0 {
-		return Result{}, fmt.Errorf("netsim: negative start time %g", start)
-	}
 	res := Result{Steps: len(steps)}
-	cursor := start
+	cursor := 0.0
 	for i, step := range steps {
 		if err := s.validateFlows(step); err != nil {
 			return Result{}, fmt.Errorf("step %d: %w", i, err)
@@ -203,20 +167,20 @@ func (s *Simulator) runSteps(steps [][]Flow, beta float64, tcpModel bool, start 
 			weights[j] = 1
 		}
 		cursor += beta
-		end, err := s.drain(step, weights, tcpModel, cursor)
+		end, err := s.drain(step, weights, false, cursor)
 		if err != nil {
 			return Result{}, fmt.Errorf("step %d: %w", i, err)
 		}
 		res.StepTimes = append(res.StepTimes, end-cursor)
 		cursor = end
 	}
-	res.Time = cursor - start
+	res.Time = cursor
 	return res, nil
 }
 
 // drain runs the fluid event loop from absolute time start until every
 // flow completes and returns the absolute end time. tcpModel enables the
-// congestion model; the backbone capacity follows the configured profile.
+// congestion model.
 func (s *Simulator) drain(flows []Flow, weights []float64, tcpModel bool, start float64) (float64, error) {
 	p := s.cfg.Platform
 	remaining := make([]float64, len(flows))
@@ -230,13 +194,13 @@ func (s *Simulator) drain(flows []Flow, weights []float64, tcpModel bool, start 
 	now := start
 	nicSend := p.T1 / 8 // bytes/s
 	nicRecv := p.T2 / 8
+	backbone := p.Backbone / 8
 
-	maxIter := 2*len(flows) + 2*len(s.cfg.BackboneProfile) + 4
+	maxIter := 2*len(flows) + 4
 	for iter := 0; active > 0; iter++ {
 		if iter > maxIter {
 			return 0, fmt.Errorf("netsim: event loop did not converge after %d iterations", iter)
 		}
-		backbone := s.cfg.BackboneProfile.CapacityAt(now, p.Backbone) / 8
 		// Build resources over active flows (indices into flows).
 		idx := make([]int, 0, active)
 		for i := range flows {
@@ -294,7 +258,7 @@ func (s *Simulator) drain(flows []Flow, weights []float64, tcpModel bool, start 
 			}
 		}
 
-		// Next event: a flow completion or a backbone capacity change.
+		// Next event: a flow completion.
 		dt := math.Inf(1)
 		for j, i := range idx {
 			if rates[j] <= 0 {
@@ -303,9 +267,6 @@ func (s *Simulator) drain(flows []Flow, weights []float64, tcpModel bool, start 
 			if t := remaining[i] / rates[j]; t < dt {
 				dt = t
 			}
-		}
-		if next := s.cfg.BackboneProfile.NextChangeAfter(now); next-now < dt {
-			dt = next - now
 		}
 		now += dt
 		for j, i := range idx {

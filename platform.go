@@ -38,8 +38,9 @@ const (
 	GB   = netsim.GB
 )
 
-// NewSimulator returns a simulator for the given configuration. A zero
-// CongestionAlpha/JitterSigma yields an ideal fluid network; use
+// NewSimulator returns a simulator for the given configuration. With all
+// four TCP-model terms zero (CongestionAlpha, JitterSigma, FlowOverhead
+// and RunJitterSigma), brute force runs on the ideal fluid network; use
 // DefaultSimConfig for the calibrated TCP model.
 func NewSimulator(cfg SimConfig) (*Simulator, error) { return netsim.New(cfg) }
 

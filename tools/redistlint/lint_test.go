@@ -5,7 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -219,6 +224,82 @@ func TestLintRepoClean(t *testing.T) {
 	kept, _ := lintAll(pkgs, nil)
 	for _, f := range kept {
 		t.Errorf("repo not lint-clean: %s", f)
+	}
+}
+
+// TestFuzzTargetsListed checks that the Makefile's FUZZ_TARGETS, which
+// `make fuzz-smoke` runs and which claims to hold every fuzz target in the
+// module, names exactly the module's func Fuzz* declarations, as
+// package-dir:FuzzName pairs. Nested modules and testdata trees are not
+// part of the module and are skipped.
+func TestFuzzTargetsListed(t *testing.T) {
+	const root = "../.."
+	makefile, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, list, ok := strings.Cut(string(makefile), "\nFUZZ_TARGETS =")
+	if !ok {
+		t.Fatal("no FUZZ_TARGETS list in the Makefile")
+	}
+	listed := map[string]bool{}
+	for _, line := range strings.Split(list, "\n") {
+		for _, field := range strings.Fields(strings.TrimSuffix(line, "\\")) {
+			listed[field] = true
+		}
+		if !strings.HasSuffix(line, "\\") {
+			break
+		}
+	}
+
+	declared := map[string]bool{}
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == root {
+				return nil
+			}
+			if d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir // a nested module
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Fuzz") {
+				declared[filepath.ToSlash(dir)+":"+fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, target := range sortedClassSet(declared) {
+		if !listed[target] {
+			t.Errorf("fuzz target %s is missing from the Makefile's FUZZ_TARGETS", target)
+		}
+	}
+	for _, target := range sortedClassSet(listed) {
+		if !declared[target] {
+			t.Errorf("FUZZ_TARGETS names %s, which no test file declares", target)
+		}
 	}
 }
 
