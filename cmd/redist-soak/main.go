@@ -162,17 +162,20 @@ func run(args []string, stdout io.Writer) (err error) {
 		}
 	}
 	fmt.Fprintf(stdout, "verified %d responses byte-identical, %d mismatches, rejects: %v\n", ok, mismatches, rejects)
+	var deltaPathErr error
 	if *delta {
 		fmt.Fprintf(stdout, "delta mode: %d delta responses verified against cold solves, %d full-solve fallbacks\n", deltas, fallbacks)
+		if srv != nil && observer != nil {
+			deltaPathErr = reportDeltaPaths(stdout, observer.Metrics.Snapshot())
+		}
 	}
 	if *tracectx {
 		printSLOSummary(stdout, stats)
 	}
 
+	var scrapeErr error
 	if ep := obsFlags.Endpoint(); ep != "" {
-		if serr := scrapeMetrics(stdout, ep); serr != nil && err == nil {
-			err = serr
-		}
+		scrapeErr = scrapeMetrics(stdout, ep)
 	}
 
 	if srv != nil {
@@ -194,6 +197,33 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 	if ok == 0 && len(rejects) == 0 {
 		return fmt.Errorf("no responses verified")
+	}
+	if scrapeErr != nil {
+		return scrapeErr
+	}
+	return deltaPathErr
+}
+
+// reportDeltaPaths prints how the spawned server's delta requests were
+// solved, per algorithm and path (solver.delta.requests_total.<alg>.<path>),
+// and fails when none took the reuse or rebuild path: the deltas then all
+// ran as cold solves, and the retained-solve engine went unexercised over
+// the served path (cache checkout, concurrent sessions, TCP).
+func reportDeltaPaths(w io.Writer, snap obs.Snapshot) error {
+	engine := int64(0)
+	for _, alg := range []kpbs.Algorithm{kpbs.GGP, kpbs.OGGP} {
+		fmt.Fprintf(w, "delta paths (server, %s):", alg)
+		for _, p := range []kpbs.DeltaPath{kpbs.DeltaReuse, kpbs.DeltaRebuild, kpbs.DeltaCold} {
+			n := snap.Counters["solver.delta.requests_total."+alg.String()+"."+p.String()]
+			fmt.Fprintf(w, " %s=%d", p, n)
+			if p != kpbs.DeltaCold {
+				engine += n
+			}
+		}
+		fmt.Fprintln(w)
+	}
+	if engine == 0 {
+		return fmt.Errorf("no served delta took the reuse or rebuild path")
 	}
 	return nil
 }

@@ -24,7 +24,8 @@ func denseGraph(rng *rand.Rand, n int, maxW int64) *bipartite.Graph {
 // matcher scratch), then asserts reset+run performs zero allocations.
 func peelAllocsZero(t *testing.T, g *bipartite.Graph, kind matcherKind, eng matching.Engine) *peeler {
 	t.Helper()
-	p := newPeeler(wholeInstance(g, 8, 1, false), kind, eng)
+	p := new(peeler)
+	p.init(wholeInstance(g, 8, 1, false), kind, eng)
 	warm, err := p.run()
 	if err != nil {
 		t.Fatal(err)
@@ -107,9 +108,9 @@ const allocRuns = 30
 // state tests above cover warm reruns only; a cold solve allocates its
 // instance, matcher, peel output and schedule afresh, but each a fixed
 // number of times, never once per step. A dense 64×64 GGP instance at
-// k = 32 and β = 1 peels 1,288 steps in 56 allocations under ShardOff and
-// 65 under ShardAuto, whose split finds one component and solves it whole
-// (61 and 69 under -race). Each bound sits under 10% above its count in
+// k = 32 and β = 1 peels 1,288 steps in 36–37 allocations under ShardOff
+// and 45–46 under ShardAuto, whose split finds one component and solves it
+// whole (40–41 and 49 under -race). Each bound sits under 10% above its count in
 // the running build (alloc_bounds_test.go, alloc_bounds_race_test.go), so
 // a solve that doubles its allocations fails.
 func TestColdSolveAllocs(t *testing.T) {
@@ -142,12 +143,17 @@ func TestColdSolveAllocs(t *testing.T) {
 // power-law shape) splits into one giant component and 7 small ones; each
 // component costs a fixed number of allocations, and the cross-component
 // pack a fixed number for the whole schedule, never one per packed step.
-// The solve makes 265 allocations with one component worker and 286 with
-// 8, the most its components can use (each worker numbers nodes in its own
-// maps); under -race it makes 267 with one worker. The bound sits under
-// 10% above the running build's one-worker count, and above 286.
+// testing.AllocsPerRun pins GOMAXPROCS to 1 while it counts, and
+// solveComponents sizes its pool by GOMAXPROCS, so the test pins 8
+// workers through forceShardWorkers, the most the 8 components can use:
+// each worker numbers nodes in a numbering of its own. The solve makes
+// 193, 196, 202 and 214 allocations with 1, 2, 4 and 8 workers (216 under
+// -race with 8). The bound sits under 10% above the running build's
+// 8-worker count.
 func TestShardedSolveAllocs(t *testing.T) {
 	g := powerLawGraph(t, 1, 256, 2000)
+	defer func(w int) { forceShardWorkers = w }(forceShardWorkers)
+	forceShardWorkers = 8
 	var solveErr error
 	avg := testing.AllocsPerRun(allocRuns, func() {
 		if _, err := Solve(g, 32, 1, Options{Algorithm: OGGP, Shard: ShardAuto}); err != nil {
@@ -157,7 +163,7 @@ func TestShardedSolveAllocs(t *testing.T) {
 	if solveErr != nil {
 		t.Fatal(solveErr)
 	}
-	t.Logf("%.0f allocs per sharded solve", avg)
+	t.Logf("%.0f allocs per sharded solve with %d workers", avg, forceShardWorkers)
 	if avg > shardedAllocBound {
 		t.Fatalf("sharded power-law 256x256 OGGP solve makes %.0f allocations, want at most %d", avg, shardedAllocBound)
 	}
@@ -172,7 +178,8 @@ func TestPeelerRerunIsReproducible(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	g := denseGraph(rng, 12, 9)
 	for _, kind := range []matcherKind{matchAny, matchBottleneck} {
-		p := newPeeler(wholeInstance(g, 6, 2, false), kind, matching.EngineAuto)
+		p := new(peeler)
+		p.init(wholeInstance(g, 6, 2, false), kind, matching.EngineAuto)
 		first, err := p.run()
 		if err != nil {
 			t.Fatal(err)

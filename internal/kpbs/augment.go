@@ -31,6 +31,12 @@ type instance struct {
 	realR   int   // work right nodes < realR are the set's numbered right nodes
 	k       int   // effective k (clamped to active node counts)
 	regular int64 // common node weight R of the augmented graph
+
+	// Augmentation scratch, kept with the edge buffer so that a rebuild
+	// into a used instance allocates nothing: the per-node weight sums and
+	// topUp's deficit order.
+	lw, rw []int64
+	order  idxByWeightAsc
 }
 
 // edgeSet is the part of a graph one solve schedules: the edges of g at the
@@ -110,19 +116,27 @@ func normalizeWeight(w, beta int64) int64 {
 	return ceilDiv(w, beta)
 }
 
-// buildInstance normalizes and augments the edge set s, whose nodes nb
-// has numbered. With unitWeights set, every edge gets weight 1 instead of
-// its normalized weight — this turns GGP into an optimal step-count
-// scheduler (the MinSteps extension). It returns nil for an empty set. It
-// does not validate: the caller validated the whole graph, and a
-// component's weight sums and effective k are bounded by the whole graph's,
-// so that one check covers every edge set drawn from it.
-func buildInstance(s edgeSet, nb *numbering, k int, beta int64, unitWeights bool) *instance {
+// build normalizes and augments the edge set s, whose nodes nb has
+// numbered, into in. With unitWeights set, every edge gets weight 1
+// instead of its normalized weight — this turns GGP into an optimal
+// step-count scheduler (the MinSteps extension). It reports false, and
+// builds nothing, for an empty set. It does not validate: the caller
+// validated the whole graph, and a component's weight sums and effective k
+// are bounded by the whole graph's, so that one check covers every edge
+// set drawn from it.
+//
+// The edge buffer and the augmentation scratch of in's last build are
+// reused when they are large enough; a zero instance allocates them, which
+// is the cold solve's path. The instance built is the same either way.
+func (in *instance) build(s edgeSet, nb *numbering, k int, beta int64, unitWeights bool) bool {
 	m := s.len()
 	if m == 0 {
-		return nil
+		return false
 	}
-	in := &instance{nReal: m, nL: nb.nL, nR: nb.nR, realL: nb.nL, realR: nb.nR, k: k}
+	*in = instance{
+		edges: in.edges, lw: in.lw, rw: in.rw, order: in.order,
+		nReal: m, nL: nb.nL, nR: nb.nR, realL: nb.nL, realR: nb.nR, k: k,
+	}
 
 	// A matching cannot contain more edges than active nodes on either
 	// side, so larger k values are equivalent (paper §2.4).
@@ -133,11 +147,15 @@ func buildInstance(s edgeSet, nb *numbering, k int, beta int64, unitWeights bool
 		in.k = in.realR
 	}
 
-	// One allocation for the whole working edge list: the real edges, then
-	// at most k fillers and, per side, at most one top-up edge per node plus
+	// One buffer for the whole working edge list: the real edges, then at
+	// most k fillers and, per side, at most one top-up edge per node plus
 	// one per fresh node (see topUp), which with nL, nR ≤ real + k bounds
 	// the augmentation by 2·(realL + realR) + 5k edges.
-	in.edges = make([]workEdge, m, m+2*(in.realL+in.realR)+5*in.k)
+	if bound := m + 2*(in.realL+in.realR) + 5*in.k; cap(in.edges) < bound {
+		in.edges = make([]workEdge, m, bound)
+	} else {
+		in.edges = in.edges[:m]
+	}
 	for i := range in.edges {
 		e := s.edge(i)
 		w := int64(1)
@@ -148,13 +166,17 @@ func buildInstance(s edgeSet, nb *numbering, k int, beta int64, unitWeights bool
 	}
 
 	in.augment()
-	return in
+	return true
 }
 
-// nodeWeights returns the current per-node weight sums.
+// nodeWeights returns the current per-node weight sums, in the instance's
+// scratch: valid until the next call.
 func (in *instance) nodeWeights() (lw, rw []int64) {
-	lw = make([]int64, in.nL)
-	rw = make([]int64, in.nR)
+	in.lw = ensureInt64s(in.lw, in.nL)
+	in.rw = ensureInt64s(in.rw, in.nR)
+	lw, rw = in.lw, in.rw
+	clear(lw)
+	clear(rw)
 	for _, e := range in.edges {
 		lw[e.l] = safemath.Add(lw[e.l], e.w)
 		rw[e.r] = safemath.Add(rw[e.r], e.w)
@@ -243,14 +265,15 @@ func (in *instance) augment() {
 // fragments. The paper leaves this packing unspecified.
 func (in *instance) topUp(weights []int64, left bool) {
 	r := in.regular
-	order := make([]int, len(weights))
-	for i := range order {
-		order[i] = i
+	in.order.idx = ensureInts(in.order.idx, len(weights))
+	in.order.w = weights
+	for i := range in.order.idx {
+		in.order.idx[i] = i
 	}
-	sort.Sort(idxByWeightAsc{idx: order, w: weights}) // largest deficit first
-	var freshCap int64                                // remaining capacity of the currently open fresh node
+	sort.Sort(&in.order) // largest deficit first
+	var freshCap int64   // remaining capacity of the currently open fresh node
 	fresh := -1
-	for _, node := range order {
+	for _, node := range in.order.idx {
 		need := r - weights[node]
 		for need > 0 {
 			if freshCap == 0 {

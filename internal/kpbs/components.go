@@ -178,12 +178,16 @@ var forceShardWorkers int
 // an edgeless graph, and under ShardAuto on a connected graph. A single
 // component gains nothing from the sharded machinery, so auto hands the
 // monolithic path an untouched instance (the split costs O(m α(m)),
-// negligible against the peel).
-func shardFor(g *bipartite.Graph, mode ShardMode) *sharder {
+// negligible against the peel). The split goes into sh, whose storage it
+// reuses, or into a new sharder when sh is nil: Solve passes nil, a Result
+// its retained sharder.
+func shardFor(g *bipartite.Graph, mode ShardMode, sh *sharder) *sharder {
 	if mode == ShardOff || g.EdgeCount() == 0 {
 		return nil
 	}
-	sh := newSharder()
+	if sh == nil {
+		sh = newSharder()
+	}
 	sh.split(g)
 	if mode == ShardAuto && sh.nComp < 2 {
 		return nil
@@ -275,7 +279,7 @@ func solveComponentInto(g *bipartite.Graph, sh *sharder, i int, nb *numbering, k
 }
 
 // solveComponent runs the selected algorithm on component i's edges of g.
-// The global k is passed through unchanged: buildInstance clamps it to the
+// The global k is passed through unchanged: instance.build clamps it to the
 // component's active node counts, exactly as the monolithic solve clamps it
 // to the whole graph's. The engine resolves per component too: auto picks
 // by each component's own density, so a mixed-density instance can peel
@@ -285,7 +289,7 @@ func solveComponent(g *bipartite.Graph, sh *sharder, i int, nb *numbering, k int
 	set := edgeSet{g: g, idx: sh.componentEdges(i)}
 	nb.number(set)
 	co := so.Component(i, nb.nL+nb.nR, set.len())
-	_, s, err := solveSet(set, nb, k, beta, opts, new(denormArena), co)
+	_, s, err := solveSet(set, nb, k, beta, opts, new(setScratch), co)
 	if err != nil {
 		return nil, err
 	}

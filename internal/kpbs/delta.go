@@ -11,19 +11,27 @@ import (
 
 // Cross-instance delta solving (SolveDelta). Real redistribution traffic
 // evolves between rounds — a few matrix cells change while most of the
-// instance stays put — so a Result retains the canonical graph and the
-// normalized steps of its last solve, and advances them under an edit
-// list. The hard contract is byte-identical output to a cold Solve on the
-// edited instance (DESIGN.md §13). Three paths:
+// instance stays put — so a Result retains the canonical graph, the solve
+// pipeline of its last solve and the normalized steps it peeled, and
+// advances them under an edit list. The hard contract is byte-identical
+// output to a cold Solve on the edited instance (DESIGN.md §13). A base
+// peels whole when shardFor, the split Solve runs, takes the monolithic
+// path: under ShardOff, and under ShardAuto on a connected graph. Three
+// paths:
 //
-//   - reuse: no real edge's normalized weight changed (β absorbed the raw
-//     change, or MinSteps' unit weights ignore it). The normalized solve is
-//     the same solve, so the retained normalized steps are re-denormalized
-//     against the patched raw weights and nothing is re-peeled.
-//   - rebuild: any other edit on a monolithic (ShardOff, non-Greedy) base:
-//     the instance is rebuilt from the patched graph and peeled cold.
-//   - cold: configurations the monolithic delta engine does not model
-//     (Greedy, sharded solves) go through plain Solve on the patched graph.
+//   - reuse: the last solve peeled whole and no real edge's normalized
+//     weight changed (β absorbed the raw change, or MinSteps' unit weights
+//     ignore it). The normalized solve is the same solve, so the retained
+//     normalized steps are re-denormalized against the patched raw weights
+//     and nothing is re-peeled.
+//   - rebuild: any other edit on a base that peels whole: the instance is
+//     rebuilt from the patched graph into the retained pipeline and peeled
+//     cold.
+//   - cold: Greedy, and bases that shardFor splits (multi-component
+//     ShardAuto, shardAlways), run Solve's chain with fresh buffers.
+//
+// A structural edit can join or split components, so it runs shardFor
+// again; weight-only edits keep the last split.
 
 // Edit sets one cell of the traffic matrix to a new raw weight: W > 0
 // writes the cell (adding it if absent), W = 0 clears it. Edits apply in
@@ -46,10 +54,11 @@ const (
 	DeltaReplay
 	DeltaRerun
 	// DeltaRebuild rebuilt the augmented instance from the patched graph
-	// and peeled it cold (structural edits or changed normalized weights).
+	// into the retained pipeline and peeled it cold (structural edits or
+	// changed normalized weights on a base that peels whole).
 	DeltaRebuild
-	// DeltaCold delegated to plain Solve on the patched graph (Greedy or
-	// sharded configurations, which the delta engine does not model).
+	// DeltaCold solved the patched graph with fresh buffers, as Solve does
+	// (Greedy, and graphs that shardFor splits into components).
 	DeltaCold
 )
 
@@ -85,27 +94,38 @@ var ErrNonCanonical = errors.New("kpbs: delta base requires canonical row-major 
 // IsNonCanonical reports whether err is (or wraps) ErrNonCanonical.
 func IsNonCanonical(err error) bool { return errors.Is(err, ErrNonCanonical) }
 
-// Result is a retained solve: the schedule plus what the reuse path needs
-// to re-derive it under edits. Build one with NewResult, advance it with
-// SolveDelta. A Result is single-owner state — not safe for concurrent
-// use — and the *Schedule it returns aliases its arenas, valid only until
-// the next SolveDelta (snapshot with Schedule.Clone to keep one).
+// Result is a retained solve: the schedule plus what the reuse and rebuild
+// paths need to re-derive it under edits. Build one with NewResult, advance
+// it with SolveDelta. A Result is single-owner state — not safe for
+// concurrent use — and the *Schedule it returns aliases its arenas, valid
+// only until the next SolveDelta (snapshot with Schedule.Clone to keep one).
 type Result struct {
 	g    *bipartite.Graph // owned canonical (row-major) graph
 	k    int
 	beta int64
 	opts Options
 
-	simple bool // monolithic peeling config: delta engine applies
-
 	broken bool
 
-	// Normalized steps of the last monolithic peel; nil for an edgeless
-	// graph. They alias the arenas of the peeler that produced them.
+	// split is shardFor's answer for the current graph: nil when it peels
+	// whole, else the component split, which aliases sh. Only structural
+	// edits change it.
+	split *sharder
+
+	// The retained pipeline: validateInstance's node sums, the numbering,
+	// the sharder and the set scratch (instance, peeler, matcher,
+	// denormalize arena) of every solve that peels the whole graph. Edits
+	// never change g's node counts, so sums and num last the Result's life,
+	// and a rebuild of a same-shaped instance reallocates none of the
+	// buffers.
+	sums []int64
+	num  *numbering
+	sh   sharder
+	set  setScratch
+
+	// Normalized steps of the last solve when it peeled whole; nil for an
+	// edgeless graph. They alias the peeler's arenas in set.
 	steps []normStep
-	// num numbers g's nodes for every rebuild; nil unless simple. Edits
-	// never change g's node counts, so it lasts the Result's life.
-	num *numbering
 
 	// Edit-overlay scratch: deduplicated edited cells in first-touch order.
 	ovIdx map[uint64]int
@@ -115,10 +135,7 @@ type Result struct {
 	ovB   []int64  // base raw weight (0 when the cell was empty)
 	ovN   int
 
-	// Output arenas for the simple path, retained across deltas.
-	out   denormArena
-	sched Schedule
-
+	sched     Schedule // the last schedule; aliases set.out when peeled whole
 	lastSched *Schedule
 	stats     DeltaStats
 }
@@ -139,16 +156,14 @@ func NewResult(g *bipartite.Graph, k int, beta int64, opts Options) (*Result, er
 		}
 	}
 	r := &Result{
-		g:      g.Clone(),
-		k:      k,
-		beta:   beta,
-		opts:   opts,
-		simple: opts.Shard == ShardOff && opts.Algorithm != Greedy,
+		g:    g.Clone(),
+		k:    k,
+		beta: beta,
+		opts: opts,
+		sums: make([]int64, g.NodeCount()),
+		num:  newNumbering(g),
 	}
-	if r.simple {
-		r.num = newNumbering(g)
-	}
-	if err := r.recompute(); err != nil {
+	if _, err := r.recompute(true); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -210,24 +225,20 @@ func (r *Result) SolveDelta(edits []Edit) (*Schedule, error) {
 	structural, normChanged := r.classify()
 	r.applyOverlay(structural)
 
-	var err error
-	switch {
-	case !r.simple:
-		r.stats.Path = DeltaCold
-		err = r.recompute()
-	case structural || normChanged:
-		r.stats.Path = DeltaRebuild
-		err = r.recompute()
-	default:
+	if structural || normChanged || !r.peelsWhole() {
+		// Adding or removing a cell can join or split components, so a
+		// structural edit splits the graph again.
+		var err error
+		if r.stats.Path, err = r.recompute(structural); err != nil {
+			r.broken = true
+			return nil, err
+		}
+	} else {
 		// β (or MinSteps' unit weights) absorbed every raw change: the
 		// normalized solve is unchanged, only denormalization re-runs.
 		r.stats.Path = DeltaReuse
-		r.sched = r.out.denormalize(edgeSet{g: r.g}, r.steps, r.beta, r.opts.Algorithm == MinSteps)
+		r.sched = r.set.out.denormalize(edgeSet{g: r.g}, r.steps, r.beta, r.opts.Algorithm == MinSteps)
 		r.finish(r.opts.Obs.Solver(r.opts.Algorithm.String()))
-	}
-	if err != nil {
-		r.broken = true
-		return nil, err
 	}
 	r.observe()
 	return r.lastSched, nil
@@ -283,16 +294,17 @@ func (r *Result) scanEdits(edits []Edit) int {
 
 // classify reports whether the overlay adds or removes a cell
 // (structural) and whether it changes the normalized weight of a real
-// edge. A cold base needs only the structural bit, so it skips
-// normalization.
+// edge. A base that does not peel whole needs only the structural bit, so
+// it skips normalization.
 func (r *Result) classify() (structural, normChanged bool) {
+	reusable := r.peelsWhole()
 	for i := 0; i < r.ovN; i++ {
 		base, fin := r.ovB[i], r.ovV[i]
 		if r.ovE[i] < 0 || fin == 0 || base == 0 {
 			structural = true
 			continue
 		}
-		if !r.simple || r.opts.Algorithm == MinSteps {
+		if !reusable || r.opts.Algorithm == MinSteps {
 			continue // cold bases skip normalization; unit weights ignore it
 		}
 		if normalizeWeight(base, r.beta) != normalizeWeight(fin, r.beta) {
@@ -340,6 +352,7 @@ func (r *Result) applyOverlay(structural bool) {
 	sort.Sort(cellOverlay{r})
 	ng := bipartite.New(r.g.LeftCount(), r.g.RightCount())
 	m := r.g.EdgeCount()
+	ng.Grow(m + r.ovN) // the merge adds at most one edge per overlay cell
 	i, j := 0, 0
 	for i < m || j < r.ovN {
 		if j >= r.ovN {
@@ -393,32 +406,52 @@ func (s cellOverlay) Swap(a, b int) {
 	r.ovB[a], r.ovB[b] = r.ovB[b], r.ovB[a]
 }
 
-// recompute rebuilds the solve from the (already patched) retained graph:
-// the rebuild and cold paths of the delta engine, also used by NewResult.
-// Both run Solve's chain: the cold path through Solve itself, the rebuild
-// path phase by phase, to keep the normalized steps and denormalize into
-// the retained arenas.
-func (r *Result) recompute() error {
-	if !r.simple {
-		s, err := Solve(r.g, r.k, r.beta, r.opts)
-		if err != nil {
-			return err
-		}
-		r.lastSched = s
-		return nil
+// peelsWhole reports whether the current graph is peeled whole, into the
+// retained pipeline, so that the retained normalized steps are those of
+// the last solve: every algorithm but Greedy, when shardFor takes the
+// monolithic path.
+func (r *Result) peelsWhole() bool {
+	return r.split == nil && r.opts.Algorithm != Greedy
+}
+
+// recompute solves the (already patched) retained graph with Solve's
+// chain: the rebuild and cold paths of the delta engine, also used by
+// NewResult. It runs the chain phase by phase: validateInstance, then,
+// with resplit set, shardFor into the retained sharder. A graph that peels
+// whole is numbered by the retained numbering and solved into the retained
+// set scratch, keeping the normalized steps (rebuild); Greedy solves from
+// the retained numbering too, with no steps to keep, and a split graph
+// runs the sharded pipeline with fresh buffers per component (cold). It
+// returns the path it took.
+func (r *Result) recompute(resplit bool) (DeltaPath, error) {
+	if err := validateInstance(r.g, r.k, r.beta, r.opts.Algorithm, r.sums); err != nil {
+		return 0, err
 	}
-	if err := validateInstance(r.g, r.k, r.beta, r.opts.Algorithm); err != nil {
-		return err
+	if resplit {
+		r.split = shardFor(r.g, r.opts.Shard, &r.sh)
 	}
 	so := r.opts.Obs.Solver(r.opts.Algorithm.String())
+	r.steps = nil
+	if r.split != nil {
+		s, err := solveSharded(r.g, r.split, r.k, r.beta, r.opts, so)
+		if err != nil {
+			return 0, err
+		}
+		r.sched = *s
+		r.finish(so)
+		return DeltaCold, nil
+	}
 	set := edgeSet{g: r.g}
 	r.num.number(set)
 	var err error
-	if r.steps, r.sched, err = solveSet(set, r.num, r.k, r.beta, r.opts, &r.out, so); err != nil {
-		return err
+	if r.steps, r.sched, err = solveSet(set, r.num, r.k, r.beta, r.opts, &r.set, so); err != nil {
+		return 0, err
 	}
 	r.finish(so)
-	return nil
+	if !r.peelsWhole() {
+		return DeltaCold, nil
+	}
+	return DeltaRebuild, nil
 }
 
 // observe reports the last delta outcome to the observability layer

@@ -68,3 +68,74 @@ func TestDeltaSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("measured rounds took %v, want DeltaReuse", res.Stats().Path)
 	}
 }
+
+// TestDeltaShardAutoRebuildAllocs pins what a steady-state rebuild of a
+// connected ShardAuto base allocates, on the served delta64-stream shape:
+// dense 64×64 GGP at k = 32 and β = 1, where every weight edit changes a
+// normalized weight. Each round rebuilds into the Result's retained
+// pipeline, so a weight-only round allocates nothing, and a structural
+// round, which removes or restores cells, allocates only the merged graph:
+// its header and its edge list, which Graph.Grow sizes once
+// (structuralRebuildAllocs: 2, and 3 under -race, whose instrumented
+// slices.Grow allocates its temporary apart from the grown list). Rounds alternate an
+// edit batch and its inverse, so every rebuild is of a same-shaped
+// instance.
+func TestDeltaShardAutoRebuildAllocs(t *testing.T) {
+	const n, k, beta = 64, 32, 1
+	rng := rand.New(rand.NewSource(3))
+	mat := make([]int64, n*n)
+	for i := range mat {
+		mat[i] = 1 + rng.Int63n(20)
+	}
+	for _, tc := range []struct {
+		name string
+		// edit returns the new weight of a cell of weight w.
+		edit func(w int64) int64
+		want float64
+	}{
+		{"weights", func(w int64) int64 { return w + 1 }, 0},
+		{"structural", func(int64) int64 { return 0 }, structuralRebuildAllocs},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := NewResult(graphFromMatrix(t, mat, n, n), k, beta, Options{Algorithm: GGP, Shard: ShardAuto})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Four forward batches of 200 cells, each followed by its inverse.
+			var batches [][]Edit
+			for b := 0; b < 4; b++ {
+				fwd, inv := make([]Edit, 0, 200), make([]Edit, 0, 200)
+				for _, i := range rng.Perm(n * n)[:200] {
+					fwd = append(fwd, Edit{L: i / n, R: i % n, W: tc.edit(mat[i])})
+					inv = append(inv, Edit{L: i / n, R: i % n, W: mat[i]})
+				}
+				batches = append(batches, fwd, inv)
+			}
+			// Warm up over one whole cycle, so every buffer has its size.
+			for _, edits := range batches {
+				if _, err := res.SolveDelta(edits); err != nil {
+					t.Fatal(err)
+				}
+			}
+			round := 0
+			var solveErr error
+			var path DeltaPath
+			avg := testing.AllocsPerRun(4*len(batches)-1, func() {
+				if _, err := res.SolveDelta(batches[round%len(batches)]); err != nil {
+					solveErr = err
+				}
+				path = res.Stats().Path
+				round++
+			})
+			if solveErr != nil {
+				t.Fatal(solveErr)
+			}
+			if path != DeltaRebuild {
+				t.Fatalf("rounds took %v, want %v", path, DeltaRebuild)
+			}
+			if avg != tc.want {
+				t.Fatalf("steady-state %s rebuild allocates %.0f objects per round, want %.0f", tc.name, avg, tc.want)
+			}
+		})
+	}
+}

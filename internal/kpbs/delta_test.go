@@ -294,3 +294,115 @@ func TestSolveDeltaZeroAndNoopEdits(t *testing.T) {
 		t.Fatalf("no-op edits: path %v", res.Stats().Path)
 	}
 }
+
+// TestSolveDeltaShardAutoPaths pins the delta paths of a ShardAuto base on
+// a connected graph, the shape of every served delta chain (redist-serve
+// defaults to -shard auto), and holds every round byte-identical to a cold
+// Solve. Two dense blocks joined by one bridge cell form one component, so
+// the base peels whole: weight edits that change a normalized weight
+// rebuild, edits inside their ⌈w/β⌉ bucket reuse. Clearing the bridge
+// splits the graph in two, so that round and the next go cold, the in-bucket
+// one included: the retained steps are no longer those of the last solve.
+// Restoring the bridge joins the parts, and the chain rebuilds again.
+func TestSolveDeltaShardAutoPaths(t *testing.T) {
+	const half, n, k = 10, 20, 6
+	const bridgeL, bridgeR = 0, half
+	// weights moves six block cells into the next β bucket up.
+	weights := func(rng *rand.Rand, mat []int64, beta int64) []Edit {
+		edits := make([]Edit, 0, 6)
+		for len(edits) < 6 {
+			l, r := rng.Intn(n), rng.Intn(n)
+			if w := mat[l*n+r]; w > 0 && !(l == bridgeL && r == bridgeR) {
+				edits = append(edits, Edit{L: l, R: r, W: w + beta})
+			}
+		}
+		return edits
+	}
+	// inBucket re-draws six block cells inside their β bucket.
+	inBucket := func(rng *rand.Rand, mat []int64, beta int64) []Edit {
+		edits := make([]Edit, 0, 6)
+		for len(edits) < 6 {
+			l, r := rng.Intn(n), rng.Intn(n)
+			w := mat[l*n+r]
+			if w == 0 || (l == bridgeL && r == bridgeR) {
+				continue
+			}
+			lo := (ceilDiv(w, beta)-1)*beta + 1
+			if nw := lo + rng.Int63n(beta); nw != w {
+				edits = append(edits, Edit{L: l, R: r, W: nw})
+			}
+		}
+		return edits
+	}
+	split := func(*rand.Rand, []int64, int64) []Edit { return []Edit{{L: bridgeL, R: bridgeR, W: 0}} }
+	join := func(*rand.Rand, []int64, int64) []Edit { return []Edit{{L: bridgeL, R: bridgeR, W: 5}} }
+	type round struct {
+		edits func(*rand.Rand, []int64, int64) []Edit
+		path  DeltaPath
+		comps int // components after the round
+	}
+	for _, tc := range []struct {
+		beta   int64
+		rounds []round
+	}{
+		{1, []round{
+			{weights, DeltaRebuild, 1},
+			{weights, DeltaRebuild, 1},
+			{split, DeltaCold, 2},
+			{weights, DeltaCold, 2},
+			{join, DeltaRebuild, 1},
+			{weights, DeltaRebuild, 1},
+		}},
+		{4, []round{
+			{weights, DeltaRebuild, 1},
+			{inBucket, DeltaReuse, 1},
+			{split, DeltaCold, 2},
+			{inBucket, DeltaCold, 2},
+			{join, DeltaRebuild, 1},
+			{inBucket, DeltaReuse, 1},
+		}},
+	} {
+		for _, alg := range []Algorithm{GGP, OGGP} {
+			opts := Options{Algorithm: alg, Shard: ShardAuto}
+			rng := rand.New(rand.NewSource(tc.beta))
+			mat := make([]int64, n*n)
+			for l := 0; l < n; l++ {
+				for r := 0; r < n; r++ {
+					if (l < half) == (r < half) {
+						mat[l*n+r] = 8 + rng.Int63n(40)
+					}
+				}
+			}
+			mat[bridgeL*n+bridgeR] = 5
+			res, err := NewResult(graphFromMatrix(t, mat, n, n), k, tc.beta, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.split != nil {
+				t.Fatalf("β=%d %v: connected ShardAuto base split into %d components", tc.beta, alg, res.split.nComp)
+			}
+			for i, rd := range tc.rounds {
+				edits := rd.edits(rng, mat, tc.beta)
+				applyEditsToMatrix(mat, n, edits)
+				got, err := res.SolveDelta(edits)
+				if err != nil {
+					t.Fatalf("β=%d %v round %d: %v", tc.beta, alg, i, err)
+				}
+				comps := 1
+				if res.split != nil {
+					comps = res.split.nComp
+				}
+				if p := res.Stats().Path; p != rd.path || comps != rd.comps {
+					t.Fatalf("β=%d %v round %d: path %v on %d components, want %v on %d", tc.beta, alg, i, p, comps, rd.path, rd.comps)
+				}
+				want, err := Solve(graphFromMatrix(t, mat, n, n), k, tc.beta, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.String() != want.String() {
+					t.Fatalf("β=%d %v round %d (path %v): delta differs from cold", tc.beta, alg, i, rd.path)
+				}
+			}
+		}
+	}
+}

@@ -53,5 +53,7 @@ func wrgpGraph(g *bipartite.Graph, kind matcherKind) ([]normStep, error) {
 		e := g.Edge(i)
 		in.edges[i] = workEdge{l: e.L, r: e.R, w: e.Weight}
 	}
-	return newPeeler(in, kind, matching.EngineAuto).run()
+	var p peeler
+	p.init(in, kind, matching.EngineAuto)
+	return p.run()
 }

@@ -57,7 +57,7 @@ type peeler struct {
 	w0     []int64 // pristine normalized weights, for reset
 	w      []int64 // live residual weights
 
-	m *matching.BottleneckInc // the incremental matcher, in the solve's mode
+	m matching.BottleneckInc // the incremental matcher, in the solve's mode
 
 	// Output arenas, reused across runs. Each emitted step's comms live in
 	// one contiguous chunk of the comms arena; offs records the chunk
@@ -68,32 +68,48 @@ type peeler struct {
 	offs  []int
 }
 
-// newPeeler builds the engine for an augmented instance, with the matcher
-// kernels selected by eng (scalar or bitset; auto resolves by density —
-// both arms produce byte-identical schedules). The instance's edge list
-// must not change afterwards (weights are copied out; the peel never
-// mutates in.edges).
-func newPeeler(in *instance, kind matcherKind, eng matching.Engine) *peeler {
+// init builds the engine for an augmented instance into p, with the
+// matcher kernels selected by eng (scalar or bitset; auto resolves by
+// density — both arms produce byte-identical schedules). The instance's
+// edge list must not change afterwards (weights are copied out; the peel
+// never mutates in.edges).
+//
+// The arrays, output arenas and matcher storage of p's last run are reused
+// when they are large enough; a zero peeler allocates them, which is the
+// cold solve's path. Either way p peels exactly as a fresh peeler would:
+// init rewrites every array it keeps and Init clears the matcher.
+func (p *peeler) init(in *instance, kind matcherKind, eng matching.Engine) {
 	m := len(in.edges)
-	p := &peeler{
-		in:     in,
-		active: m,
-		el:     make([]int, m),
-		er:     make([]int, m),
-		w0:     make([]int64, m),
-		w:      make([]int64, m),
-		// Every real edge is emitted at least once, so the arena needs at
-		// least nReal slots.
-		comms: make([]int32, 0, in.nReal),
-	}
+	p.in = in
+	p.so = nil
+	p.active = m
+	p.el = ensureInts(p.el, m)
+	p.er = ensureInts(p.er, m)
+	p.w0 = ensureInt64s(p.w0, m)
+	p.w = ensureInt64s(p.w, m)
+	// Every real edge is emitted at least once, so the comm arena needs at
+	// least nReal slots, and a step emits at most k comms, so there are at
+	// least ⌈nReal/k⌉ steps.
+	p.comms = reserve(p.comms, in.nReal)
+	minSteps := (in.nReal + in.k - 1) / in.k
+	p.steps = reserve(p.steps, minSteps)
+	p.offs = reserve(p.offs, minSteps)
 	for i, e := range in.edges {
 		p.el[i] = e.l
 		p.er[i] = e.r
 		p.w0[i] = e.w
 	}
 	copy(p.w, p.w0)
-	p.m = matching.NewBottleneckInc(in.nL, in.nR, p.el, p.er, p.w, in.nReal, eng, kind)
-	return p
+	p.m.Init(in.nL, in.nR, p.el, p.er, p.w, in.nReal, eng, kind)
+}
+
+// reserve returns buf emptied, with room for at least n elements,
+// reallocating only when it is too small.
+func reserve[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, 0, n)
+	}
+	return buf[:0]
 }
 
 // reset restores the pristine weights and matcher state so the same

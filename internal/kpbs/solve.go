@@ -129,7 +129,7 @@ type Options struct {
 // solveSet schedules it; finally finish runs the Pack post-pass and closes
 // the observation. Result runs the same chain (delta.go).
 func Solve(g *bipartite.Graph, k int, beta int64, opts Options) (*Schedule, error) {
-	if err := validateInstance(g, k, beta, opts.Algorithm); err != nil {
+	if err := validateInstance(g, k, beta, opts.Algorithm, nil); err != nil {
 		return nil, err
 	}
 	// A nil opts.Obs yields a nil view whose methods all no-op; the solve
@@ -137,13 +137,13 @@ func Solve(g *bipartite.Graph, k int, beta int64, opts Options) (*Schedule, erro
 	so := opts.Obs.Solver(opts.Algorithm.String())
 	var s *Schedule
 	var err error
-	if sh := shardFor(g, opts.Shard); sh != nil {
+	if sh := shardFor(g, opts.Shard, nil); sh != nil {
 		s, err = solveSharded(g, sh, k, beta, opts, so)
 	} else {
 		set, nb := edgeSet{g: g}, newNumbering(g)
 		nb.number(set)
 		var whole Schedule
-		_, whole, err = solveSet(set, nb, k, beta, opts, new(denormArena), so)
+		_, whole, err = solveSet(set, nb, k, beta, opts, new(setScratch), so)
 		s = &whole
 	}
 	if err != nil {
@@ -154,16 +154,16 @@ func Solve(g *bipartite.Graph, k int, beta int64, opts Options) (*Schedule, erro
 }
 
 // solveSet schedules the edge set s, whose nodes nb has numbered, with the
-// selected algorithm. Greedy schedules it directly. GGP, OGGP and MinSteps
-// normalize and augment it (buildInstance), build the matcher and peel
-// (newPeeler, peeler.run), and denormalize the normalized steps into a, in
-// the node ids of s's graph. GGP peels any perfect matching (§4.2), OGGP
-// and MinSteps the bottleneck one (§4.3), and MinSteps peels unit weights.
-// Solve's monolithic path, every component worker and Result all run it.
-// It also returns the normalized steps, which Result keeps for its reuse
-// path; they alias the peeler's arenas, and Greedy and an empty set have
-// none.
-func solveSet(s edgeSet, nb *numbering, k int, beta int64, opts Options, a *denormArena, so *obs.SolverObs) ([]normStep, Schedule, error) {
+// selected algorithm, writing into the buffers of sc. Greedy schedules it
+// directly. GGP, OGGP and MinSteps normalize and augment it
+// (instance.build), build the matcher and peel (peeler.init, peeler.run),
+// and denormalize the normalized steps into sc's arena, in the node ids of
+// s's graph. GGP peels any perfect matching (§4.2), OGGP and MinSteps the
+// bottleneck one (§4.3), and MinSteps peels unit weights. Solve's
+// monolithic path, every component worker and Result all run it. It also
+// returns the normalized steps, which Result keeps for its reuse path;
+// they alias the peeler's arenas, and Greedy and an empty set have none.
+func solveSet(s edgeSet, nb *numbering, k int, beta int64, opts Options, sc *setScratch, so *obs.SolverObs) ([]normStep, Schedule, error) {
 	if opts.Algorithm == Greedy {
 		return nil, solveGreedy(s, nb, k, beta), nil
 	}
@@ -173,15 +173,28 @@ func solveSet(s edgeSet, nb *numbering, k int, beta int64, opts Options, a *deno
 	}
 	unit := opts.Algorithm == MinSteps
 	var steps []normStep
-	if in := buildInstance(s, nb, k, beta, unit); in != nil {
-		p := newPeeler(in, kind, opts.engine)
+	if sc.in.build(s, nb, k, beta, unit) {
+		p := &sc.p
+		p.init(&sc.in, kind, opts.engine)
 		p.so = so
 		var err error
 		if steps, err = p.run(); err != nil {
 			return nil, Schedule{}, err
 		}
 	}
-	return steps, a.denormalize(s, steps, beta, unit), nil
+	return steps, sc.out.denormalize(s, steps, beta, unit), nil
+}
+
+// setScratch holds every buffer solveSet writes for one edge set: the
+// working instance, the peeler with its matcher, and the denormalize
+// arena. Solve and each component worker solve from a zero one, so each
+// buffer is allocated once, at the size the set needs. A Result keeps one
+// for its whole graph and rebuilds into it, so a rebuild of a same-shaped
+// instance allocates none of them.
+type setScratch struct {
+	in  instance
+	p   peeler
+	out denormArena
 }
 
 // finish is the tail of every solve: the optional Pack post-pass, then the

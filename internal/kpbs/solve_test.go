@@ -173,7 +173,7 @@ func TestAugmentationProducesRegularGraph(t *testing.T) {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		// The augmentation stays within the edge bound buildInstance
+		// The augmentation stays within the edge bound instance.build
 		// allocates for up front.
 		if bound := g.EdgeCount() + 2*(in.realL+in.realR) + 5*in.k; len(in.edges) > bound {
 			t.Logf("seed %d: %d working edges > bound %d", seed, len(in.edges), bound)
@@ -202,7 +202,9 @@ func TestAugmentationPropositionOne(t *testing.T) {
 		if in == nil {
 			return false
 		}
-		steps, err := newPeeler(in, matchAny, matching.EngineAuto).run()
+		var p peeler
+		p.init(in, matchAny, matching.EngineAuto)
+		steps, err := p.run()
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -225,7 +227,11 @@ func TestAugmentationPropositionOne(t *testing.T) {
 func wholeInstance(g *bipartite.Graph, k int, beta int64, unit bool) *instance {
 	set, nb := edgeSet{g: g}, newNumbering(g)
 	nb.number(set)
-	return buildInstance(set, nb, k, beta, unit)
+	in := new(instance)
+	if !in.build(set, nb, k, beta, unit) {
+		return nil
+	}
+	return in
 }
 
 // TestInstanceRealEdgesFirst pins the layout the peel relies on to tell

@@ -15,7 +15,9 @@ import (
 // quantities fit in int64 once normalized — oversized instances are
 // rejected up front instead of overflowing deep inside the augmentation.
 // Each solve runs it once, on the whole graph (Solve and Result.recompute).
-func validateInstance(g *bipartite.Graph, k int, beta int64, alg Algorithm) error {
+// sums is scratch for the per-node weight sums: a Result passes a buffer
+// of g's node count that it keeps, Solve passes nil and one is allocated.
+func validateInstance(g *bipartite.Graph, k int, beta int64, alg Algorithm, sums []int64) error {
 	switch alg {
 	case GGP, OGGP, MinSteps, Greedy:
 	default:
@@ -38,8 +40,9 @@ func validateInstance(g *bipartite.Graph, k int, beta int64, alg Algorithm) erro
 	// they are not rather than wrap around.
 	var total int64
 	var maxNode int64
-	lw := make([]int64, g.LeftCount())
-	rw := make([]int64, g.RightCount())
+	sums = ensureInt64s(sums, g.NodeCount())
+	clear(sums)
+	lw, rw := sums[:g.LeftCount()], sums[g.LeftCount():]
 	activeL, activeR := 0, 0
 	for i := 0; i < g.EdgeCount(); i++ {
 		e := g.Edge(i)

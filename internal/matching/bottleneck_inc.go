@@ -178,27 +178,55 @@ type BottleneckInc struct {
 	roots      []uint64
 	freeTouchL int
 	freeTouchR int
+
+	// Storage kept across Init calls: every []int above is cut from
+	// intStore, every bitset from wordStore, and sorter sorts order0.
+	intStore  []int
+	wordStore []uint64
+	sorter    edgeIdxByWeightDesc
 }
 
 // NewBottleneckInc builds the matcher over the edge set (edgeL[i],
 // edgeR[i]) with weights w, the kernel arm engine resolves to and the given
-// mode. The edges below nReal are the real ones, the only ones Peel emits.
-// All three slices are retained, not copied; Peel lowers w under the
-// contract documented on the type. Every []int the matcher needs is cut
-// from one allocation and every bitset from another.
+// mode: Init on a zero BottleneckInc.
 func NewBottleneckInc(nL, nR int, edgeL, edgeR []int, w []int64, nReal int, engine Engine, mode Mode) *BottleneckInc {
+	b := new(BottleneckInc)
+	b.Init(nL, nR, edgeL, edgeR, w, nReal, engine, mode)
+	return b
+}
+
+// Init builds the matcher over the edge set (edgeL[i], edgeR[i]) with
+// weights w, the kernel arm engine resolves to and the given mode. The
+// edges below nReal are the real ones, the only ones Peel emits. All three
+// slices are retained, not copied; Peel lowers w under the contract
+// documented on the type. Every []int the matcher needs is cut from one
+// buffer and every bitset from another.
+//
+// Init reuses the storage of b's last Init when it is large enough, so a
+// matcher rebuilt over same-sized edge sets allocates nothing; a zero
+// BottleneckInc allocates it, which is NewBottleneckInc. Either way the
+// result is a fresh matcher: the reused buffers are cleared, so no visit
+// stamp, dead mark, degree or threshold of the earlier edge set survives,
+// and Visits restarts at 0.
+func (b *BottleneckInc) Init(nL, nR int, edgeL, edgeR []int, w []int64, nReal int, engine Engine, mode Mode) {
 	m := len(edgeL)
-	b := &BottleneckInc{
-		nL:      nL,
-		nR:      nR,
-		edgeL:   edgeL,
-		edgeR:   edgeR,
-		w:       w,
-		nReal:   nReal,
-		any:     mode == ModeAny,
-		alive:   make([]bool, m),
-		useBits: resolveEngine(engine, nL, nR, m),
+	*b = BottleneckInc{
+		nL:        nL,
+		nR:        nR,
+		edgeL:     edgeL,
+		edgeR:     edgeR,
+		w:         w,
+		nReal:     nReal,
+		any:       mode == ModeAny,
+		alive:     b.alive,
+		useBits:   resolveEngine(engine, nL, nR, m),
+		intStore:  b.intStore,
+		wordStore: b.wordStore,
 	}
+	if cap(b.alive) < m {
+		b.alive = make([]bool, m)
+	}
+	b.alive = b.alive[:m] // Reset sets every edge alive
 	depth := min(nL, nR) + 1
 	sortLen, parentLen := m, 0
 	if b.any {
@@ -209,7 +237,8 @@ func NewBottleneckInc(nL, nR int, edgeL, edgeR []int, w []int64, nReal int, engi
 		b.words = rowWords(nR)
 		visitedLen, cellLen, maskLen = 0, nL*nR, b.words
 	}
-	ints := make([]int, 2*sortLen+parentLen+visitedLen+cellLen+nL+1+2*m+3*nL+2*nR+3*depth)
+	b.intStore = zeroed(b.intStore, 2*sortLen+parentLen+visitedLen+cellLen+nL+1+2*m+3*nL+2*nR+3*depth)
+	ints := b.intStore
 	b.order0, ints = ints[:sortLen:sortLen], ints[sortLen:]
 	b.heap, ints = ints[:sortLen:sortLen], ints[sortLen:]
 	b.parent, ints = ints[:parentLen:parentLen], ints[parentLen:]
@@ -226,7 +255,8 @@ func NewBottleneckInc(nL, nR int, edgeL, edgeR []int, w []int64, nReal int, engi
 	b.stackL, ints = ints[:depth:depth], ints[depth:]
 	b.stackIter, b.stackEdge = ints[:depth:depth], ints[depth:]
 	admLen, rootsLen, rowsLen := rowWords(m), rowWords(nL), nL*b.words
-	u := make([]uint64, admLen+rootsLen+rowsLen+2*maskLen)
+	b.wordStore = zeroed(b.wordStore, admLen+rootsLen+rowsLen+2*maskLen)
+	u := b.wordStore
 	b.adm, u = u[:admLen:admLen], u[admLen:]
 	b.roots, u = u[:rootsLen:rootsLen], u[rootsLen:]
 	b.rows, u = u[:rowsLen:rowsLen], u[rowsLen:]
@@ -264,10 +294,21 @@ func NewBottleneckInc(nL, nR int, edgeL, edgeR []int, w []int64, nReal int, engi
 		for i := range b.order0 {
 			b.order0[i] = i
 		}
-		sort.Sort(edgeIdxByWeightDesc{idx: b.order0, w: w})
+		b.sorter = edgeIdxByWeightDesc{idx: b.order0, w: w}
+		sort.Sort(&b.sorter)
 	}
 	b.Reset()
-	return b
+}
+
+// zeroed returns buf resized to n with every element zero, reallocating
+// only when it is too small.
+func zeroed[T int | uint64](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // edgeIdxByWeightDesc sorts edge indices by decreasing weight, index

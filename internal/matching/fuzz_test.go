@@ -36,8 +36,12 @@ func (d *fuzzBytes) next() int {
 // matched real edges (index below nReal) in ascending left order, report
 // as dead exactly the matched edges whose weight equalled the amount, and
 // leave its working graph consistent. Small weights make equal-weight
-// groups, and with them the dead-region transitions, common.
-// FuzzIncrementalPeel covers ModeAny.
+// groups, and with them the dead-region transitions, common. A fourth
+// matcher is the reuse arm: it first peels another edge set (usedMatcher),
+// then Init rebuilds it over this one, again at every Reset, and it must
+// match the fresh one's matchings, Visits and peels exactly; a visit stamp
+// or dead mark Init left behind would prune its searches without any
+// other error. FuzzIncrementalPeel covers ModeAny.
 func FuzzBottleneckIncPeel(f *testing.F) {
 	f.Add([]byte{3, 9, 0, 0, 1, 0, 1, 1, 2, 2, 1, 0, 1, 2, 2, 0, 1, 1, 0, 2, 2, 1, 1, 0, 2, 1, 3, 0, 1, 2})
 	f.Add([]byte{5, 20, 0, 1, 2, 1, 2, 3, 2, 3, 4, 3, 4, 0, 4, 0, 1, 0, 2, 2, 1, 3, 1, 2, 0, 4, 3, 4, 1, 1, 2, 4, 0, 3, 3, 3, 2, 1, 1, 4, 4, 4, 2, 0, 1, 3, 0, 5, 1, 0, 2, 1, 0, 3})
@@ -59,6 +63,10 @@ func FuzzBottleneckIncPeel(f *testing.F) {
 	// Three nodes, weights 6 on a permutation and 2–3 elsewhere: partial
 	// peels of 1 push the heavy pairs under the threshold one at a time.
 	f.Add([]byte{2, 4, 1, 5, 1, 5, 1, 5, 0, 0, 2, 1, 1, 1, 2, 2, 1, 0, 2, 2, 2, 0, 2, 0, 2, 0, 2, 0, 2, 1, 2, 0, 2, 0, 2, 0})
+	// Ten nodes, the reuse arm rebuilt on the bitset arm: an Init that
+	// keeps the old dead marks skips a root here and visits fewer right
+	// nodes.
+	f.Add([]byte{49, 49, 48, 49, 49})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := fuzzBytes(data)
 		n := 1 + d.next()%10
@@ -81,9 +89,12 @@ func FuzzBottleneckIncPeel(f *testing.F) {
 		wS := append([]int64(nil), w0...)
 		wB := append([]int64(nil), w0...)
 		wF := append([]int64(nil), w0...)
+		wU := append([]int64(nil), w0...)
 		sc := NewBottleneckInc(n, n, el, er, wS, nReal, EngineScalar, ModeBottleneck)
 		bs := NewBottleneckInc(n, n, el, er, wB, nReal, EngineBitset, ModeBottleneck)
 		fr := NewBottleneckInc(n, n, el, er, wF, nReal, EngineScalar, ModeBottleneck)
+		ru, ruEngine := usedMatcher(n, n, el, er, w0, ModeBottleneck)
+		ru.Init(n, n, el, er, wU, nReal, ruEngine, ModeBottleneck)
 		alive := make([]bool, len(el))
 		for i := range alive {
 			alive[i] = true
@@ -97,9 +108,11 @@ func FuzzBottleneckIncPeel(f *testing.F) {
 				sc.Deactivate(e)
 				bs.Deactivate(e)
 				fr.Deactivate(e)
+				ru.Deactivate(e)
 			case 1: // restore the weights and start over
 				copy(wS, w0)
 				copy(wB, w0)
+				copy(wU, w0)
 				for i := range alive {
 					alive[i] = true
 				}
@@ -107,6 +120,7 @@ func FuzzBottleneckIncPeel(f *testing.F) {
 				bs.Reset()
 				wF = append([]int64(nil), w0...)
 				fr = NewBottleneckInc(n, n, el, er, wF, nReal, EngineScalar, ModeBottleneck)
+				ru.Init(n, n, el, er, wU, nReal, ruEngine, ModeBottleneck)
 			}
 			res := bipartite.New(n, n)
 			for i, a := range alive {
@@ -115,20 +129,24 @@ func FuzzBottleneckIncPeel(f *testing.F) {
 				}
 			}
 			coldM, coldOK := BottleneckPerfect(res)
-			okS, okB, okF := sc.Rematch(n), bs.Rematch(n), fr.Rematch(n)
-			if okS != okB || okS != okF || okS != coldOK {
-				t.Fatalf("round %d: Rematch %v (scalar), %v (bitset), %v (fresh), cold %v", round, okS, okB, okF, coldOK)
+			okS, okB, okF, okU := sc.Rematch(n), bs.Rematch(n), fr.Rematch(n), ru.Rematch(n)
+			if okS != okB || okS != okF || okS != okU || okS != coldOK {
+				t.Fatalf("round %d: Rematch %v (scalar), %v (bitset), %v (fresh), %v (reused), cold %v", round, okS, okB, okF, okU, coldOK)
 			}
 			checkWorkingGraph(t, sc)
 			checkWorkingGraph(t, bs)
+			checkWorkingGraph(t, ru)
 			if sc.Visits() != bs.Visits() {
 				t.Fatalf("round %d: %d visits (scalar) vs %d (bitset)", round, sc.Visits(), bs.Visits())
+			}
+			if ru.Visits() != fr.Visits() {
+				t.Fatalf("round %d: %d visits (reused) vs %d (fresh)", round, ru.Visits(), fr.Visits())
 			}
 			clear(matchedR)
 			for l := 0; l < n; l++ {
 				e := sc.MatchedEdge(l)
-				if e != bs.MatchedEdge(l) || e != fr.MatchedEdge(l) {
-					t.Fatalf("round %d: left %d matched to %d (scalar) vs %d (bitset) vs %d (fresh)", round, l, e, bs.MatchedEdge(l), fr.MatchedEdge(l))
+				if e != bs.MatchedEdge(l) || e != fr.MatchedEdge(l) || e != ru.MatchedEdge(l) {
+					t.Fatalf("round %d: left %d matched to %d (scalar) vs %d (bitset) vs %d (fresh) vs %d (reused)", round, l, e, bs.MatchedEdge(l), fr.MatchedEdge(l), ru.MatchedEdge(l))
 				}
 				if e < 0 {
 					continue
@@ -150,7 +168,7 @@ func FuzzBottleneckIncPeel(f *testing.F) {
 			if cold := bottleneckValue(res, coldM); minW != cold {
 				t.Fatalf("round %d: bottleneck %d, cold %d", round, minW, cold)
 			}
-			for _, b := range []*BottleneckInc{sc, bs, fr} {
+			for _, b := range []*BottleneckInc{sc, bs, fr, ru} {
 				if b.Bottleneck() != minW || b.t != minW {
 					t.Fatalf("round %d: Bottleneck() %d, threshold %d, scanned minimum %d", round, b.Bottleneck(), b.t, minW)
 				}
@@ -170,15 +188,15 @@ func FuzzBottleneckIncPeel(f *testing.F) {
 					wantDied++
 				}
 			}
-			for _, b := range []*BottleneckInc{sc, bs, fr} {
+			for _, b := range []*BottleneckInc{sc, bs, fr, ru} {
 				comms, died := b.Peel(nil, amount)
 				if died != wantDied || !slices.Equal(comms, wantComms) {
 					t.Fatalf("round %d: Peel(%d) emitted %v and killed %d, want %v and %d", round, amount, comms, died, wantComms, wantDied)
 				}
 				checkWorkingGraph(t, b)
 			}
-			if !slices.Equal(wS, wB) || !slices.Equal(wS, wF) {
-				t.Fatalf("round %d: weights diverged: %v (scalar), %v (bitset), %v (fresh)", round, wS, wB, wF)
+			if !slices.Equal(wS, wB) || !slices.Equal(wS, wF) || !slices.Equal(wS, wU) {
+				t.Fatalf("round %d: weights diverged: %v (scalar), %v (bitset), %v (fresh), %v (reused)", round, wS, wB, wF, wU)
 			}
 		}
 	})
@@ -271,6 +289,39 @@ func checkBits(t *testing.T, name string, words []uint64, match []int) {
 	}
 }
 
+// usedMatcher returns the reuse arm of the fuzz targets: a matcher that has
+// peeled another edge set up to eight times, for Init to rebuild over the
+// nL×nR edge set (el, er) with weights w0. That other edge set is the
+// mirror of this one plus one edge on a node more a side, and the used
+// matcher runs in the other mode when the edge count is odd and on the
+// bitset arm when nL is odd, so Init must re-cut every buffer, across
+// layouts, and clear the visit stamps, dead marks, degrees, heap and
+// threshold it left. The second return is the arm to rebuild on: bitset
+// when half the edge count is odd, so every pair of arms occurs.
+func usedMatcher(nL, nR int, el, er []int, w0 []int64, mode Mode) (*BottleneckInc, Engine) {
+	m := len(el)
+	ml := append(append([]int(nil), er...), nR)
+	mr := append(append([]int(nil), el...), nL)
+	w := append(append([]int64(nil), w0...), 1)
+	usedMode, usedEngine, engine := mode, EngineScalar, EngineScalar
+	if m%2 == 1 && mode == ModeAny {
+		usedMode = ModeBottleneck
+	} else if m%2 == 1 {
+		usedMode = ModeAny
+	}
+	if nL%2 == 1 {
+		usedEngine = EngineBitset
+	}
+	if (m/2)%2 == 1 {
+		engine = EngineBitset
+	}
+	b := NewBottleneckInc(nR+1, nL+1, ml, mr, w, (m+1)/2, usedEngine, usedMode)
+	for i := 0; i < 8 && b.Rematch(min(nL, nR)+1); i++ {
+		b.Peel(nil, b.Bottleneck())
+	}
+	return b, engine
+}
+
 // FuzzIncrementalPeel is FuzzBottleneckIncPeel for ModeAny, the mode GGP
 // peels in. It drives both arms through a random weighted multigraph —
 // parallel edges included, the case where the bitset arm must pass a cell
@@ -284,11 +335,15 @@ func checkBits(t *testing.T, name string, words []uint64, match []int) {
 // between two Rematch calls, and is checked against a reference scan of
 // the matching: the same minimum, the matched real edges (index below
 // nReal) in ascending left order, and the same dying set. Every round
-// checks the working graph, the free-node bitsets included. The input's
-// leading bytes set the shape (up to 96 nodes a side, so row and column
-// sweeps cross a word boundary, and unbalanced, so searches fail and leave
-// dead regions), the average degree, the parallel-edge rate and the
-// generator seed; the rest steers the operations.
+// checks the working graph, the free-node bitsets included. A third
+// matcher is the reuse arm (usedMatcher), rebuilt by Init over this edge
+// set at the start and at every Reset: it must match the scalar arm's
+// matchings and peels exactly, and visit as many right nodes since the
+// last Reset. The input's leading bytes set the shape (up to 96 nodes a
+// side, so row and column sweeps cross a word boundary, and unbalanced, so
+// searches fail and leave dead regions), the average degree, the
+// parallel-edge rate and the generator seed; the rest steers the
+// operations.
 func FuzzIncrementalPeel(f *testing.F) {
 	f.Add([]byte{7, 7, 3, 1, 5, 0, 0, 1, 2, 3, 4, 5, 6, 0, 1, 2, 7, 3, 0, 1})
 	f.Add([]byte{19, 23, 5, 3, 9, 1, 0, 0, 6, 6, 1, 4, 2, 0, 3, 5, 0, 1, 6, 2, 4})
@@ -296,6 +351,10 @@ func FuzzIncrementalPeel(f *testing.F) {
 	f.Add([]byte{64, 95, 4, 0, 13, 2, 4, 4, 0, 0, 6, 6, 5, 1, 2, 3})
 	// Two peels a round on a small dense graph, with a Reset between.
 	f.Add([]byte{5, 5, 6, 1, 17, 3, 3, 1, 3, 2, 3, 3, 0, 3, 3, 1, 3, 7, 0, 3, 3, 2, 3, 3, 3, 3})
+	// The smallest shape, one edge, the reuse arm rebuilt on the scalar arm
+	// from a bitset one: an Init that keeps the old buffer contents as visit
+	// stamps or dead marks leaves its one left node unmatched.
+	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := fuzzBytes(data)
 		nL := 1 + d.next()%96
@@ -319,11 +378,15 @@ func FuzzIncrementalPeel(f *testing.F) {
 		}
 		wS := append([]int64(nil), w0...)
 		wB := append([]int64(nil), w0...)
+		wU := append([]int64(nil), w0...)
 		sc := NewBottleneckInc(nL, nR, el, er, wS, nReal, EngineScalar, ModeAny)
 		bs := NewBottleneckInc(nL, nR, el, er, wB, nReal, EngineBitset, ModeAny)
 		if sc.UsesBitset() || !bs.UsesBitset() {
 			t.Fatalf("arms not pinned (scalar=%v bitset=%v)", sc.UsesBitset(), bs.UsesBitset())
 		}
+		ru, ruEngine := usedMatcher(nL, nR, el, er, w0, ModeAny)
+		ru.Init(nL, nR, el, er, wU, nReal, ruEngine, ModeAny)
+		visits0 := 0 // sc's visits at its last Reset
 		alive := make([]bool, m)
 		for i := range alive {
 			alive[i] = true
@@ -332,6 +395,7 @@ func FuzzIncrementalPeel(f *testing.F) {
 			alive[e] = false
 			sc.Deactivate(e)
 			bs.Deactivate(e)
+			ru.Deactivate(e)
 		}
 		peel := func(round int) {
 			low := int64(math.MaxInt64)
@@ -344,8 +408,8 @@ func FuzzIncrementalPeel(f *testing.F) {
 					}
 				}
 			}
-			if sc.Bottleneck() != low || bs.Bottleneck() != low {
-				t.Fatalf("round %d: Bottleneck() %d (scalar), %d (bitset), scanned minimum %d", round, sc.Bottleneck(), bs.Bottleneck(), low)
+			if sc.Bottleneck() != low || bs.Bottleneck() != low || ru.Bottleneck() != low {
+				t.Fatalf("round %d: Bottleneck() %d (scalar), %d (bitset), %d (reused), scanned minimum %d", round, sc.Bottleneck(), bs.Bottleneck(), ru.Bottleneck(), low)
 			}
 			if low == math.MaxInt64 {
 				return // nothing matched
@@ -357,7 +421,7 @@ func FuzzIncrementalPeel(f *testing.F) {
 					dying = append(dying, e)
 				}
 			}
-			for _, b := range []*BottleneckInc{sc, bs} {
+			for _, b := range []*BottleneckInc{sc, bs, ru} {
 				comms, died := b.Peel(nil, amount)
 				if died != len(dying) || !slices.Equal(comms, wantComms) {
 					t.Fatalf("round %d: Peel(%d) emitted %v and killed %d, want %v and %d", round, amount, comms, died, wantComms, len(dying))
@@ -372,13 +436,14 @@ func FuzzIncrementalPeel(f *testing.F) {
 			for _, e := range dying {
 				alive[e] = false
 			}
-			if !slices.Equal(wS, wB) {
-				t.Fatalf("round %d: weights diverged: %v (scalar) vs %v (bitset)", round, wS, wB)
+			if !slices.Equal(wS, wB) || !slices.Equal(wS, wU) {
+				t.Fatalf("round %d: weights diverged: %v (scalar) vs %v (bitset) vs %v (reused)", round, wS, wB, wU)
 			}
 		}
 		for round := 0; round < 64; round++ {
 			sc.Rematch(nL)
 			bs.Rematch(nL)
+			ru.Rematch(nL)
 			live := bipartite.New(nL, nR)
 			for i, ok := range alive {
 				if ok {
@@ -389,15 +454,16 @@ func FuzzIncrementalPeel(f *testing.F) {
 				t.Fatalf("round %d: Rematch reached %d (scalar), %d (bitset), cold Maximum %d", round, sc.Size(), bs.Size(), want)
 			}
 			for l := 0; l < nL; l++ {
-				if sc.MatchedEdge(l) != bs.MatchedEdge(l) {
-					t.Fatalf("round %d: left %d matched to %d (scalar) vs %d (bitset)", round, l, sc.MatchedEdge(l), bs.MatchedEdge(l))
+				if sc.MatchedEdge(l) != bs.MatchedEdge(l) || sc.MatchedEdge(l) != ru.MatchedEdge(l) {
+					t.Fatalf("round %d: left %d matched to %d (scalar) vs %d (bitset) vs %d (reused)", round, l, sc.MatchedEdge(l), bs.MatchedEdge(l), ru.MatchedEdge(l))
 				}
 			}
-			if sc.Visits() != bs.Visits() {
-				t.Fatalf("round %d: %d visits (scalar) vs %d (bitset)", round, sc.Visits(), bs.Visits())
+			if sc.Visits() != bs.Visits() || sc.Visits()-visits0 != ru.Visits() {
+				t.Fatalf("round %d: %d visits (scalar) vs %d (bitset), %d since the last Reset vs %d (reused)", round, sc.Visits(), bs.Visits(), sc.Visits()-visits0, ru.Visits())
 			}
 			checkWorkingGraph(t, sc)
 			checkWorkingGraph(t, bs)
+			checkWorkingGraph(t, ru)
 			peeled := false
 			for ops := 1 + d.next()%4; ops > 0; ops-- {
 				switch op := d.next() % 8; {
@@ -423,8 +489,11 @@ func FuzzIncrementalPeel(f *testing.F) {
 					if d.next()%4 == 0 {
 						copy(wS, w0)
 						copy(wB, w0)
+						copy(wU, w0)
 						sc.Reset()
 						bs.Reset()
+						ru.Init(nL, nR, el, er, wU, nReal, ruEngine, ModeAny)
+						visits0 = sc.Visits()
 						for i := range alive {
 							alive[i] = true
 						}
@@ -434,6 +503,7 @@ func FuzzIncrementalPeel(f *testing.F) {
 			}
 			checkWorkingGraph(t, sc)
 			checkWorkingGraph(t, bs)
+			checkWorkingGraph(t, ru)
 		}
 	})
 }
