@@ -1,15 +1,15 @@
 # Standard verification gate for redistgo. `make check` is what CI (and
 # any pre-merge hook) should run: lint (gofmt, vet, redistlint), build,
-# the full test suite under the race detector, and a one-iteration
-# benchmark smoke of the batch engine so a scaling regression cannot land
-# silently.
+# the full test suite under the race detector, the benchmark module's own
+# vet, lint and tests, and a one-iteration benchmark smoke of the batch
+# engine so a scaling regression cannot land silently.
 
 GO ?= go
 BENCH_COUNT ?= 5
 
-.PHONY: check lint vet build test race race-obs bench-smoke bench-solve-smoke bench-wire-smoke bench bench-shard bench-shard-smoke bench-delta bench-delta-smoke fuzz-smoke trace-demo soak-smoke soak-obs-smoke soak-delta-smoke
+.PHONY: check lint vet build test race race-obs bench-module bench-smoke bench-solve-smoke bench-wire-smoke bench bench-shard bench-shard-smoke bench-delta bench-delta-smoke fuzz-smoke trace-demo soak-smoke soak-obs-smoke soak-delta-smoke
 
-check: lint build race race-obs bench-smoke bench-solve-smoke bench-wire-smoke bench-shard-smoke bench-delta-smoke soak-smoke soak-obs-smoke soak-delta-smoke
+check: lint build race race-obs bench-module bench-smoke bench-solve-smoke bench-wire-smoke bench-shard-smoke bench-delta-smoke soak-smoke soak-obs-smoke soak-delta-smoke
 
 # Static gate: formatting, go vet, and the project linter (see
 # tools/redistlint and the "Enforced invariants" section of DESIGN.md).
@@ -40,6 +40,18 @@ race:
 # stays cheap enough to run on its own while iterating on obs code.
 race-obs:
 	$(GO) test -race ./internal/obs/... ./internal/engine/...
+
+# The benchmark in tools/redistbench is a Go module of its own, so neither
+# `go test ./...`, `make lint` nor the linter's TestLintRepoClean reaches
+# it. Vet, lint and test it here, so that a kpbs or wire API change that
+# breaks the benchmark fails this gate and not only CI, whose redistbench
+# job runs this target. The linter lists the packages of its working
+# directory, so it runs from inside the module, which resolves it through
+# its replace of redistgo.
+bench-module:
+	$(GO) -C tools/redistbench vet ./...
+	$(GO) -C tools/redistbench run redistgo/tools/redistlint ./...
+	$(GO) -C tools/redistbench test ./...
 
 # One benchmark iteration of the batch engine: proves the serial and
 # pooled paths still run and agree (the benchmark re-verifies

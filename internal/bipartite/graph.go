@@ -93,6 +93,20 @@ func FromMatrix(m [][]int64) (*Graph, error) {
 	return g, nil
 }
 
+// FromEdges returns a graph with nLeft left and nRight right nodes whose
+// edge list is edges itself, not a copy: the graph takes ownership of the
+// slice, and the caller must not modify it afterwards. It checks every edge
+// as AddEdge does and panics on the first out-of-range endpoint or
+// non-positive weight. Negative sizes are clamped to zero, as in New.
+func FromEdges(nLeft, nRight int, edges []Edge) *Graph {
+	g := New(nLeft, nRight)
+	for _, e := range edges {
+		g.checkEdge(e.L, e.R, e.Weight)
+	}
+	g.edges = edges
+	return g
+}
+
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{nLeft: g.nLeft, nRight: g.nRight}
@@ -109,6 +123,13 @@ func (g *Graph) Grow(n int) { g.edges = slices.Grow(g.edges, n) }
 // are out of range or the weight is not positive; graph construction errors
 // are programming errors at this layer (FromMatrix validates user input).
 func (g *Graph) AddEdge(l, r int, weight int64) {
+	g.checkEdge(l, r, weight)
+	g.edges = append(g.edges, Edge{L: l, R: r, Weight: weight})
+}
+
+// checkEdge panics unless (l, r) lies in g's node ranges and weight is
+// positive.
+func (g *Graph) checkEdge(l, r int, weight int64) {
 	if l < 0 || l >= g.nLeft {
 		panic(fmt.Sprintf("bipartite: left node %d out of range [0,%d)", l, g.nLeft))
 	}
@@ -118,7 +139,6 @@ func (g *Graph) AddEdge(l, r int, weight int64) {
 	if weight <= 0 {
 		panic(fmt.Sprintf("bipartite: non-positive weight %d", weight))
 	}
-	g.edges = append(g.edges, Edge{L: l, R: r, Weight: weight})
 }
 
 // AddLeftNodes grows the left vertex set by n and returns the index of the

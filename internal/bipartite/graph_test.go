@@ -80,6 +80,36 @@ func TestAddEdgePanics(t *testing.T) {
 	}
 }
 
+// TestFromEdges: FromEdges builds the graph AddEdge would, over the very
+// slice it is given (no copy), and refuses every edge AddEdge refuses.
+func TestFromEdges(t *testing.T) {
+	edges := []Edge{{L: 0, R: 1, Weight: 4}, {L: 1, R: 0, Weight: 2}, {L: 1, R: 1, Weight: 7}}
+	want := New(2, 2)
+	for _, e := range edges {
+		want.AddEdge(e.L, e.R, e.Weight)
+	}
+	g := FromEdges(2, 2, edges)
+	if !g.Equal(want) || g.Edge(0) != edges[0] {
+		t.Fatalf("FromEdges built %v, want %v", g.Edges(), want.Edges())
+	}
+	if &g.edges[0] != &edges[0] {
+		t.Fatal("FromEdges copied the edge slice instead of taking it over")
+	}
+	if e := FromEdges(3, 1, nil); e.EdgeCount() != 0 || e.LeftCount() != 3 || e.RightCount() != 1 {
+		t.Fatalf("FromEdges(3, 1, nil) = %v", e)
+	}
+	for _, bad := range []Edge{{L: 5, R: 0, Weight: 1}, {L: -1, R: 0, Weight: 1}, {L: 0, R: 9, Weight: 1}, {L: 0, R: -2, Weight: 1}, {L: 0, R: 0, Weight: 0}, {L: 0, R: 0, Weight: -3}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("FromEdges accepted %+v", bad)
+				}
+			}()
+			FromEdges(2, 2, []Edge{{L: 1, R: 1, Weight: 1}, bad})
+		}()
+	}
+}
+
 func TestNodeWeightsAndDegrees(t *testing.T) {
 	g := New(2, 2)
 	g.AddEdge(0, 0, 3)

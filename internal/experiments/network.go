@@ -85,7 +85,7 @@ func scheduleToFlowSteps(s *kpbs.Schedule) [][]netsim.Flow {
 	for _, st := range s.Steps {
 		flows := make([]netsim.Flow, 0, len(st.Comms))
 		for _, c := range st.Comms {
-			flows = append(flows, netsim.Flow{Src: c.L, Dst: c.R, Bytes: float64(c.Amount)})
+			flows = append(flows, netsim.Flow{Src: int(c.L), Dst: int(c.R), Bytes: float64(c.Amount)})
 		}
 		steps = append(steps, flows)
 	}

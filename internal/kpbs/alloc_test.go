@@ -2,6 +2,7 @@ package kpbs
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"redistgo/internal/bipartite"
@@ -109,10 +110,11 @@ const allocRuns = 30
 // instance, matcher, peel output and schedule afresh, but each a fixed
 // number of times, never once per step. A dense 64×64 GGP instance at
 // k = 32 and β = 1 peels 1,288 steps in 36–37 allocations under ShardOff
-// and 45–46 under ShardAuto, whose split finds one component and solves it
-// whole (40–41 and 49 under -race). Each bound sits under 10% above its count in
-// the running build (alloc_bounds_test.go, alloc_bounds_race_test.go), so
-// a solve that doubles its allocations fails.
+// and 39 under ShardAuto, whose split counts one component and solves it
+// whole without grouping its edges (40–41 and 43 under -race). Each bound
+// sits under 10% above its count in the running build
+// (alloc_bounds_test.go, alloc_bounds_race_test.go), so a solve that
+// doubles its allocations fails.
 func TestColdSolveAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := denseGraph(rng, 64, 20)
@@ -133,6 +135,54 @@ func TestColdSolveAllocs(t *testing.T) {
 			t.Logf("%.0f allocs per cold solve", avg)
 			if avg > tc.bound {
 				t.Fatalf("cold dense 64x64 GGP solve makes %.0f allocations, want at most %.0f", avg, tc.bound)
+			}
+		})
+	}
+}
+
+// bytesPerRun returns the average number of bytes f allocates per call
+// over runs calls, after one warm-up call. Like testing.AllocsPerRun it
+// pins GOMAXPROCS to 1 while it counts and reads runtime.MemStats, which
+// count every allocation in the process.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestColdSolveBytes bounds the bytes one cold solve allocates, which the
+// allocation counts above do not see: a Comm grown back from 16 to 24
+// bytes keeps every count and fails here. The instance is
+// TestColdSolveAllocs' dense 64×64 GGP one (k = 32, β = 1: 1,288 steps,
+// about 41,000 communications); each bound sits under 10% above the bytes
+// the running build logs (alloc_bounds_test.go,
+// alloc_bounds_race_test.go).
+func TestColdSolveBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	g := denseGraph(rng, 64, 20)
+	for _, tc := range []struct {
+		shard ShardMode
+		bound float64
+	}{{ShardOff, coldBytesBoundOff}, {ShardAuto, coldBytesBoundAuto}} {
+		t.Run(tc.shard.String(), func(t *testing.T) {
+			var solveErr error
+			avg := bytesPerRun(allocRuns, func() {
+				if _, err := Solve(g, 32, 1, Options{Algorithm: GGP, Shard: tc.shard}); err != nil {
+					solveErr = err
+				}
+			})
+			if solveErr != nil {
+				t.Fatal(solveErr)
+			}
+			t.Logf("%.0f bytes per cold solve", avg)
+			if avg > tc.bound {
+				t.Fatalf("cold dense 64x64 GGP solve allocates %.0f bytes, want at most %.0f", avg, tc.bound)
 			}
 		})
 	}

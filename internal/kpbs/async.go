@@ -47,17 +47,18 @@ func (s *Schedule) AsyncPlan() *AsyncPlan {
 		var leftUpd, rightUpd []upd
 		for _, c := range st.Comms {
 			idx := len(p.Comms)
-			p.Comms = append(p.Comms, AsyncComm{L: c.L, R: c.R, Amount: c.Amount, Step: si})
+			l, r := int(c.L), int(c.R)
+			p.Comms = append(p.Comms, AsyncComm{L: l, R: r, Amount: c.Amount, Step: si})
 			var deps []int
-			if prev, ok := lastOfLeft[c.L]; ok {
+			if prev, ok := lastOfLeft[l]; ok {
 				deps = append(deps, prev)
 			}
-			if prev, ok := lastOfRight[c.R]; ok && (len(deps) == 0 || deps[0] != prev) {
+			if prev, ok := lastOfRight[r]; ok && (len(deps) == 0 || deps[0] != prev) {
 				deps = append(deps, prev)
 			}
 			p.Deps = append(p.Deps, deps)
-			leftUpd = append(leftUpd, upd{c.L, idx})
-			rightUpd = append(rightUpd, upd{c.R, idx})
+			leftUpd = append(leftUpd, upd{l, idx})
+			rightUpd = append(rightUpd, upd{r, idx})
 		}
 		for _, u := range leftUpd {
 			lastOfLeft[u.node] = u.comm

@@ -24,7 +24,9 @@ import (
 // The pipeline is:
 //
 //  1. sharder.split — one union-find pass over the edges, O(m α(m)),
-//     grouping the edge indices by component in discovery order.
+//     counting the components; then, when the graph is to be sharded,
+//     sharder.group numbers them in discovery order and groups the edge
+//     indices by component.
 //  2. solveComponents — a bounded worker pool runs the selected algorithm
 //     on every component's edge set, straight from the parent graph
 //     (solveSet, the chain a monolithic solve runs), so each part comes
@@ -67,10 +69,10 @@ func ensureInts(buf []int, n int) []int {
 	return buf[:n]
 }
 
-// split computes the connected components of g. After it returns,
-// component c owns the edge indices sh.edges[sh.start[c]:sh.start[c+1]]
-// (original order preserved within each component) and components are
-// numbered in order of their first edge.
+// split computes the connected components of g and counts them in
+// sh.nComp: a component is a union-find root whose tree holds an edge, so
+// at least two nodes. It does not group the edges; group does, for a
+// graph that is sharded.
 //
 //redistlint:hotpath
 func (sh *sharder) split(g *bipartite.Graph) {
@@ -78,10 +80,6 @@ func (sh *sharder) split(g *bipartite.Graph) {
 	m := g.EdgeCount()
 	sh.parent = ensureInts(sh.parent, n)
 	sh.size = ensureInts(sh.size, n)
-	sh.rootComp = ensureInts(sh.rootComp, n)
-	sh.rootStamp = ensureInts(sh.rootStamp, n)
-	sh.comp = ensureInts(sh.comp, m)
-	sh.edges = ensureInts(sh.edges, m)
 	for i := 0; i < n; i++ {
 		sh.parent[i] = i
 		sh.size[i] = 1
@@ -91,9 +89,28 @@ func (sh *sharder) split(g *bipartite.Graph) {
 		e := g.Edge(i)
 		sh.union(e.L, nl+e.R)
 	}
-	// Number the components by first appearance in edge order, so the
-	// numbering (and everything downstream of it) is independent of the
-	// union-find internals.
+	sh.nComp = 0
+	for i := 0; i < n; i++ {
+		if sh.parent[i] == i && sh.size[i] > 1 {
+			sh.nComp++
+		}
+	}
+}
+
+// group numbers the components split found in order of their first edge,
+// so the numbering (and everything downstream of it) is independent of
+// the union-find internals, and groups the edge indices by component:
+// after it returns, component c owns sh.edges[sh.start[c]:sh.start[c+1]],
+// original order preserved within each component.
+//
+//redistlint:hotpath
+func (sh *sharder) group(g *bipartite.Graph) {
+	n := g.LeftCount() + g.RightCount()
+	m := g.EdgeCount()
+	sh.rootComp = ensureInts(sh.rootComp, n)
+	sh.rootStamp = ensureInts(sh.rootStamp, n)
+	sh.comp = ensureInts(sh.comp, m)
+	sh.edges = ensureInts(sh.edges, m)
 	sh.epoch++
 	sh.nComp = 0
 	for i := 0; i < m; i++ {
@@ -178,9 +195,9 @@ var forceShardWorkers int
 // an edgeless graph, and under ShardAuto on a connected graph. A single
 // component gains nothing from the sharded machinery, so auto hands the
 // monolithic path an untouched instance (the split costs O(m α(m)),
-// negligible against the peel). The split goes into sh, whose storage it
-// reuses, or into a new sharder when sh is nil: Solve passes nil, a Result
-// its retained sharder.
+// negligible against the peel) and groups no edges. The split goes into
+// sh, whose storage it reuses, or into a new sharder when sh is nil: Solve
+// passes nil, a Result its retained sharder.
 func shardFor(g *bipartite.Graph, mode ShardMode, sh *sharder) *sharder {
 	if mode == ShardOff || g.EdgeCount() == 0 {
 		return nil
@@ -192,6 +209,7 @@ func shardFor(g *bipartite.Graph, mode ShardMode, sh *sharder) *sharder {
 	if mode == ShardAuto && sh.nComp < 2 {
 		return nil
 	}
+	sh.group(g)
 	return sh
 }
 
@@ -289,7 +307,7 @@ func solveComponent(g *bipartite.Graph, sh *sharder, i int, nb *numbering, k int
 	set := edgeSet{g: g, idx: sh.componentEdges(i)}
 	nb.number(set)
 	co := so.Component(i, nb.nL+nb.nR, set.len())
-	_, s, err := solveSet(set, nb, k, beta, opts, new(setScratch), co)
+	_, s, err := solveSet(set, nb, k, beta, opts, new(setScratch), new(denormArena), co)
 	if err != nil {
 		return nil, err
 	}

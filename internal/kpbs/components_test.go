@@ -44,6 +44,7 @@ func componentConcatCost(t testing.TB, g *bipartite.Graph, k int, beta int64, al
 	t.Helper()
 	sh := newSharder()
 	sh.split(g)
+	sh.group(g)
 	parts, err := solveComponents(g, sh, k, beta, Options{Algorithm: alg}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -70,6 +71,13 @@ func TestSharderSplit(t *testing.T) {
 	if sh.nComp != 3 {
 		t.Fatalf("nComp = %d, want 3", sh.nComp)
 	}
+	if sh.comp != nil || sh.edges != nil {
+		t.Fatal("split grouped the edges; only group should")
+	}
+	sh.group(g)
+	if sh.nComp != 3 {
+		t.Fatalf("grouped nComp = %d, want 3", sh.nComp)
+	}
 	// Components are numbered by first edge: edge 0 (and through edge 4,
 	// edges 2 and 4) is component 0; edge 1 component 1; edge 3 component 2.
 	wantEdges := [][]int{{0, 2, 4}, {1}, {3}}
@@ -89,8 +97,30 @@ func TestSharderSplit(t *testing.T) {
 	}
 	// Splitting again must reuse the arenas and reproduce the grouping.
 	sh.split(g)
+	sh.group(g)
 	if sh.nComp != 3 || sh.componentEdges(0)[2] != 4 {
 		t.Fatalf("re-split drifted: nComp=%d edges0=%v", sh.nComp, sh.componentEdges(0))
+	}
+}
+
+// TestShardForConnectedGroupsNothing: under ShardAuto a connected graph
+// peels whole, so shardFor counts its one component and groups no edges
+// (the grouping arrays would cost 16 bytes an edge in every such solve and
+// every retained Result); shardAlways still groups it into one component.
+func TestShardForConnectedGroupsNothing(t *testing.T) {
+	g := denseGraph(rand.New(rand.NewSource(4)), 16, 50)
+	sh := newSharder()
+	if shardFor(g, ShardAuto, sh) != nil {
+		t.Fatal("ShardAuto sharded a connected graph")
+	}
+	if sh.nComp != 1 {
+		t.Fatalf("nComp = %d, want 1", sh.nComp)
+	}
+	if sh.comp != nil || sh.edges != nil {
+		t.Fatalf("ShardAuto grouped the edges of a connected graph (comp %d, edges %d)", len(sh.comp), len(sh.edges))
+	}
+	if shardFor(g, shardAlways, sh) != sh || sh.nComp != 1 || len(sh.componentEdges(0)) != g.EdgeCount() {
+		t.Fatalf("shardAlways: nComp = %d, want one component of %d edges", sh.nComp, g.EdgeCount())
 	}
 }
 
@@ -249,6 +279,7 @@ func TestShardScratchSteadyStateAllocs(t *testing.T) {
 	nb := newNumbering(g)
 	warm := func() {
 		sh.split(g)
+		sh.group(g)
 		for c := 0; c < sh.nComp; c++ {
 			nb.number(edgeSet{g: g, idx: sh.componentEdges(c)})
 		}
@@ -421,7 +452,7 @@ func TestPackComponentsFirstFit(t *testing.T) {
 			for si := range s.Steps {
 				st := &s.Steps[si]
 				for j := 1 + rng.Intn(k); j > 0; j-- {
-					st.Comms = append(st.Comms, Comm{L: 100*c + si, R: j, Amount: 1 + rng.Int63n(20)})
+					st.Comms = append(st.Comms, Comm{L: int32(100*c + si), R: int32(j), Amount: 1 + rng.Int63n(20)})
 				}
 				st.recomputeDuration()
 			}

@@ -113,8 +113,8 @@ type Result struct {
 	split *sharder
 
 	// The retained pipeline: validateInstance's node sums, the numbering,
-	// the sharder and the set scratch (instance, peeler, matcher,
-	// denormalize arena) of every solve that peels the whole graph. Edits
+	// the sharder, the set scratch (instance, peeler, matcher) and the
+	// denormalize arena of every solve that peels the whole graph. Edits
 	// never change g's node counts, so sums and num last the Result's life,
 	// and a rebuild of a same-shaped instance reallocates none of the
 	// buffers.
@@ -122,6 +122,7 @@ type Result struct {
 	num  *numbering
 	sh   sharder
 	set  setScratch
+	out  denormArena
 
 	// Normalized steps of the last solve when it peeled whole; nil for an
 	// edgeless graph. They alias the peeler's arenas in set.
@@ -135,7 +136,7 @@ type Result struct {
 	ovB   []int64  // base raw weight (0 when the cell was empty)
 	ovN   int
 
-	sched     Schedule // the last schedule; aliases set.out when peeled whole
+	sched     Schedule // the last schedule; aliases out when peeled whole
 	lastSched *Schedule
 	stats     DeltaStats
 }
@@ -148,6 +149,9 @@ type Result struct {
 func NewResult(g *bipartite.Graph, k int, beta int64, opts Options) (*Result, error) {
 	if g == nil {
 		return nil, fmt.Errorf("kpbs: nil graph")
+	}
+	if err := checkSides(g); err != nil {
+		return nil, err
 	}
 	for i := 1; i < g.EdgeCount(); i++ {
 		a, b := g.Edge(i-1), g.Edge(i)
@@ -237,7 +241,7 @@ func (r *Result) SolveDelta(edits []Edit) (*Schedule, error) {
 		// β (or MinSteps' unit weights) absorbed every raw change: the
 		// normalized solve is unchanged, only denormalization re-runs.
 		r.stats.Path = DeltaReuse
-		r.sched = r.set.out.denormalize(edgeSet{g: r.g}, r.steps, r.beta, r.opts.Algorithm == MinSteps)
+		r.sched = r.out.denormalize(edgeSet{g: r.g}, r.steps, r.beta, r.opts.Algorithm == MinSteps)
 		r.finish(r.opts.Obs.Solver(r.opts.Algorithm.String()))
 	}
 	r.observe()
@@ -444,7 +448,7 @@ func (r *Result) recompute(resplit bool) (DeltaPath, error) {
 	set := edgeSet{g: r.g}
 	r.num.number(set)
 	var err error
-	if r.steps, r.sched, err = solveSet(set, r.num, r.k, r.beta, r.opts, &r.set, so); err != nil {
+	if r.steps, r.sched, err = solveSet(set, r.num, r.k, r.beta, r.opts, &r.set, &r.out, so); err != nil {
 		return 0, err
 	}
 	r.finish(so)

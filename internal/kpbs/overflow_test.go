@@ -149,3 +149,36 @@ func TestInvalidParamsRejectedIdentically(t *testing.T) {
 		}
 	}
 }
+
+// TestRefusesHugeSides: a Comm holds its endpoints as int32, so every
+// entry point refuses a graph with more than math.MaxInt32 nodes on either
+// side, and does so before it sizes anything by the node counts: without
+// the check, a graph that only declares such a side (one edge, 2^40 left
+// nodes) dies in validateInstance's node sums with a fatal out-of-memory
+// error, which no recover can catch.
+func TestRefusesHugeSides(t *testing.T) {
+	for _, sides := range [][2]int{{1 << 40, 2}, {2, math.MaxInt32 + 1}, {math.MaxInt32 + 1, math.MaxInt32 + 1}} {
+		g := bipartite.New(sides[0], sides[1])
+		g.AddEdge(0, 0, 5)
+		for _, alg := range []Algorithm{GGP, OGGP, MinSteps, Greedy} {
+			for _, shard := range []ShardMode{ShardOff, ShardAuto} {
+				if _, err := Solve(g, 1, 1, Options{Algorithm: alg, Shard: shard}); err == nil {
+					t.Errorf("Solve %dx%d %v shard %v: no error", sides[0], sides[1], alg, shard)
+				}
+			}
+		}
+		if _, err := NewResult(g, 1, 1, Options{}); err == nil {
+			t.Errorf("NewResult %dx%d: no error", sides[0], sides[1])
+		}
+		for _, bottleneck := range []bool{false, true} {
+			if _, err := SolveWRGP(g, bottleneck); err == nil {
+				t.Errorf("SolveWRGP %dx%d bottleneck=%v: no error", sides[0], sides[1], bottleneck)
+			}
+		}
+	}
+	// The balanced edgeless graph WRGP answers with an empty schedule is
+	// refused too once a side is too large.
+	if _, err := SolveWRGP(bipartite.New(math.MaxInt32+1, math.MaxInt32+1), false); err == nil {
+		t.Error("SolveWRGP on an edgeless graph with oversized sides: no error")
+	}
+}

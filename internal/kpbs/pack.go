@@ -83,7 +83,7 @@ func (s stepIdxByDurDesc) Less(a, b int) bool {
 
 // pairsByLR orders (left, right) node pairs lexicographically for
 // deterministic communication order inside a packed step.
-type pairsByLR [][2]int
+type pairsByLR [][2]int32
 
 func (p pairsByLR) Len() int      { return len(p) }
 func (p pairsByLR) Swap(a, b int) { p[a], p[b] = p[b], p[a] }
@@ -97,21 +97,21 @@ func (p pairsByLR) Less(a, b int) bool {
 // stepGroup is a step under construction during packing: a matching
 // keyed by node with per-pair amounts.
 type stepGroup struct {
-	partnerOfLeft  map[int]int // left node -> right node
-	partnerOfRight map[int]int // right node -> left node
-	amount         map[[2]int]int64
+	partnerOfLeft  map[int32]int32 // left node -> right node
+	partnerOfRight map[int32]int32 // right node -> left node
+	amount         map[[2]int32]int64
 }
 
 func newStepGroup(st Step) *stepGroup {
 	g := &stepGroup{
-		partnerOfLeft:  make(map[int]int, len(st.Comms)),
-		partnerOfRight: make(map[int]int, len(st.Comms)),
-		amount:         make(map[[2]int]int64, len(st.Comms)),
+		partnerOfLeft:  make(map[int32]int32, len(st.Comms)),
+		partnerOfRight: make(map[int32]int32, len(st.Comms)),
+		amount:         make(map[[2]int32]int64, len(st.Comms)),
 	}
 	for _, c := range st.Comms {
 		g.partnerOfLeft[c.L] = c.R
 		g.partnerOfRight[c.R] = c.L
-		g.amount[[2]int{c.L, c.R}] = safemath.Add(g.amount[[2]int{c.L, c.R}], c.Amount)
+		g.amount[[2]int32{c.L, c.R}] = safemath.Add(g.amount[[2]int32{c.L, c.R}], c.Amount)
 	}
 	return g
 }
@@ -152,7 +152,7 @@ func (g *stepGroup) fuse(other *stepGroup, k int) bool {
 
 // step materializes the group as a Step with deterministic comm order.
 func (g *stepGroup) step() Step {
-	pairs := make([][2]int, 0, len(g.amount))
+	pairs := make([][2]int32, 0, len(g.amount))
 	for p := range g.amount {
 		pairs = append(pairs, p)
 	}

@@ -31,7 +31,7 @@ import (
 // Comm is one communication inside a step: transfer Amount time units of
 // the message from left node L to right node R.
 type Comm struct {
-	L, R   int
+	L, R   int32
 	Amount int64
 }
 
@@ -136,11 +136,11 @@ func (s *Schedule) Validate(g *bipartite.Graph, k int) error {
 		if len(st.Comms) > k {
 			return fmt.Errorf("kpbs: step %d has %d > k=%d communications", i, len(st.Comms), k)
 		}
-		seenL := make(map[int]bool, len(st.Comms))
-		seenR := make(map[int]bool, len(st.Comms))
+		seenL := make(map[int32]bool, len(st.Comms))
+		seenR := make(map[int32]bool, len(st.Comms))
 		var maxAmount int64
 		for _, c := range st.Comms {
-			if c.L < 0 || c.L >= g.LeftCount() || c.R < 0 || c.R >= g.RightCount() {
+			if c.L < 0 || int(c.L) >= g.LeftCount() || c.R < 0 || int(c.R) >= g.RightCount() {
 				return fmt.Errorf("kpbs: step %d communication (%d,%d) out of range", i, c.L, c.R)
 			}
 			if c.Amount <= 0 {
@@ -154,7 +154,8 @@ func (s *Schedule) Validate(g *bipartite.Graph, k int) error {
 			}
 			seenL[c.L] = true
 			seenR[c.R] = true
-			moved[pair{c.L, c.R}] = safemath.Add(moved[pair{c.L, c.R}], c.Amount)
+			p := pair{int(c.L), int(c.R)}
+			moved[p] = safemath.Add(moved[p], c.Amount)
 			if c.Amount > maxAmount {
 				maxAmount = c.Amount
 			}
@@ -206,7 +207,7 @@ func (s *Schedule) Gantt(nLeft int) string {
 		for _, st := range s.Steps {
 			cell := strings.Repeat(".", 6)
 			for _, c := range st.Comms {
-				if c.L == l {
+				if int(c.L) == l {
 					cell = fmt.Sprintf("%d:%-4d", c.R, c.Amount)
 					if len(cell) > 6 {
 						cell = cell[:6]

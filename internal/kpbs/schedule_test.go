@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"redistgo/internal/bipartite"
 )
@@ -266,5 +267,15 @@ func TestAlgorithmString(t *testing.T) {
 	}
 	if !strings.Contains(Algorithm(42).String(), "42") {
 		t.Fatal("unknown algorithm String should embed the value")
+	}
+}
+
+// TestCommSize pins a communication at 16 bytes: two int32 endpoints and
+// an int64 amount. Every schedule a solve builds, a Result retains and the
+// wire decodes is an array of them, so their width is most of a dense
+// schedule's memory.
+func TestCommSize(t *testing.T) {
+	if got := unsafe.Sizeof(Comm{}); got != 16 {
+		t.Fatalf("kpbs.Comm takes %d bytes, want 16", got)
 	}
 }

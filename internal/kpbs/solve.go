@@ -143,7 +143,7 @@ func Solve(g *bipartite.Graph, k int, beta int64, opts Options) (*Schedule, erro
 		set, nb := edgeSet{g: g}, newNumbering(g)
 		nb.number(set)
 		var whole Schedule
-		_, whole, err = solveSet(set, nb, k, beta, opts, new(setScratch), so)
+		_, whole, err = solveSet(set, nb, k, beta, opts, new(setScratch), new(denormArena), so)
 		s = &whole
 	}
 	if err != nil {
@@ -154,16 +154,18 @@ func Solve(g *bipartite.Graph, k int, beta int64, opts Options) (*Schedule, erro
 }
 
 // solveSet schedules the edge set s, whose nodes nb has numbered, with the
-// selected algorithm, writing into the buffers of sc. Greedy schedules it
-// directly. GGP, OGGP and MinSteps normalize and augment it
-// (instance.build), build the matcher and peel (peeler.init, peeler.run),
-// and denormalize the normalized steps into sc's arena, in the node ids of
-// s's graph. GGP peels any perfect matching (§4.2), OGGP and MinSteps the
-// bottleneck one (§4.3), and MinSteps peels unit weights. Solve's
-// monolithic path, every component worker and Result all run it. It also
-// returns the normalized steps, which Result keeps for its reuse path;
-// they alias the peeler's arenas, and Greedy and an empty set have none.
-func solveSet(s edgeSet, nb *numbering, k int, beta int64, opts Options, sc *setScratch, so *obs.SolverObs) ([]normStep, Schedule, error) {
+// selected algorithm. Greedy schedules it directly. GGP, OGGP and MinSteps
+// normalize and augment it (instance.build) and build the matcher and peel
+// (peeler.init, peeler.run) in the buffers of sc, then denormalize the
+// normalized steps into the arena out, in the node ids of s's graph. GGP
+// peels any perfect matching (§4.2), OGGP and MinSteps the bottleneck one
+// (§4.3), and MinSteps peels unit weights. Solve's monolithic path, every
+// component worker and Result all run it. It also returns the normalized
+// steps, which Result keeps for its reuse path; they alias the peeler's
+// arenas, and Greedy and an empty set have none. out is an argument of its
+// own, not part of sc, so that while the schedule is being allocated a cold
+// solve's sc (the instance, the matcher) is already garbage.
+func solveSet(s edgeSet, nb *numbering, k int, beta int64, opts Options, sc *setScratch, out *denormArena, so *obs.SolverObs) ([]normStep, Schedule, error) {
 	if opts.Algorithm == Greedy {
 		return nil, solveGreedy(s, nb, k, beta), nil
 	}
@@ -182,19 +184,18 @@ func solveSet(s edgeSet, nb *numbering, k int, beta int64, opts Options, sc *set
 			return nil, Schedule{}, err
 		}
 	}
-	return steps, sc.out.denormalize(s, steps, beta, unit), nil
+	return steps, out.denormalize(s, steps, beta, unit), nil
 }
 
-// setScratch holds every buffer solveSet writes for one edge set: the
-// working instance, the peeler with its matcher, and the denormalize
-// arena. Solve and each component worker solve from a zero one, so each
-// buffer is allocated once, at the size the set needs. A Result keeps one
-// for its whole graph and rebuilds into it, so a rebuild of a same-shaped
-// instance allocates none of them.
+// setScratch holds the buffers solveSet peels in for one edge set: the
+// working instance and the peeler with its matcher. Solve and each
+// component worker solve from a zero one, so each buffer is allocated
+// once, at the size the set needs. A Result keeps one for its whole graph
+// and rebuilds into it, so a rebuild of a same-shaped instance allocates
+// none of them.
 type setScratch struct {
-	in  instance
-	p   peeler
-	out denormArena
+	in instance
+	p  peeler
 }
 
 // finish is the tail of every solve: the optional Pack post-pass, then the
@@ -262,7 +263,7 @@ func (a *denormArena) denormalize(s edgeSet, steps []normStep, beta int64, unitW
 			}
 			a.rem[orig] -= amount
 			e := s.edge(int(orig))
-			a.comms[nc] = Comm{L: e.L, R: e.R, Amount: amount}
+			a.comms[nc] = Comm{L: int32(e.L), R: int32(e.R), Amount: amount}
 			nc++
 		}
 		if nc > start {
@@ -283,6 +284,9 @@ func (a *denormArena) denormalize(s edgeSet, steps []normStep, beta int64, unitW
 // balanced graph: k is unbounded (every step is a perfect matching) and β
 // is not considered. bottleneck selects OGGP's matching rule.
 func SolveWRGP(g *bipartite.Graph, bottleneck bool) (*Schedule, error) {
+	if err := checkSides(g); err != nil {
+		return nil, err
+	}
 	kind := matchAny
 	if bottleneck {
 		kind = matchBottleneck
@@ -336,7 +340,7 @@ func solveGreedy(s edgeSet, nb *numbering, k int, beta int64) Schedule {
 				continue
 			}
 			usedL[l], usedR[r] = true, true
-			st.Comms = append(st.Comms, Comm{L: e.L, R: e.R, Amount: e.Weight})
+			st.Comms = append(st.Comms, Comm{L: int32(e.L), R: int32(e.R), Amount: e.Weight})
 		}
 		order = pending
 		st.recomputeDuration()

@@ -499,7 +499,7 @@ func TestGreedyStepsAreMaximal(t *testing.T) {
 		}
 		// Replay: edges scheduled in step j must have been blocked in every
 		// earlier step.
-		type key struct{ l, r int }
+		type key struct{ l, r int32 }
 		for j, later := range s.Steps {
 			for _, c := range later.Comms {
 				for i := 0; i < j; i++ {
@@ -587,13 +587,13 @@ func TestLargeBetaNeverSplitsShortComms(t *testing.T) {
 	if err := s.Validate(g, 2); err != nil {
 		t.Fatal(err)
 	}
-	count := map[[2]int]int{}
+	count := map[[2]int32]int{}
 	for _, st := range s.Steps {
 		for _, c := range st.Comms {
-			count[[2]int{c.L, c.R}]++
+			count[[2]int32{c.L, c.R}]++
 		}
 	}
-	pairs := make([][2]int, 0, len(count))
+	pairs := make([][2]int32, 0, len(count))
 	for p := range count {
 		pairs = append(pairs, p)
 	}

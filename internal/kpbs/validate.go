@@ -2,10 +2,23 @@ package kpbs
 
 import (
 	"fmt"
+	"math"
 
 	"redistgo/internal/bipartite"
 	"redistgo/internal/safemath"
 )
+
+// checkSides refuses a graph with more than math.MaxInt32 nodes on either
+// side, because a Comm holds its endpoints as int32 (DESIGN.md, "Normalized
+// steps are edge indices"). Every entry point runs it before it sizes
+// anything by the node counts, so a graph that only declares a huge side
+// fails with an error instead of exhausting memory.
+func checkSides(g *bipartite.Graph) error {
+	if g.LeftCount() > math.MaxInt32 || g.RightCount() > math.MaxInt32 {
+		return fmt.Errorf("kpbs: graph sides %dx%d exceed %d nodes", g.LeftCount(), g.RightCount(), math.MaxInt32)
+	}
+	return nil
+}
 
 // validateInstance is the single validation path shared by every
 // algorithm (GGP, OGGP, MinSteps, Greedy): all of them accept and reject
@@ -13,7 +26,8 @@ import (
 // without changing their error handling. It checks the algorithm, the
 // parameters, the graph invariants, and that the instance's aggregate
 // quantities fit in int64 once normalized — oversized instances are
-// rejected up front instead of overflowing deep inside the augmentation.
+// rejected up front instead of overflowing deep inside the augmentation,
+// and a side above math.MaxInt32 nodes before the node sums are sized.
 // Each solve runs it once, on the whole graph (Solve and Result.recompute).
 // sums is scratch for the per-node weight sums: a Result passes a buffer
 // of g's node count that it keeps, Solve passes nil and one is allocated.
@@ -31,6 +45,9 @@ func validateInstance(g *bipartite.Graph, k int, beta int64, alg Algorithm, sums
 	}
 	if g == nil {
 		return fmt.Errorf("kpbs: nil graph")
+	}
+	if err := checkSides(g); err != nil {
+		return err
 	}
 	if err := g.Validate(); err != nil {
 		return err

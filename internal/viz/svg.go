@@ -86,10 +86,10 @@ func SVG(w io.Writer, s *kpbs.Schedule, nLeft int, opts Options) error {
 			cursor += float64(s.Beta)
 		}
 		for _, c := range st.Comms {
-			y := topPad + c.L*opts.RowHeight
+			y := topPad + int(c.L)*opts.RowHeight
 			fmt.Fprintf(&b, `<rect x="%.1f" y="%d" width="%.1f" height="%d" fill="%s" stroke="white" stroke-width="0.5"><title>step %d: %d→%d amount %d</title></rect>`+"\n",
 				labelW+px(cursor), y+2, px(float64(c.Amount)), opts.RowHeight-6,
-				palette[c.R%len(palette)], i+1, c.L, c.R, c.Amount)
+				palette[int(c.R)%len(palette)], i+1, c.L, c.R, c.Amount)
 			fmt.Fprintf(&b, `<text x="%.1f" y="%d" fill="white" font-size="9">R%d</text>`+"\n",
 				labelW+px(cursor)+2, y+opts.RowHeight/2+3, c.R)
 		}

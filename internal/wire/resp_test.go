@@ -111,14 +111,15 @@ func TestDecodeSolveRespCanonical(t *testing.T) {
 
 // TestEncodeSolveRespRejectsInvalid: the encoder refuses what the decoder
 // would refuse, instead of emitting a payload that cannot decode — in
-// particular endpoints at or above MaxInstanceNodes, which a fixed-width
-// field would have truncated — and, as kpbs validation does, a step whose
-// Duration is not its largest amount.
+// particular endpoints at or above MaxInstanceNodes, up to the int32
+// extremes, which a fixed-width field would have truncated — and, as kpbs
+// validation does, a step whose Duration is not its largest amount.
 func TestEncodeSolveRespRejectsInvalid(t *testing.T) {
 	badComms := map[string]kpbs.Comm{
 		"L at MaxInstanceNodes": {L: MaxInstanceNodes, R: 0, Amount: 1},
 		"R at MaxInstanceNodes": {L: 0, R: MaxInstanceNodes, Amount: 1},
-		"L above 2^32":          {L: 1<<32 + 1, R: 0, Amount: 1},
+		"L at MaxInt32":         {L: math.MaxInt32, R: 0, Amount: 1},
+		"R at MinInt32":         {L: 0, R: math.MinInt32, Amount: 1},
 		"negative R":            {L: 0, R: -1, Amount: 1},
 		"zero amount":           {L: 0, R: 0, Amount: 0},
 		"negative amount":       {L: 0, R: 0, Amount: -3},

@@ -123,16 +123,13 @@ type SolveRequest struct {
 	Trace     TraceContext
 }
 
-// Graph materializes the request's instance, copying the edges into one
-// edge list sized up front. Decoded requests are already range-checked, so
-// construction cannot panic.
+// Graph materializes the request's instance. The graph takes over
+// r.Edges instead of copying them (bipartite.FromEdges), so after Graph
+// the request's edges belong to the graph: neither modify them nor build a
+// second graph from the same request. Decoded requests are already
+// range-checked, so construction cannot panic.
 func (r SolveRequest) Graph() *bipartite.Graph {
-	g := bipartite.New(r.N1, r.N2)
-	g.Grow(len(r.Edges))
-	for _, e := range r.Edges {
-		g.AddEdge(e.L, e.R, e.Weight)
-	}
-	return g
+	return bipartite.FromEdges(r.N1, r.N2, r.Edges)
 }
 
 // SolveResponse is the schedule computed for the request with the same ID.
@@ -458,7 +455,7 @@ func EncodeSolveResp(id uint64, s *kpbs.Schedule, tc TraceContext) ([]byte, erro
 // emitting pass can write Duration as d without reading the amounts again.
 func stepLen(st kpbs.Step) (int, error) {
 	var top int64
-	size, prev := 0, 0
+	size, prev := 0, int32(0)
 	for _, c := range st.Comms {
 		// MaxInstanceNodes is a power of two, so one test covers both
 		// endpoints and their signs.
@@ -470,7 +467,7 @@ func stepLen(st kpbs.Step) (int, error) {
 		// of most comms take one byte each, and this branch and its twins
 		// in appendStep and decodeStep keep the codec near the
 		// fixed-width one's speed (BenchmarkSolveResp).
-		if x, r := lField(c.L-prev, 0), uint64(c.R); x|r < 0x80 {
+		if x, r := lField(int(c.L-prev), 0), uint64(c.R); x|r < 0x80 {
 			size += 2
 		} else {
 			size += uvarintLen(x) + uvarintLen(r)
@@ -492,13 +489,13 @@ func stepLen(st kpbs.Step) (int, error) {
 // appendStep appends the duration d and the comms of a non-empty step.
 func appendStep(b []byte, comms []kpbs.Comm, d int64) []byte {
 	b = binary.AppendUvarint(b, uint64(d))
-	prev := 0
+	prev := int32(0)
 	for _, c := range comms {
 		full := uint64(0)
 		if c.Amount == d {
 			full = 1
 		}
-		if x, r := lField(c.L-prev, full), uint64(c.R); x|r < 0x80 {
+		if x, r := lField(int(c.L-prev), full), uint64(c.R); x|r < 0x80 {
 			b = append(b, byte(x), byte(r))
 		} else {
 			b = binary.AppendUvarint(b, x)
@@ -645,7 +642,7 @@ func decodeStep(p []byte, off int, cs []kpbs.Comm, d uint64, i int) (int, error)
 			return 0, protoErrf("solve response step %d communication %d explicit amount %d outside [1, %d)", i, j, amount, d)
 		}
 		full = full || f&1 == 1
-		cs[j] = kpbs.Comm{L: int(l), R: int(r), Amount: int64(amount)}
+		cs[j] = kpbs.Comm{L: int32(l), R: int32(r), Amount: int64(amount)}
 		prev = l
 	}
 	if !full {

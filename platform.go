@@ -63,7 +63,7 @@ func FlowSteps(s *Schedule) [][]Flow {
 	for _, st := range s.Steps {
 		flows := make([]Flow, 0, len(st.Comms))
 		for _, c := range st.Comms {
-			flows = append(flows, Flow{Src: c.L, Dst: c.R, Bytes: float64(c.Amount)})
+			flows = append(flows, Flow{Src: int(c.L), Dst: int(c.R), Bytes: float64(c.Amount)})
 		}
 		steps = append(steps, flows)
 	}

@@ -29,7 +29,7 @@ func TransferSteps(s *Schedule) [][]Transfer {
 	for _, st := range s.Steps {
 		ts := make([]Transfer, 0, len(st.Comms))
 		for _, c := range st.Comms {
-			ts = append(ts, Transfer{Src: c.L, Dst: c.R, Bytes: c.Amount})
+			ts = append(ts, Transfer{Src: int(c.L), Dst: int(c.R), Bytes: c.Amount})
 		}
 		steps = append(steps, ts)
 	}
