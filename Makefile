@@ -170,12 +170,15 @@ soak-obs-smoke:
 # against a local cold solve of its mirrored matrix. Clients also probe
 # never-issued base ids every 16th round and require RejectUnknownBase,
 # proving the reject/fallback path (fall back to a fresh full solve)
-# under concurrency. With the live endpoint bound, the soak prints the
-# server's solver.delta.requests_total.<alg>.{reuse,rebuild,cold} and
-# fails when no delta took reuse or rebuild, so the retained-solve engine
-# is exercised on the served path (shard auto, the daemon's default).
+# under concurrency. One solver worker serves the four clients: deltas
+# queue on the pool like solves, and past the queue depth they are
+# refused busy and resent unchanged, so every answered delta must still
+# verify. With the live endpoint bound, the soak prints the server's
+# solver.delta.requests_total.<alg>.{reuse,rebuild,cold} and fails when
+# no delta took reuse or rebuild, so the retained-solve engine is
+# exercised on the served path (shard auto, the daemon's default).
 soak-delta-smoke:
-	$(GO) run ./cmd/redist-soak -spawn -delta -clients 4 -requests 16 -n 10 -spawn-cache-size 8 -obs :0
+	$(GO) run ./cmd/redist-soak -spawn -delta -clients 4 -requests 16 -n 10 -spawn-cache-size 8 -spawn-workers 1 -obs :0
 
 # Short real fuzzing burst per target, on top of the seed corpora that
 # `make race` always replays: the solver, the batch and peeler

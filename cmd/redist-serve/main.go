@@ -1,7 +1,8 @@
 // Command redist-serve runs the long-lived scheduling daemon: it accepts
-// streaming MsgSolveReq frames over TCP (wire protocol v2, DESIGN.md §10)
-// from many tenants, solves each instance on a bounded solver pool, and
-// answers with MsgSolveResp schedules or MsgReject refusals.
+// streaming MsgSolveReq and MsgDeltaReq frames over TCP (wire protocol v2,
+// DESIGN.md §10) from many tenants, runs each solve and each delta repair
+// on a bounded solver pool, and answers with MsgSolveResp schedules or
+// MsgReject refusals.
 //
 //	redist-serve -addr :9090 -workers 4 -tenant-rate 50
 //	REDIST_SERVE_ADDR=:9090 REDIST_SERVE_TENANT_RATE=50 redist-serve
@@ -9,7 +10,7 @@
 // Every flag has a REDIST_SERVE_* environment fallback (flags win), so
 // the daemon drops into env-configured process supervisors unchanged.
 // SIGINT/SIGTERM trigger a graceful shutdown: admission stops, in-flight
-// solves drain (bounded by -drain-timeout), then sessions close.
+// requests drain (bounded by -drain-timeout), then sessions close.
 package main
 
 import (
@@ -81,8 +82,8 @@ func parseLogLevel(s string) (slog.Level, error) {
 func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("redist-serve", flag.ContinueOnError)
 	addr := fs.String("addr", envOr("ADDR", "127.0.0.1:0"), "TCP listen address (env REDIST_SERVE_ADDR)")
-	workers := fs.Int("workers", envOrInt("WORKERS", 0), "solver pool size; 0 means GOMAXPROCS (env REDIST_SERVE_WORKERS)")
-	queueDepth := fs.Int("queue-depth", envOrInt("QUEUE_DEPTH", 0), "admitted requests that may wait for a solver; 0 means 2x workers (env REDIST_SERVE_QUEUE_DEPTH)")
+	workers := fs.Int("workers", envOrInt("WORKERS", 0), "solver pool size, shared by solves and deltas; 0 means GOMAXPROCS (env REDIST_SERVE_WORKERS)")
+	queueDepth := fs.Int("queue-depth", envOrInt("QUEUE_DEPTH", 0), "admitted solves and deltas that may wait for a worker; 0 means 2x workers (env REDIST_SERVE_QUEUE_DEPTH)")
 	maxSessions := fs.Int("max-sessions", envOrInt("MAX_SESSIONS", 0), "concurrent client sessions; 0 means unlimited (env REDIST_SERVE_MAX_SESSIONS)")
 	globalRate := fs.Float64("global-rate", envOrFloat("GLOBAL_RATE", 0), "service-wide admission, requests/s; 0 disables (env REDIST_SERVE_GLOBAL_RATE)")
 	globalBurst := fs.Float64("global-burst", envOrFloat("GLOBAL_BURST", 0), "service-wide admission burst; 0 means one second of rate (env REDIST_SERVE_GLOBAL_BURST)")

@@ -54,6 +54,7 @@ type clientStats struct {
 	ok        int
 	deltas    int // responses verified via the delta path (-delta)
 	fallbacks int // chains re-opened with a full solve after unknown-base
+	retries   int // refused sends resent unchanged (-delta)
 	rejects   map[string]int
 	mismatch  int
 	traceErrs int
@@ -144,13 +145,14 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 	wg.Wait()
 
-	ok, deltas, fallbacks, mismatches, traceErrs := 0, 0, 0, 0, 0
+	ok, deltas, fallbacks, retries, mismatches, traceErrs := 0, 0, 0, 0, 0, 0
 	rejects := map[string]int{}
 	var fatal error
 	for ci, st := range stats {
 		ok += st.ok
 		deltas += st.deltas
 		fallbacks += st.fallbacks
+		retries += st.retries
 		mismatch := st.mismatch
 		mismatches += mismatch
 		traceErrs += st.traceErrs
@@ -164,7 +166,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	fmt.Fprintf(stdout, "verified %d responses byte-identical, %d mismatches, rejects: %v\n", ok, mismatches, rejects)
 	var deltaPathErr error
 	if *delta {
-		fmt.Fprintf(stdout, "delta mode: %d delta responses verified against cold solves, %d full-solve fallbacks\n", deltas, fallbacks)
+		fmt.Fprintf(stdout, "delta mode: %d delta responses verified against cold solves, %d full-solve fallbacks, %d refused sends retried\n", deltas, fallbacks, retries)
 		if srv != nil && observer != nil {
 			deltaPathErr = reportDeltaPaths(stdout, observer.Metrics.Snapshot())
 		}
@@ -208,7 +210,7 @@ func run(args []string, stdout io.Writer) (err error) {
 // solved, per algorithm and path (solver.delta.requests_total.<alg>.<path>),
 // and fails when none took the reuse or rebuild path: the deltas then all
 // ran as cold solves, and the retained-solve engine went unexercised over
-// the served path (cache checkout, concurrent sessions, TCP).
+// the served path (the solver pool, concurrent sessions, TCP).
 func reportDeltaPaths(w io.Writer, snap obs.Snapshot) error {
 	engine := int64(0)
 	for _, alg := range []kpbs.Algorithm{kpbs.GGP, kpbs.OGGP} {
@@ -390,6 +392,12 @@ func soakClient(addr string, tenant int32, p soakParams) clientStats {
 // requires the unknown-base refusal; an unexpected unknown-base on a
 // real delta is recovered by re-opening the chain with a full solve
 // (counted as a fallback), which is the documented client protocol.
+//
+// The stream's mirror advances when a round's edits are drawn, so a
+// round refused for load (over-quota, busy) is resent unchanged against
+// the same base until it is answered: the server's chain never saw the
+// refused edits. The chain-opening solve and the probe are resent the
+// same way. Any other refusal ends the client.
 func soakDeltaClient(addr string, tenant int32, p soakParams) clientStats {
 	st := clientStats{
 		rejects:  map[string]int{},
@@ -424,6 +432,26 @@ func soakDeltaClient(addr string, tenant int32, p soakParams) clientStats {
 			}
 		}
 		return tc
+	}
+	// exchange sends one request through send, resending it after a short,
+	// growing backoff while the server refuses it for load, for up to
+	// retryFor. It returns the answer, or the first other refusal or
+	// error (the last load refusal once retryFor has passed), with the
+	// round trip of the last attempt.
+	exchange := func(send func() (wire.SolveResponse, []byte, error)) (resp wire.SolveResponse, raw []byte, rtt time.Duration, err error) {
+		deadline := time.Now().Add(retryFor)
+		for backoff := time.Millisecond; ; backoff = min(2*backoff, 64*time.Millisecond) {
+			t0 := time.Now()
+			resp, raw, err = send()
+			rtt = time.Since(t0)
+			var rej *serve.RejectError
+			if !errors.As(err, &rej) || (rej.Code != wire.RejectOverQuota && rej.Code != wire.RejectBusy) || time.Now().After(deadline) {
+				return resp, raw, rtt, err
+			}
+			st.rejects[rej.Code.String()]++
+			st.retries++
+			time.Sleep(backoff)
+		}
 	}
 	// verifyResp checks a solve or delta response against a local cold
 	// solve of the stream's current matrix, re-encoded under the echoed
@@ -469,12 +497,11 @@ func soakDeltaClient(addr string, tenant int32, p soakParams) clientStats {
 			N1: g.LeftCount(), N2: g.RightCount(), Edges: g.Edges(),
 			Trace: trace(),
 		}
-		t0 := time.Now()
-		resp, raw, err := cl.SolveFull(req)
+		resp, raw, rtt, err := exchange(func() (wire.SolveResponse, []byte, error) { return cl.SolveFull(req) })
 		if err != nil {
 			return 0, err
 		}
-		return req.ID, verifyResp(req.Trace, resp, raw, time.Since(t0))
+		return req.ID, verifyResp(req.Trace, resp, raw, rtt)
 	}
 
 	base, err := openChain()
@@ -486,8 +513,9 @@ func soakDeltaClient(addr string, tenant int32, p soakParams) clientStats {
 		pace.Wait(1)
 		if i%16 == 15 {
 			// A base id we never received must be refused, not served.
+			probe := wire.DeltaRequest{Base: base + 1<<32}
 			var rej *serve.RejectError
-			_, _, err := cl.SolveDelta(wire.DeltaRequest{ID: 0, Base: base + 1<<32})
+			_, _, _, err := exchange(func() (wire.SolveResponse, []byte, error) { return cl.SolveDeltaFull(probe) })
 			if !errors.As(err, &rej) || rej.Code != wire.RejectUnknownBase {
 				st.fatal = fmt.Errorf("round %d: bogus base answered with %v, want %s reject", i+1, err, wire.RejectUnknownBase)
 				return st
@@ -500,18 +528,13 @@ func soakDeltaClient(addr string, tenant int32, p soakParams) clientStats {
 		}
 		nextID++
 		dreq := wire.DeltaRequest{ID: nextID, Base: base, Edits: edits, Trace: trace()}
-		t0 := time.Now()
-		resp, raw, err := cl.SolveDeltaFull(dreq)
-		rtt := time.Since(t0)
+		resp, raw, rtt, err := exchange(func() (wire.SolveResponse, []byte, error) { return cl.SolveDeltaFull(dreq) })
 		var rej *serve.RejectError
 		switch {
-		case errors.As(err, &rej):
-			st.rejects[rej.Code.String()]++
-			if rej.Code != wire.RejectUnknownBase {
-				continue
-			}
+		case errors.As(err, &rej) && rej.Code == wire.RejectUnknownBase:
 			// The server dropped our chain (eviction, restart): fall back to
 			// a full solve of the current state and chain from there.
+			st.rejects[rej.Code.String()]++
 			st.fallbacks++
 			if base, err = openChain(); err != nil {
 				st.fatal = fmt.Errorf("round %d: fallback solve: %w", i+1, err)
@@ -531,6 +554,10 @@ func soakDeltaClient(addr string, tenant int32, p soakParams) clientStats {
 	}
 	return st
 }
+
+// retryFor bounds how long a delta client keeps resending one refused
+// request.
+const retryFor = 30 * time.Second
 
 // genMatrix draws one instance from the mixed trafficgen families.
 func genMatrix(rng *rand.Rand, n int) ([][]int64, error) {

@@ -141,22 +141,6 @@ func (g *Graph) checkEdge(l, r int, weight int64) {
 	}
 }
 
-// AddLeftNodes grows the left vertex set by n and returns the index of the
-// first new node.
-func (g *Graph) AddLeftNodes(n int) int {
-	first := g.nLeft
-	g.nLeft += n
-	return first
-}
-
-// AddRightNodes grows the right vertex set by n and returns the index of
-// the first new node.
-func (g *Graph) AddRightNodes(n int) int {
-	first := g.nRight
-	g.nRight += n
-	return first
-}
-
 // LeftCount returns |V1|.
 func (g *Graph) LeftCount() int { return g.nLeft }
 
@@ -176,8 +160,7 @@ func (g *Graph) Edge(i int) Edge { return g.edges[i] }
 func (g *Graph) Edges() []Edge { return append([]Edge(nil), g.edges...) }
 
 // SetWeight overwrites the weight of edge i. The new weight must be
-// positive; use RemoveZeroEdges after driving weights to zero via
-// AddToWeight instead of setting zero weights directly.
+// positive: a graph holds no zero-weight edges.
 func (g *Graph) SetWeight(i int, w int64) {
 	if w <= 0 {
 		panic(fmt.Sprintf("bipartite: non-positive weight %d", w))
@@ -208,28 +191,6 @@ func (g *Graph) RightWeights() []int64 {
 	w := make([]int64, g.nRight)
 	for _, e := range g.edges {
 		w[e.R] += e.Weight
-	}
-	return w
-}
-
-// LeftWeight returns w(s) of left node l.
-func (g *Graph) LeftWeight(l int) int64 {
-	var w int64
-	for _, e := range g.edges {
-		if e.L == l {
-			w += e.Weight
-		}
-	}
-	return w
-}
-
-// RightWeight returns w(s) of right node r.
-func (g *Graph) RightWeight(r int) int64 {
-	var w int64
-	for _, e := range g.edges {
-		if e.R == r {
-			w += e.Weight
-		}
 	}
 	return w
 }
@@ -307,23 +268,6 @@ func (g *Graph) ActiveRight() int {
 	return n
 }
 
-// IsWeightRegular reports whether every node (on both sides) has node
-// weight exactly r. A graph with r == 0 is weight-regular only if it has
-// no edges.
-func (g *Graph) IsWeightRegular(r int64) bool {
-	for _, w := range g.LeftWeights() {
-		if w != r {
-			return false
-		}
-	}
-	for _, w := range g.RightWeights() {
-		if w != r {
-			return false
-		}
-	}
-	return true
-}
-
 // RegularWeight returns (r, true) if the graph is weight-regular with
 // common node weight r, and (0, false) otherwise. An edgeless graph with
 // equal side sizes is 0-regular.
@@ -349,26 +293,6 @@ func (g *Graph) RegularWeight() (int64, bool) {
 		r = 0
 	}
 	return r, true
-}
-
-// LeftAdjacency returns, for each left node, the indices of its incident
-// edges. The slices share one backing array; callers must not append.
-func (g *Graph) LeftAdjacency() [][]int {
-	counts := make([]int, g.nLeft)
-	for _, e := range g.edges {
-		counts[e.L]++
-	}
-	backing := make([]int, len(g.edges))
-	adj := make([][]int, g.nLeft)
-	off := 0
-	for i, c := range counts {
-		adj[i] = backing[off : off : off+c]
-		off += c
-	}
-	for idx, e := range g.edges {
-		adj[e.L] = append(adj[e.L], idx)
-	}
-	return adj
 }
 
 // RowWords returns the number of uint64 words a bitset over the right
@@ -421,34 +345,6 @@ func (g *Graph) MaxWeight() int64 {
 		}
 	}
 	return max
-}
-
-// AddToWeight adds delta (possibly negative) to the weight of edge i.
-// The resulting weight must be non-negative. Edges whose weight reaches
-// zero stay in the edge list until RemoveZeroEdges is called, so that edge
-// indices held by the caller remain stable during a peeling round.
-func (g *Graph) AddToWeight(i int, delta int64) {
-	w := g.edges[i].Weight + delta
-	if w < 0 {
-		panic(fmt.Sprintf("bipartite: edge %d weight would become %d", i, w))
-	}
-	g.edges[i].Weight = w
-}
-
-// RemoveZeroEdges deletes all zero-weight edges, invalidating previously
-// held edge indices. It returns the number of edges removed.
-func (g *Graph) RemoveZeroEdges() int {
-	kept := g.edges[:0]
-	removed := 0
-	for _, e := range g.edges {
-		if e.Weight > 0 {
-			kept = append(kept, e)
-		} else {
-			removed++
-		}
-	}
-	g.edges = kept
-	return removed
 }
 
 // ToMatrix renders the graph as an nLeft×nRight matrix, summing parallel

@@ -124,9 +124,6 @@ func TestNodeWeightsAndDegrees(t *testing.T) {
 	if rw[0] != 3 || rw[1] != 9 {
 		t.Fatalf("right weights = %v, want [3 9]", rw)
 	}
-	if g.LeftWeight(0) != 7 || g.RightWeight(1) != 9 {
-		t.Fatalf("single-node weights wrong: L0=%d R1=%d", g.LeftWeight(0), g.RightWeight(1))
-	}
 	if g.MaxNodeWeight() != 9 {
 		t.Fatalf("W(G) = %d, want 9", g.MaxNodeWeight())
 	}
@@ -162,8 +159,8 @@ func TestParallelEdges(t *testing.T) {
 	if g.EdgeCount() != 2 {
 		t.Fatalf("edges = %d, want 2 (multigraph)", g.EdgeCount())
 	}
-	if g.LeftWeight(0) != 5 {
-		t.Fatalf("w(L0) = %d, want 5", g.LeftWeight(0))
+	if w := g.LeftWeights()[0]; w != 5 {
+		t.Fatalf("w(L0) = %d, want 5", w)
 	}
 	m := g.ToMatrix()
 	if m[0][0] != 5 {
@@ -177,12 +174,6 @@ func TestWeightRegular(t *testing.T) {
 	g.AddEdge(0, 1, 2)
 	g.AddEdge(1, 0, 2)
 	g.AddEdge(1, 1, 3)
-	if !g.IsWeightRegular(5) {
-		t.Fatal("graph should be 5-regular")
-	}
-	if g.IsWeightRegular(4) {
-		t.Fatal("graph is not 4-regular")
-	}
 	r, ok := g.RegularWeight()
 	if !ok || r != 5 {
 		t.Fatalf("RegularWeight = (%d,%v), want (5,true)", r, ok)
@@ -199,36 +190,6 @@ func TestRegularWeightEdgeless(t *testing.T) {
 	if !ok || r != 0 {
 		t.Fatalf("edgeless RegularWeight = (%d,%v), want (0,true)", r, ok)
 	}
-	if !g.IsWeightRegular(0) {
-		t.Fatal("edgeless graph should be 0-regular")
-	}
-}
-
-func TestAddToWeightAndRemoveZero(t *testing.T) {
-	g := New(2, 2)
-	g.AddEdge(0, 0, 3)
-	g.AddEdge(1, 1, 2)
-	g.AddToWeight(0, -3)
-	if g.Edge(0).Weight != 0 {
-		t.Fatalf("weight = %d, want 0", g.Edge(0).Weight)
-	}
-	if n := g.RemoveZeroEdges(); n != 1 {
-		t.Fatalf("removed %d, want 1", n)
-	}
-	if g.EdgeCount() != 1 || g.Edge(0).R != 1 {
-		t.Fatalf("remaining edge wrong: %+v", g.Edge(0))
-	}
-}
-
-func TestAddToWeightPanicsOnNegative(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	g := New(1, 1)
-	g.AddEdge(0, 0, 2)
-	g.AddToWeight(0, -3)
 }
 
 func TestSetWeightPanicsOnZero(t *testing.T) {
@@ -246,42 +207,13 @@ func TestCloneIsDeep(t *testing.T) {
 	g := New(2, 2)
 	g.AddEdge(0, 1, 7)
 	c := g.Clone()
-	c.AddToWeight(0, -2)
-	c.AddLeftNodes(3)
+	c.SetWeight(0, 5)
+	c.AddEdge(1, 0, 3)
 	if g.Edge(0).Weight != 7 {
 		t.Fatalf("clone mutated original weight: %d", g.Edge(0).Weight)
 	}
-	if g.LeftCount() != 2 {
-		t.Fatalf("clone mutated original size: %d", g.LeftCount())
-	}
-}
-
-func TestAddNodesReturnsFirstIndex(t *testing.T) {
-	g := New(2, 3)
-	if first := g.AddLeftNodes(2); first != 2 {
-		t.Fatalf("first new left = %d, want 2", first)
-	}
-	if first := g.AddRightNodes(1); first != 3 {
-		t.Fatalf("first new right = %d, want 3", first)
-	}
-	if g.LeftCount() != 4 || g.RightCount() != 4 {
-		t.Fatalf("size = %dx%d, want 4x4", g.LeftCount(), g.RightCount())
-	}
-}
-
-func TestLeftAdjacency(t *testing.T) {
-	g := New(3, 2)
-	g.AddEdge(0, 0, 1)
-	g.AddEdge(2, 1, 1)
-	g.AddEdge(0, 1, 1)
-	adj := g.LeftAdjacency()
-	if len(adj[0]) != 2 || len(adj[1]) != 0 || len(adj[2]) != 1 {
-		t.Fatalf("adjacency sizes wrong: %v", adj)
-	}
-	for _, idx := range adj[0] {
-		if g.Edge(idx).L != 0 {
-			t.Fatalf("edge %d not incident to left 0", idx)
-		}
+	if g.EdgeCount() != 1 {
+		t.Fatalf("clone mutated original edge list: %d edges", g.EdgeCount())
 	}
 }
 

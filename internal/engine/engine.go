@@ -42,18 +42,17 @@ type Instance struct {
 	K    int
 	Beta int64
 	Opts kpbs.Options
-	// Cache, when non-nil, routes the solve through the content-addressed
-	// solve cache: a hit (or a coalesced concurrent solve of the same
-	// instance) skips the solver entirely. Misses solve inside the cache's
-	// single-flight and populate it. Instances whose graphs are not in
-	// canonical row-major order bypass the cache (see kpbs.NewResult).
-	Cache *kpbs.SolveCache
+}
+
+// Run solves the instance with kpbs.Solve, making an Instance a pool Job.
+func (inst Instance) Run() (*kpbs.Schedule, error) {
+	return kpbs.Solve(inst.G, inst.K, inst.Beta, inst.Opts)
 }
 
 // Result is the outcome for the instance at the same index of the batch:
 // exactly one of Schedule and Err is non-nil.
 //
-// Wait and Solve are the job's measured pool-queue wait and solve time.
+// Wait and Solve are the job's measured pool-queue wait and run time.
 // They are populated only by an observed Pool (PoolOptions.Obs non-nil) —
 // the durations come from the observer's spans, keeping the engine itself
 // clock-free under the determinism lint — and are always zero for
@@ -136,33 +135,26 @@ func SolveBatch(instances []Instance, opts Options) []Result {
 	return results
 }
 
-// solveOne solves a single instance, converting solver panics into
-// errors so a malformed matrix can never take down the whole batch.
-// defObs is the batch-level observer, handed to the solver unless the
-// instance brings its own. Each instance solves in its own Opts.Shard
-// mode; a sharded solve fans its components out internally while the
-// instance occupies one worker.
-func solveOne(inst Instance, defObs *obs.Observer) (res Result) {
+// solveOne solves a single instance. defObs is the batch-level observer,
+// handed to the solver unless the instance brings its own. Each instance
+// solves in its own Opts.Shard mode; a sharded solve fans its components
+// out internally while the instance occupies one worker.
+func solveOne(inst Instance, defObs *obs.Observer) Result {
+	if inst.Opts.Obs == nil {
+		inst.Opts.Obs = defObs
+	}
+	return runGuarded(inst)
+}
+
+// runGuarded runs one job, converting a panic into an error Result so a
+// malformed matrix can never take down a batch or a pool worker.
+func runGuarded(j Job) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = Result{Err: fmt.Errorf("engine: solver panicked: %v", r)}
 		}
 	}()
-	if inst.Opts.Obs == nil {
-		inst.Opts.Obs = defObs
-	}
-	if inst.Cache != nil {
-		s, _, err := inst.Cache.GetOrSolve(inst.G, inst.K, inst.Beta, inst.Opts)
-		if err == nil {
-			return Result{Schedule: s}
-		}
-		if !kpbs.IsNonCanonical(err) {
-			return Result{Err: err}
-		}
-		// Non-canonical edge order: the cache cannot retain a delta base for
-		// it; solve directly (uncached) instead of failing the request.
-	}
-	s, err := kpbs.Solve(inst.G, inst.K, inst.Beta, inst.Opts)
+	s, err := j.Run()
 	if err != nil {
 		return Result{Err: err}
 	}

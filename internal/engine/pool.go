@@ -1,40 +1,45 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"runtime"
 	"sync"
 
+	"redistgo/internal/kpbs"
 	"redistgo/internal/obs"
 )
 
+// Job is one unit of pool work: a full solve (Instance is a Job) or the
+// scheduling service's delta repair of a retained solve. Run executes on a
+// pool worker under the same panic guard SolveBatch gives each instance.
+type Job interface {
+	Run() (*kpbs.Schedule, error)
+}
+
 // Pool is the streaming counterpart of SolveBatch: a long-lived solver
-// pool fed one instance at a time by many concurrent producers. It is the
+// pool fed one job at a time by many concurrent producers. It is the
 // request-queue/solver-pool layer the scheduling service (internal/serve)
 // stands on — SolveBatch owns a batch from start to finish, while a Pool
 // outlives any individual request stream.
 //
 // Guarantees, mirroring the batch engine where they apply:
 //
-//   - Determinism: a job's Result is exactly what kpbs.Solve would return
-//     for its Instance, independent of pool sizing or scheduling order.
-//   - Error isolation: a bad or panicking instance yields an error Result
+//   - Determinism: a job's Result is exactly what its Run returns,
+//     independent of pool sizing or scheduling order.
+//   - Error isolation: a failing or panicking job yields an error Result
 //     for its submitter and never affects other jobs or workers.
-//   - Bounded concurrency and memory: at most Workers goroutines solve
+//   - Bounded concurrency and memory: at most Workers goroutines run jobs
 //     simultaneously and at most QueueDepth jobs wait; beyond that,
 //     TrySubmit refuses instead of buffering without bound — the
 //     backpressure signal admission control needs.
 //   - Delivery: every successfully submitted job receives exactly one
-//     Result, even when the pool closes while the job is queued (it is
-//     then ErrPoolClosed) — so Close drains rather than strands.
+//     Result, even when the pool closes while the job is queued — Close
+//     drains rather than strands.
 type Pool struct {
 	queue chan poolJob
 	quit  chan struct{}
 	wg    sync.WaitGroup
-
-	obs    *obs.PoolObs
-	defObs *obs.Observer
+	obs   *obs.PoolObs
 
 	mu     sync.RWMutex
 	closed bool
@@ -42,37 +47,33 @@ type Pool struct {
 
 // PoolOptions configure NewPool.
 type PoolOptions struct {
-	// Workers bounds the number of concurrent solver goroutines;
+	// Workers bounds the number of concurrent worker goroutines;
 	// values ≤ 0 select runtime.GOMAXPROCS(0) via the same rule as
 	// SolveBatch.
 	Workers int
 	// QueueDepth bounds how many submitted jobs may wait for a worker;
 	// values ≤ 0 select 2×Workers. When the queue is full, TrySubmit
-	// returns ErrQueueFull — the caller decides whether to shed or block.
+	// returns ErrQueueFull — the caller decides whether to shed or retry.
 	QueueDepth int
-	// Obs attaches the observability layer (queue depth, worker occupancy,
-	// per-job latency under "engine.pool.*"); it is also handed to each
-	// job's solver options unless the instance carries its own observer.
-	// nil disables all instrumentation.
+	// Obs attaches the pool's instruments (queue depth, worker occupancy,
+	// per-job queue wait and run time under "engine.pool.*"). A job that
+	// solves carries its own solver observer. nil disables them.
 	Obs *obs.Observer
 }
 
-// ErrPoolClosed reports a submission to (or a job stranded in) a pool
-// that has been closed.
+// ErrPoolClosed reports a submission to a pool that has been closed.
 var ErrPoolClosed = errors.New("engine: pool closed")
 
 // ErrQueueFull reports that the pool's request queue is at capacity.
 var ErrQueueFull = errors.New("engine: pool queue full")
 
-// poolJob is one queued solve: the instance, the submitter's context
-// (checked again when a worker picks the job up), the buffered result
-// channel the outcome is delivered on, and the queue-wait span opened at
-// submission (before the channel send — a worker may claim the job the
-// instant it lands in the buffer).
+// poolJob is one queued job: the work, the submitter's channel the
+// outcome is delivered on, and the queue-wait span opened at submission
+// (before the channel send — a worker may claim the job the instant it
+// lands in the buffer).
 type poolJob struct {
-	inst   Instance
-	ctx    context.Context
-	result chan Result
+	job    Job
+	result chan<- Result
 	wait   obs.WaitSpan
 }
 
@@ -88,10 +89,9 @@ func NewPool(opts PoolOptions) *Pool {
 		depth = 2 * workers
 	}
 	p := &Pool{
-		queue:  make(chan poolJob, depth),
-		quit:   make(chan struct{}),
-		obs:    opts.Obs.Pool(),
-		defObs: opts.Obs,
+		queue: make(chan poolJob, depth),
+		quit:  make(chan struct{}),
+		obs:   opts.Obs.Pool(),
 	}
 	p.wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -104,7 +104,7 @@ func NewPool(opts PoolOptions) *Pool {
 // is still queued before exiting so no accepted job is stranded.
 func (p *Pool) worker(w int) {
 	defer p.wg.Done()
-	//redistlint:allow ctxpoll the quit channel is the pool's cancellation signal; each job's own context is checked in run
+	//redistlint:allow ctxpoll the quit channel is the pool's cancellation signal; an admitted job always runs
 	for {
 		select {
 		case job := <-p.queue:
@@ -123,79 +123,37 @@ func (p *Pool) worker(w int) {
 	}
 }
 
-// run solves one job and delivers its result. The result channel is
-// buffered, so delivery never blocks a worker on a departed submitter.
+// run executes one job and delivers its result. The submitter's channel
+// is buffered, so delivery never blocks a worker.
 func (p *Pool) run(w int, job poolJob) {
-	if err := job.ctx.Err(); err != nil {
-		job.wait.Abandon()
-		job.result <- Result{Err: err}
-		return
-	}
 	sp, wait := job.wait.Dequeue(w)
-	res := solveOne(job.inst, p.defObs)
+	res := runGuarded(job.job)
 	res.Wait = wait
 	res.Solve = sp.Done(res.Err)
 	job.result <- res
 }
 
-// TrySubmit enqueues the instance without blocking. It returns the
-// channel the Result will be delivered on, ErrQueueFull when the queue is
-// at capacity, or ErrPoolClosed after Close. A successful TrySubmit
-// guarantees exactly one Result on the channel.
-func (p *Pool) TrySubmit(ctx context.Context, inst Instance) (<-chan Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	job := poolJob{inst: inst, ctx: ctx, result: make(chan Result, 1), wait: p.obs.StartWait()}
+// TrySubmit enqueues the job without blocking. Its Result is delivered on
+// result, which must have a free buffer slot: a caller with one job in
+// flight at a time (a serve session) reuses one channel of capacity 1, so
+// queuing allocates nothing. It returns ErrQueueFull when the queue is at
+// capacity, or ErrPoolClosed after Close. A nil error guarantees exactly
+// one Result on result.
+func (p *Pool) TrySubmit(job Job, result chan<- Result) error {
+	qj := poolJob{job: job, result: result, wait: p.obs.StartWait()}
 	// The read lock excludes the closed-flag flip, so a job admitted here
-	// is either processed by a draining worker or failed by Close's final
-	// sweep — never silently dropped.
+	// is in the buffer before quit closes and a draining worker runs it.
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.closed {
-		return nil, ErrPoolClosed
+		return ErrPoolClosed
 	}
 	select {
-	case p.queue <- job:
+	case p.queue <- qj:
 		p.obs.Enqueue()
-		return job.result, nil
+		return nil
 	default:
-		return nil, ErrQueueFull
-	}
-}
-
-// Submit enqueues the instance, blocking while the queue is full, and
-// waits for its Result. The context bounds both waits; cancellation while
-// solving returns the context error without interrupting the worker (the
-// solver is CPU-bound and finite, exactly as in SolveBatch).
-//
-// The blocking enqueue holds the admission read-lock, so Close cannot
-// flip the closed flag mid-send: the workers are still draining (quit
-// closes under the write lock this sender excludes), which guarantees the
-// send completes and the job is processed.
-func (p *Pool) Submit(ctx context.Context, inst Instance) Result {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	job := poolJob{inst: inst, ctx: ctx, result: make(chan Result, 1), wait: p.obs.StartWait()}
-	p.mu.RLock()
-	if p.closed {
-		p.mu.RUnlock()
-		return Result{Err: ErrPoolClosed}
-	}
-	select {
-	case p.queue <- job:
-		p.obs.Enqueue()
-		p.mu.RUnlock()
-	case <-ctx.Done():
-		p.mu.RUnlock()
-		return Result{Err: ctx.Err()}
-	}
-	select {
-	case res := <-job.result:
-		return res
-	case <-ctx.Done():
-		return Result{Err: ctx.Err()}
+		return ErrQueueFull
 	}
 }
 
@@ -203,8 +161,8 @@ func (p *Pool) Submit(ctx context.Context, inst Instance) Result {
 // queued and in-flight job — a drain, not an abort. Jobs admitted before
 // Close all happen-before the closed-flag flip (admission runs under the
 // lock), so every one of them is in the buffer when quit closes and the
-// draining workers deliver its Result. Safe to call twice;
-// Submit/TrySubmit after Close fail with ErrPoolClosed.
+// draining workers deliver its Result. Safe to call twice; TrySubmit
+// after Close fails with ErrPoolClosed.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	if p.closed {

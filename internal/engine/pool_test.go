@@ -1,14 +1,25 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"redistgo/internal/kpbs"
 	"redistgo/internal/obs"
 )
+
+// submit queues one job on p and waits for its Result.
+func submit(t *testing.T, p *Pool, j Job) Result {
+	t.Helper()
+	ch := make(chan Result, 1)
+	if err := p.TrySubmit(j, ch); err != nil {
+		t.Fatal(err)
+	}
+	return <-ch
+}
 
 // TestPoolMatchesSerial: results delivered by the pool are exactly what
 // the serial loop computes, for any pool shape — the same determinism
@@ -17,14 +28,19 @@ func TestPoolMatchesSerial(t *testing.T) {
 	insts := randomBatch(40, 13)
 	want := SolveSerial(insts)
 	for _, workers := range []int{1, 2, 8} {
-		p := NewPool(PoolOptions{Workers: workers})
+		p := NewPool(PoolOptions{Workers: workers, QueueDepth: len(insts)})
 		var wg sync.WaitGroup
 		got := make([]Result, len(insts))
 		for i, inst := range insts {
 			wg.Add(1)
 			go func(i int, inst Instance) {
 				defer wg.Done()
-				got[i] = p.Submit(context.Background(), inst)
+				ch := make(chan Result, 1)
+				if err := p.TrySubmit(inst, ch); err != nil {
+					got[i] = Result{Err: err}
+					return
+				}
+				got[i] = <-ch
 			}(i, inst)
 		}
 		wg.Wait()
@@ -45,10 +61,10 @@ func TestPoolMatchesSerial(t *testing.T) {
 func TestPoolCloseDrains(t *testing.T) {
 	insts := randomBatch(16, 17)
 	p := NewPool(PoolOptions{Workers: 2, QueueDepth: len(insts)})
-	chans := make([]<-chan Result, 0, len(insts))
+	chans := make([]chan Result, 0, len(insts))
 	for _, inst := range insts {
-		ch, err := p.TrySubmit(context.Background(), inst)
-		if err != nil {
+		ch := make(chan Result, 1)
+		if err := p.TrySubmit(inst, ch); err != nil {
 			t.Fatal(err)
 		}
 		chans = append(chans, ch)
@@ -60,67 +76,96 @@ func TestPoolCloseDrains(t *testing.T) {
 			t.Fatalf("job %d admitted before Close got %v, want a solved schedule", i, res.Err)
 		}
 	}
-	if _, err := p.TrySubmit(context.Background(), insts[0]); !errors.Is(err, ErrPoolClosed) {
+	if err := p.TrySubmit(insts[0], make(chan Result, 1)); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("TrySubmit after Close: %v, want ErrPoolClosed", err)
 	}
-	if res := p.Submit(context.Background(), insts[0]); !errors.Is(res.Err, ErrPoolClosed) {
-		t.Fatalf("Submit after Close: %v, want ErrPoolClosed", res.Err)
-	}
 }
 
-// TestPoolQueueFull: with the single worker parked on jobs, the queue
-// fills and TrySubmit sheds instead of buffering without bound.
+// blockJob holds its worker until release is closed.
+type blockJob struct {
+	started chan struct{}
+	release chan struct{}
+}
+
+func (j blockJob) Run() (*kpbs.Schedule, error) {
+	close(j.started)
+	<-j.release
+	return &kpbs.Schedule{}, nil
+}
+
+// TestPoolQueueFull: with the single worker held by a job, exactly
+// QueueDepth jobs wait and the next TrySubmit sheds instead of buffering
+// without bound; every waiting job still runs once the worker frees.
 func TestPoolQueueFull(t *testing.T) {
-	insts := randomBatch(64, 19)
+	insts := randomBatch(3, 19)
 	p := NewPool(PoolOptions{Workers: 1, QueueDepth: 2})
 	defer p.Close()
-	sawFull := false
-	for _, inst := range insts {
-		if _, err := p.TrySubmit(context.Background(), inst); errors.Is(err, ErrQueueFull) {
-			sawFull = true
-			break
-		} else if err != nil {
-			t.Fatal(err)
+	hold := blockJob{started: make(chan struct{}), release: make(chan struct{})}
+	held := make(chan Result, 1)
+	if err := p.TrySubmit(hold, held); err != nil {
+		t.Fatal(err)
+	}
+	<-hold.started
+	waiting := make(chan Result, 2)
+	for _, inst := range insts[:2] {
+		if err := p.TrySubmit(inst, waiting); err != nil {
+			t.Fatalf("submission within the queue depth: %v", err)
 		}
 	}
-	if !sawFull {
-		t.Fatal("64 instant submissions onto a depth-2 queue never saw ErrQueueFull")
+	if err := p.TrySubmit(insts[2], make(chan Result, 1)); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("submission past the queue depth: %v, want ErrQueueFull", err)
+	}
+	close(hold.release)
+	if res := <-held; res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	for i := 0; i < 2; i++ {
+		if res := <-waiting; res.Err != nil {
+			t.Fatal(res.Err)
+		}
 	}
 }
 
-// TestPoolContextCancel: a cancelled submitter gets the context error,
-// and a job whose context died while queued is abandoned, not solved.
-func TestPoolContextCancel(t *testing.T) {
-	insts := randomBatch(8, 23)
-	o := obs.New()
-	p := NewPool(PoolOptions{Workers: 1, QueueDepth: len(insts), Obs: o})
-	ctx, cancel := context.WithCancel(context.Background())
-	chans := make([]<-chan Result, 0, len(insts))
-	for _, inst := range insts {
-		ch, err := p.TrySubmit(ctx, inst)
-		if err != nil {
+// panicJob fails by panicking, as a solver bug on a malformed instance
+// would.
+type panicJob struct{}
+
+func (panicJob) Run() (*kpbs.Schedule, error) { panic("malformed instance") }
+
+// TestPoolJobPanic: a panicking job yields an error Result and leaves its
+// worker serving the next job.
+func TestPoolJobPanic(t *testing.T) {
+	p := NewPool(PoolOptions{Workers: 1})
+	defer p.Close()
+	res := submit(t, p, panicJob{})
+	if res.Schedule != nil || res.Err == nil || !strings.Contains(res.Err.Error(), "panicked") {
+		t.Fatalf("panicking job = (%v, %v), want a panic error", res.Schedule, res.Err)
+	}
+	if res := submit(t, p, randomBatch(1, 31)[0]); res.Err != nil {
+		t.Fatalf("job after a panic: %v", res.Err)
+	}
+}
+
+// fixedJob answers with one preallocated schedule.
+type fixedJob struct{ s *kpbs.Schedule }
+
+func (j *fixedJob) Run() (*kpbs.Schedule, error) { return j.s, nil }
+
+// TestPoolSubmitAllocs: a caller that reuses its job and its result
+// channel, as a serve session does, queues and collects a job without
+// allocating.
+func TestPoolSubmitAllocs(t *testing.T) {
+	p := NewPool(PoolOptions{Workers: 1})
+	defer p.Close()
+	job := &fixedJob{s: &kpbs.Schedule{}}
+	ch := make(chan Result, 1)
+	if avg := testing.AllocsPerRun(100, func() {
+		if err := p.TrySubmit(job, ch); err != nil {
 			t.Fatal(err)
 		}
-		chans = append(chans, ch)
-	}
-	cancel()
-	p.Close()
-	abandoned := 0
-	for _, ch := range chans {
-		if res := <-ch; errors.Is(res.Err, context.Canceled) {
-			abandoned++
-		}
-	}
-	if abandoned == 0 {
-		t.Fatal("no queued job observed its cancelled context")
-	}
-	if got := o.Metrics.Snapshot().Counters["engine.pool.errors_total"]; got < int64(abandoned) {
-		t.Errorf("errors_total = %d, want >= %d abandoned jobs", got, abandoned)
-	}
-
-	res := p.Submit(ctx, insts[0])
-	if !errors.Is(res.Err, ErrPoolClosed) && !errors.Is(res.Err, context.Canceled) {
-		t.Fatalf("Submit on a closed pool with dead context: %v", res.Err)
+		<-ch
+	}); avg != 0 {
+		t.Errorf("submitting and collecting a job allocates %v per job, want 0", avg)
 	}
 }
 
@@ -130,7 +175,7 @@ func TestPoolObserved(t *testing.T) {
 	o := obs.New()
 	p := NewPool(PoolOptions{Workers: 3, Obs: o})
 	for _, inst := range insts {
-		if res := p.Submit(context.Background(), inst); res.Err != nil {
+		if res := submit(t, p, inst); res.Err != nil {
 			t.Fatal(res.Err)
 		}
 	}

@@ -52,15 +52,7 @@ func HashInstance(g *bipartite.Graph, k int, beta int64, opts Options) InstanceK
 	// The common case — a canonically ordered graph (bipartite.FromMatrix)
 	// — hashes edges in place; only a non-canonical edge list pays for the
 	// copy+sort. This keeps the serve-path lookup allocation-free.
-	sorted := true
-	for i, m := 1, g.EdgeCount(); i < m; i++ {
-		a, b := g.Edge(i-1), g.Edge(i)
-		if a.L > b.L || (a.L == b.L && a.R > b.R) {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
+	if rowMajor(g) {
 		for i, m := 0, g.EdgeCount(); i < m; i++ {
 			e := g.Edge(i)
 			put(uint64(e.L))
@@ -86,11 +78,28 @@ func HashInstance(g *bipartite.Graph, k int, beta int64, opts Options) InstanceK
 	return key
 }
 
+// rowMajor reports whether g's edges are in row-major (l, r) order, as
+// bipartite.FromMatrix builds them; parallel edges may repeat a cell.
+func rowMajor(g *bipartite.Graph) bool {
+	for i, m := 1, g.EdgeCount(); i < m; i++ {
+		a, b := g.Edge(i-1), g.Edge(i)
+		if a.L > b.L || (a.L == b.L && a.R > b.R) {
+			return false
+		}
+	}
+	return true
+}
+
 // SolveCache is a bounded, content-addressed cache of solves. A hit
 // returns the retained schedule without running the solver; concurrent
 // misses on the same key are coalesced into one solve (single-flight).
-// Entries also retain the full Result, so a delta-solving caller can
-// Checkout a warm base instead of rebuilding one.
+// An entry holds only the schedule Solve returned, never a solve
+// pipeline.
+//
+// A schedule depends on the order of the graph's edge list, and the key
+// does not, so only row-major graphs share entries: a hit is then always
+// byte-identical to Solve of the caller's graph. Any other edge order
+// solves uncached.
 //
 // All methods are safe for concurrent use.
 type SolveCache struct {
@@ -102,13 +111,11 @@ type SolveCache struct {
 	flights map[InstanceKey]*cacheFlight
 }
 
-// cacheEntry is one cached solve. sched is an immutable snapshot shared
-// with every hit; res is the retained warm base, transferred exclusively
-// by Checkout.
+// cacheEntry is one cached solve: an immutable schedule shared with every
+// hit.
 type cacheEntry struct {
 	key   InstanceKey
 	sched *Schedule
-	res   *Result
 }
 
 // cacheFlight is an in-progress solve other callers of the same key wait
@@ -150,6 +157,11 @@ func (c *SolveCache) Len() int {
 // Errors are not cached: every caller of a failing key re-attempts, and
 // concurrent waiters of a failed flight receive the flight's error.
 func (c *SolveCache) GetOrSolve(g *bipartite.Graph, k int, beta int64, opts Options) (*Schedule, bool, error) {
+	if g != nil && !rowMajor(g) {
+		c.obs.Miss()
+		sched, err := Solve(g, k, beta, opts)
+		return sched, false, err
+	}
 	key := HashInstance(g, k, beta, opts)
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
@@ -169,62 +181,20 @@ func (c *SolveCache) GetOrSolve(g *bipartite.Graph, k int, beta int64, opts Opti
 	c.flights[key] = f
 	c.mu.Unlock()
 
-	res, err := NewResult(g, k, beta, opts)
-	var sched *Schedule
-	if err == nil {
-		sched = res.Schedule().Clone()
-	}
+	sched, err := Solve(g, k, beta, opts)
 	f.sched, f.err = sched, err
 	close(f.done)
 
 	c.mu.Lock()
 	delete(c.flights, key)
 	if err == nil {
-		c.insertLocked(&cacheEntry{key: key, sched: sched, res: res})
+		c.insertLocked(&cacheEntry{key: key, sched: sched})
 	}
 	n := c.order.Len()
 	c.mu.Unlock()
 	c.obs.Miss()
 	c.obs.Entries(n)
 	return sched, false, err
-}
-
-// Checkout transfers exclusive ownership of a warm Result for the
-// instance (g, k, β): on a cache hit the entry is removed and its
-// retained Result returned (no other holder exists — hits only ever share
-// the schedule snapshot); on a miss a fresh Result is built, uncached.
-// The second return reports whether the base came from the cache.
-func (c *SolveCache) Checkout(g *bipartite.Graph, k int, beta int64, opts Options) (*Result, bool, error) {
-	key := HashInstance(g, k, beta, opts)
-	for {
-		c.mu.Lock()
-		if el, ok := c.entries[key]; ok {
-			ent := el.Value.(*cacheEntry)
-			c.order.Remove(el)
-			delete(c.entries, key)
-			n := c.order.Len()
-			c.mu.Unlock()
-			c.obs.Checkout()
-			c.obs.Entries(n)
-			return ent.res, true, nil
-		}
-		f, ok := c.flights[key]
-		c.mu.Unlock()
-		if !ok {
-			break
-		}
-		// A solve of this key is in progress; wait for it to land and
-		// retry the checkout (it may win the entry, or fail).
-		<-f.done
-		if f.err != nil {
-			return nil, false, f.err
-		}
-	}
-	res, err := NewResult(g, k, beta, opts)
-	if err != nil {
-		return nil, false, err
-	}
-	return res, false, nil
 }
 
 // insertLocked adds an entry and evicts from the LRU back past capacity.

@@ -148,35 +148,40 @@ func TestSolveCacheHitMissEvict(t *testing.T) {
 	}
 }
 
-// TestSolveCacheCheckout pins the exclusive-transfer contract: a checkout
-// removes the entry, its Result delta-solves correctly, and a second
-// checkout of the same key builds a fresh base.
-func TestSolveCacheCheckout(t *testing.T) {
-	mat := []int64{5, 3, 2, 7}
-	c := NewSolveCache(4, nil)
+// TestSolveCacheEdgeOrder: a schedule depends on the graph's edge order
+// while the cache key does not, so a graph in reversed edge order solves
+// uncached, byte-identical to Solve of that graph, and never shares an
+// entry with the row-major graph of the same matrix.
+func TestSolveCacheEdgeOrder(t *testing.T) {
+	mat := randomDeltaMatrix(rand.New(rand.NewSource(5)), 6, 6, 0.8, 40)
+	canon := graphFromMatrix(t, mat, 6, 6)
+	edges := canon.Edges()
+	rev := bipartite.New(6, 6)
+	for i := len(edges) - 1; i >= 0; i-- {
+		rev.AddEdge(edges[i].L, edges[i].R, edges[i].Weight)
+	}
 	opts := Options{Algorithm: GGP}
-	if _, _, err := c.GetOrSolve(graphFromMatrix(t, mat, 2, 2), 2, 1, opts); err != nil {
-		t.Fatal(err)
+	a, errA := Solve(canon, 3, 1, opts)
+	b, errB := Solve(rev, 3, 1, opts)
+	if errA != nil || errB != nil || a.String() == b.String() {
+		t.Fatalf("the two edge orders must solve to different schedules (errs %v, %v)", errA, errB)
 	}
-	res, fromCache, err := c.Checkout(graphFromMatrix(t, mat, 2, 2), 2, 1, opts)
-	if err != nil || !fromCache {
-		t.Fatalf("checkout: fromCache=%v err=%v", fromCache, err)
+	c := NewSolveCache(2, nil)
+	for _, g := range []*bipartite.Graph{canon, rev, rev, canon} {
+		got, _, err := c.GetOrSolve(g, 3, 1, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Solve(g, 3, 1, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Fatal("cached answer differs from Solve of the caller's graph")
+		}
 	}
-	if c.Len() != 0 {
-		t.Fatal("checkout left the entry cached")
-	}
-	applyEditsToMatrix(mat, 2, []Edit{{L: 0, R: 0, W: 9}})
-	got, err := res.SolveDelta([]Edit{{L: 0, R: 0, W: 9}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := Solve(graphFromMatrix(t, mat, 2, 2), 2, 1, opts)
-	if got.String() != want.String() {
-		t.Fatal("checked-out base delta differs from cold")
-	}
-	// Cold checkout path.
-	if _, fromCache, err := c.Checkout(graphFromMatrix(t, mat, 2, 2), 2, 1, opts); err != nil || fromCache {
-		t.Fatalf("cold checkout: fromCache=%v err=%v", fromCache, err)
+	if c.Len() != 1 {
+		t.Fatalf("len = %d, want 1 (the row-major graph only)", c.Len())
 	}
 }
 

@@ -86,13 +86,8 @@ type DeltaStats struct {
 }
 
 // ErrNonCanonical reports a delta-base graph whose edge list is not in
-// canonical row-major order (or has parallel edges). Callers that accept
-// arbitrary edge orders (the solve cache inside the engine pool) detect
-// it with IsNonCanonical and fall back to a plain Solve.
+// canonical row-major order (or has parallel edges).
 var ErrNonCanonical = errors.New("kpbs: delta base requires canonical row-major edge order without parallel edges")
-
-// IsNonCanonical reports whether err is (or wraps) ErrNonCanonical.
-func IsNonCanonical(err error) bool { return errors.Is(err, ErrNonCanonical) }
 
 // Result is a retained solve: the schedule plus what the reuse and rebuild
 // paths need to re-derive it under edits. Build one with NewResult, advance

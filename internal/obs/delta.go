@@ -59,13 +59,12 @@ func (o *Observer) DeltaSolve(alg, path string, edits int) {
 
 // ---------------------------------------------------------------------------
 // Cache view: the content-addressed solve cache (kpbs.Cache) — hit/miss
-// accounting, single-flight coalescing, checkouts and eviction counts.
+// accounting, single-flight coalescing and eviction counts.
 
 // CacheObs is the solve cache's metrics bundle, cached per observer.
 type CacheObs struct {
-	hits, misses, evictions *Counter
-	coalesced, checkouts    *Counter
-	entries                 *Gauge
+	hits, misses, evictions, coalesced *Counter
+	entries                            *Gauge
 }
 
 // Cache returns the solve-cache view, resolving its metrics on first use.
@@ -82,7 +81,6 @@ func (o *Observer) Cache() *CacheObs {
 			misses:    o.Metrics.Counter("solver.cache.misses_total"),
 			evictions: o.Metrics.Counter("solver.cache.evictions_total"),
 			coalesced: o.Metrics.Counter("solver.cache.coalesced_total"),
-			checkouts: o.Metrics.Counter("solver.cache.checkouts_total"),
 			entries:   o.Metrics.Gauge("solver.cache.entries"),
 		}
 	}
@@ -112,14 +110,6 @@ func (c *CacheObs) Coalesced() {
 		return
 	}
 	c.coalesced.Inc()
-}
-
-// Checkout counts an exclusive Result transfer out of the cache.
-func (c *CacheObs) Checkout() {
-	if c == nil {
-		return
-	}
-	c.checkouts.Inc()
 }
 
 // Evicted counts entries dropped by the LRU bound.

@@ -27,7 +27,6 @@ type Observer struct {
 	cluster *ClusterObs
 	pool    *PoolObs
 	serve   *ServeObs
-	spans   *SpanRecorder
 	tenants *TenantObs
 	solveID atomic.Int64
 }
@@ -449,8 +448,8 @@ func (c *ClusterObs) Transfer(src, dst int, bytes int64, start time.Time, dur ti
 
 // ---------------------------------------------------------------------------
 // Pool view: the long-lived solver pool (engine.Pool) — queue depth,
-// worker occupancy and per-job latency for a stream of single-instance
-// solves rather than one batch.
+// worker occupancy and per-job latency for a stream of jobs (the service's
+// solves and delta repairs) rather than one batch.
 
 // PoolObs is the solver pool's metrics bundle, cached per observer.
 type PoolObs struct {
@@ -504,8 +503,7 @@ func (p *PoolObs) Enqueue() {
 }
 
 // WaitSpan times one job's stay in the pool queue, from StartWait to the
-// moment a worker claims it (Dequeue) or the pool gives up on it
-// (Abandon). The zero value discards everything.
+// moment a worker claims it (Dequeue). The zero value discards everything.
 type WaitSpan struct {
 	p    *PoolObs
 	span Span
@@ -525,17 +523,6 @@ func (w WaitSpan) Dequeue(worker int) (JobSpan, time.Duration) {
 	return JobSpan{p: w.p, span: w.p.tr.StartSpan("engine", "pool job", PIDEngine, worker+1)}, wait
 }
 
-// Abandon accounts for a queued job that no worker will run (the pool is
-// closing or the submitter's context expired first).
-func (w WaitSpan) Abandon() {
-	if w.p == nil {
-		return
-	}
-	w.p.queueDepth.Add(-1)
-	w.p.completed.Inc()
-	w.p.errs.Inc()
-}
-
 // JobSpan times one pool job on one worker. The zero value (what a nil
 // pool view hands out) discards everything.
 type JobSpan struct {
@@ -543,7 +530,7 @@ type JobSpan struct {
 	span Span
 }
 
-// Done closes the job span with its outcome and returns the measured solve
+// Done closes the job span with its outcome and returns the measured run
 // time (0 when unobserved).
 func (sp JobSpan) Done(err error) time.Duration {
 	if sp.p == nil {
@@ -563,21 +550,24 @@ func (sp JobSpan) Done(err error) time.Duration {
 }
 
 // ---------------------------------------------------------------------------
-// Serve view: the scheduling daemon — session lifecycle, request
-// admission and outcome accounting, per-request latency, and protocol
-// errors from misbehaving clients.
+// Serve view: the scheduling daemon — session lifecycle and protocol
+// errors from misbehaving clients. Each session's ReqRec (spanrec.go)
+// records its requests: outcome counts, latency, tenant SLO slot and
+// span tree.
 
 // ServeObs is the scheduling service's metrics bundle, cached per
 // observer. Reject counters are per-code ("serve.rejects_total.<code>"),
 // resolved from the registry on the cold reject path.
 type ServeObs struct {
 	tr                            *Trace
+	now                           func() time.Time
 	reg                           *Registry
+	tenants                       *TenantObs
 	sessions, requests, responses *Counter
 	rejects, protoErrs, readErrs  *Counter
+	spansFinished                 *Counter
 	sessionsActive, tenantsActive *Gauge
 	requestUS                     *Histogram
-	queueWaitUS, solveUS          *Histogram
 }
 
 // Serve returns the service view, resolving its metrics on first use.
@@ -589,45 +579,42 @@ func (o *Observer) Serve() *ServeObs {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.serve == nil {
+		// Request spans share the trace's clock, so they line up with every
+		// other lane in the trace.
+		now := time.Now
+		if o.Trace != nil && o.Trace.now != nil {
+			now = o.Trace.now
+		}
 		o.serve = &ServeObs{
 			tr:             o.Trace,
+			now:            now,
 			reg:            o.Metrics,
+			tenants:        o.tenantSLO(),
 			sessions:       o.Metrics.Counter("serve.sessions_total"),
 			requests:       o.Metrics.Counter("serve.requests_total"),
 			responses:      o.Metrics.Counter("serve.responses_total"),
 			rejects:        o.Metrics.Counter("serve.rejects_total"),
 			protoErrs:      o.Metrics.Counter("serve.protocol_errors_total"),
 			readErrs:       o.Metrics.Counter("serve.read_errors_total"),
+			spansFinished:  o.Metrics.Counter("spans.finished_total"),
 			sessionsActive: o.Metrics.Gauge("serve.sessions_active"),
 			tenantsActive:  o.Metrics.Gauge("serve.tenants_known"),
 			requestUS:      o.Metrics.Histogram("serve.request_us", DurationBuckets),
-			queueWaitUS:    o.Metrics.Histogram("serve.queue_wait_us", DurationBuckets),
-			solveUS:        o.Metrics.Histogram("serve.solve_us", DurationBuckets),
 		}
 	}
 	return o.serve
 }
 
-// Timings records where one answered request spent its time: pool-queue
-// wait versus the solve itself, as measured by the pool's spans. Zero
-// durations (unobserved pool) are still recorded — they are real
-// observations of "no measurable wait".
-func (s *ServeObs) Timings(wait, solve time.Duration) {
+// SessionOpen accounts for an accepted client connection and returns the
+// record its requests are kept in. Nil receiver → nil record.
+func (s *ServeObs) SessionOpen(id int) *ReqRec {
 	if s == nil {
-		return
-	}
-	s.queueWaitUS.Observe(wait.Microseconds())
-	s.solveUS.Observe(solve.Microseconds())
-}
-
-// SessionOpen accounts for an accepted client connection.
-func (s *ServeObs) SessionOpen(id int) {
-	if s == nil {
-		return
+		return nil
 	}
 	s.sessions.Inc()
 	s.sessionsActive.Add(1)
 	s.tr.Instant("serve", "session open", PIDServe, id, nil)
+	return &ReqRec{s: s, session: int32(id)}
 }
 
 // SessionClose accounts for a finished client connection.
@@ -661,45 +648,4 @@ func (s *ServeObs) ReadError() {
 		return
 	}
 	s.readErrs.Inc()
-}
-
-// Request opens the observation of one solve request on session id's
-// trace lane. Exactly one of Respond and Reject must close it.
-func (s *ServeObs) Request(session int) RequestSpan {
-	if s == nil {
-		return RequestSpan{}
-	}
-	s.requests.Inc()
-	return RequestSpan{s: s, span: s.tr.StartSpan("serve", "request", PIDServe, session)}
-}
-
-// RequestSpan times one request from admission to outcome. The zero value
-// discards everything.
-type RequestSpan struct {
-	s    *ServeObs
-	span Span
-}
-
-// Respond closes the request as answered with a schedule.
-func (sp RequestSpan) Respond() {
-	if sp.s == nil {
-		return
-	}
-	sp.s.responses.Inc()
-	sp.s.requestUS.Observe(sp.span.Elapsed().Microseconds())
-	sp.span.End([]Arg{{"rejected", 0}})
-}
-
-// Reject closes the request as refused with the given code. Per-code
-// counts land under "serve.rejects_total.<code>"; the aggregate under
-// "serve.rejects_total". The registry lookup may allocate — rejection is
-// never a hot path.
-func (sp RequestSpan) Reject(code string) {
-	if sp.s == nil {
-		return
-	}
-	sp.s.rejects.Inc()
-	sp.s.reg.Counter("serve.rejects_total." + code).Inc()
-	sp.s.requestUS.Observe(sp.span.Elapsed().Microseconds())
-	sp.span.End([]Arg{{"rejected", 1}})
 }

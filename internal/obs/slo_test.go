@@ -86,29 +86,45 @@ func TestQuantileEdgeCases(t *testing.T) {
 	}
 }
 
-// TestSpanRecorder drives one request through every phase and checks the
-// emitted trace events nest correctly on the request lane.
+// TestSpanRecorder drives one request through every phase of a
+// session's request record and checks the emitted span tree nests on the
+// request lane, and that the one closing call records the request in the
+// serve counters and its tenant slot.
 func TestSpanRecorder(t *testing.T) {
 	clock := time.Unix(0, 0)
 	tr := NewTraceWithClock(func() time.Time { clock = clock.Add(10 * time.Microsecond); return clock })
 	o := &Observer{Metrics: NewRegistry(), Trace: tr}
 
-	rec := o.Spans()
-	q := rec.Begin(3)
+	q := o.Serve().SessionOpen(3)
 	if q == nil {
-		t.Fatal("Begin returned nil on a fresh recorder")
+		t.Fatal("SessionOpen returned nil on an enabled observer")
 	}
-	q.SetTenant(42)
+	opened := tr.Len() // the session-open instant
+	q.Begin()
+	q.Admit(42)
 	q.SetTrace([16]byte{0xAA, 15: 0x01})
-	q.Mark(PhaseAdmit)
 	q.Mark(PhaseQueue)
 	q.Mark(PhaseSolve)
 	q.Mark(PhaseEncode)
 	q.Mark(PhaseWrite)
-	q.Finish(OutcomeOK)
+	q.Respond(5*time.Microsecond, 50*time.Microsecond)
 
-	if got := o.Reg().Counter("spans.finished_total").Value(); got != 1 {
-		t.Errorf("spans.finished_total = %d, want 1", got)
+	snap := o.Reg().Snapshot()
+	for _, c := range []struct {
+		name string
+		want int64
+	}{
+		{"spans.finished_total", 1},
+		{"serve.requests_total", 1},
+		{"serve.responses_total", 1},
+		{"serve.rejects_total", 0},
+	} {
+		if got := snap.Counters[c.name]; got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, got, c.want)
+		}
+	}
+	if ts := o.TenantSLO().Snapshot(); len(ts) != 1 || ts[0].Tenant != 42 || ts[0].Requests != 1 || ts[0].Responses != 1 {
+		t.Errorf("tenant slots = %+v, want one answered request of tenant 42", ts)
 	}
 
 	var sb strings.Builder
@@ -126,73 +142,57 @@ func TestSpanRecorder(t *testing.T) {
 		}
 	}
 	// 1 outer + 6 phases.
-	if n := tr.Len(); n != 7 {
-		t.Errorf("trace has %d events, want 7", n)
+	if n := tr.Len() - opened; n != 7 {
+		t.Errorf("request emitted %d events, want 7", n)
 	}
 
-	// Drop emits nothing and releases the slot.
+	// A frame that is not a request is never closed: the next Begin
+	// discards its marks, and only the refused request is recorded.
 	before := tr.Len()
-	q2 := rec.Begin(4)
-	q2.Drop()
-	if tr.Len() != before {
-		t.Error("Drop emitted trace events")
+	q.Begin()
+	q.Mark(PhaseQueue)
+	q.Begin()
+	q.Admit(7)
+	q.Reject(OutcomeReject, "busy")
+	if n := tr.Len() - before; n != 3 {
+		t.Errorf("refused request emitted %d events, want 3 (request, read, admit)", n)
+	}
+	if got := o.Reg().Counter("serve.rejects_total.busy").Value(); got != 1 {
+		t.Errorf("serve.rejects_total.busy = %d, want 1", got)
 	}
 }
 
-// TestSpanRecorderRingExhaustion: colliding with a still-open slot drops
-// (counted) instead of blocking or corrupting.
-func TestSpanRecorderRingExhaustion(t *testing.T) {
-	o := New()
-	rec := o.Spans()
-	open := make([]*ReqRec, 0, spanRingSize)
-	for i := 0; i < spanRingSize; i++ {
-		if q := rec.Begin(i); q != nil {
-			open = append(open, q)
-		}
-	}
-	if len(open) == 0 {
-		t.Fatal("no slots claimed")
-	}
-	// Every slot is held: the next Begin must drop.
-	if q := rec.Begin(999); q != nil {
-		t.Error("Begin succeeded with a full ring")
-	}
-	if got := o.Reg().Counter("spans.dropped_total").Value(); got == 0 {
-		t.Error("ring collision not counted as a drop")
-	}
-	for _, q := range open {
-		q.Drop()
-	}
-	if q := rec.Begin(1000); q == nil {
-		t.Error("Begin failed after slots were released")
-	}
-}
-
-// TestSpanRecorderNilAndAllocs pins the hotpath contract: the nil path is
-// allocation-free, and so are Begin/Mark/Drop on an enabled recorder —
-// only Finish (once per request) may allocate.
+// TestSpanRecorderNilAndAllocs pins the hotpath contract: the nil record
+// is allocation-free, and so are Begin/Admit/Mark/SetTrace on an enabled
+// one — only the closing Respond or Reject (once per request) may
+// allocate.
 func TestSpanRecorderNilAndAllocs(t *testing.T) {
-	var nilRec *SpanRecorder
+	var nilServe *ServeObs
+	if nilServe.SessionOpen(1) != nil {
+		t.Fatal("nil ServeObs handed out a record")
+	}
+	var nilRec *ReqRec
 	if avg := testing.AllocsPerRun(100, func() {
-		q := nilRec.Begin(1)
-		q.SetTenant(2)
-		q.SetTrace([16]byte{1})
-		q.Mark(PhaseSolve)
-		q.Finish(OutcomeOK)
-		q.Drop()
+		nilRec.Begin()
+		nilRec.Admit(2)
+		nilRec.SetTrace([16]byte{1})
+		nilRec.Mark(PhaseQueue)
+		nilRec.MarkAfter(PhaseSolve, PhaseQueue, time.Microsecond)
+		nilRec.Respond(0, 0)
+		nilRec.Reject(OutcomeReject, "busy")
 	}); avg != 0 {
-		t.Errorf("nil recorder path allocates %v per op", avg)
+		t.Errorf("nil record path allocates %v per op", avg)
 	}
 
-	rec := New().Spans()
+	q := New().Serve().SessionOpen(1)
 	if avg := testing.AllocsPerRun(100, func() {
-		q := rec.Begin(1)
-		q.SetTenant(2)
-		q.Mark(PhaseAdmit)
-		q.Mark(PhaseSolve)
-		q.Drop()
+		q.Begin()
+		q.Admit(2)
+		q.SetTrace([16]byte{1})
+		q.Mark(PhaseQueue)
+		q.MarkAfter(PhaseSolve, PhaseQueue, time.Microsecond)
 	}); avg != 0 {
-		t.Errorf("enabled Begin/Mark/Drop path allocates %v per op", avg)
+		t.Errorf("enabled Begin/Admit/Mark path allocates %v per op", avg)
 	}
 }
 
@@ -335,7 +335,7 @@ func TestValidatePrometheus(t *testing.T) {
 	}
 }
 
-// TestPoolWaitSpans checks the StartWait→Dequeue/Abandon accounting and
+// TestPoolWaitSpans checks the StartWait→Dequeue accounting and
 // the measured durations JobSpan.Done returns.
 func TestPoolWaitSpans(t *testing.T) {
 	clock := time.Unix(0, 0)
@@ -366,19 +366,10 @@ func TestPoolWaitSpans(t *testing.T) {
 		t.Error("queue_wait_us histogram not recorded")
 	}
 
-	// Abandon path settles the depth gauge and counts an error.
-	w2 := p.StartWait()
-	p.Enqueue()
-	w2.Abandon()
-	if got := o.Reg().Gauge("engine.pool.queue_depth").Value(); got != 0 {
-		t.Errorf("queue_depth after abandon = %d", got)
-	}
-
 	// Zero-value spans discard everything.
 	var zw WaitSpan
 	zsp, zwait := zw.Dequeue(0)
 	if zwait != 0 || zsp.Done(nil) != 0 {
 		t.Error("zero WaitSpan produced durations")
 	}
-	zw.Abandon()
 }

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Phase labels one stage of a request's life inside the serving path. A
 // request passes through the phases in declaration order; Mark stamps the
@@ -14,7 +11,7 @@ const (
 	PhaseRead   Phase = iota // blocking frame read on the session
 	PhaseAdmit               // decode + admission control
 	PhaseQueue               // waiting in the solver pool's queue
-	PhaseSolve               // the solve itself
+	PhaseSolve               // the pool job: a solve or a delta repair
 	PhaseEncode              // response encoding
 	PhaseWrite               // response frame write
 	numPhases
@@ -23,99 +20,28 @@ const (
 // phaseNames are the trace-event names, indexed by Phase.
 var phaseNames = [numPhases]string{"read", "admit", "queue", "solve", "encode", "write"}
 
-// Request outcomes recorded by (*ReqRec).Finish.
+// Request outcomes, the "outcome" arg of a request span.
 const (
 	OutcomeOK     = 0 // answered with a schedule
 	OutcomeReject = 1 // refused with a reject code
 	OutcomeError  = 2 // failed (solve error, write error)
 )
 
-// spanRingSize bounds the number of in-flight request records. Slots are
-// claimed by a single CAS; a request that collides with a still-open slot
-// is dropped and counted, never blocked on.
-const spanRingSize = 1024
-
-// SpanRecorder turns the serving path's per-request phase marks into
-// nested Chrome trace_event spans. It is the request-scoped counterpart of
-// the aggregate views in observer.go: Begin claims a pre-allocated record
-// from a fixed ring (one CAS, no allocation, no lock), Mark stamps phase
-// boundaries, and Finish — the only emitting call, once per request —
-// renders the record as one outer "request" span with its phases nested
-// inside on the session's lane (pid PIDRequest, tid session).
+// ReqRec is a session's request record. A session answers one request at
+// a time, so it keeps one ReqRec (from ServeObs.SessionOpen) and reuses
+// it: Begin opens the next request before the blocking frame read, Admit,
+// SetTrace and Mark stamp its phases, and exactly one of Respond and
+// Reject closes it. That closing call records the request once — in the
+// "serve.*" counters and request latency, in its tenant's SLO slot, and
+// as one "request" span with its phases nested inside on the session's
+// lane (pid PIDRequest, tid session). A frame that turns out not to be a
+// request is never closed; the next Begin discards its marks.
 //
-// A nil *SpanRecorder hands out nil records, and every method on a nil
-// *ReqRec is an allocation-free no-op, preserving the package's hotpath
-// contract. tools/redistlint bars SpanRecorder lookups (Begin included)
-// inside //redistlint:hotpath functions, same as Registry and Observer.
-type SpanRecorder struct {
-	tr       *Trace
-	now      func() time.Time
-	next     atomic.Uint64
-	slots    []ReqRec
-	finished *Counter
-	dropped  *Counter
-}
-
-// newSpanRecorder builds a recorder emitting into tr, sharing its clock so
-// request spans line up with every other lane in the trace.
-func newSpanRecorder(tr *Trace, reg *Registry) *SpanRecorder {
-	r := &SpanRecorder{
-		tr:       tr,
-		now:      time.Now,
-		finished: reg.Counter("spans.finished_total"),
-		dropped:  reg.Counter("spans.dropped_total"),
-	}
-	if tr != nil && tr.now != nil {
-		r.now = tr.now
-	}
-	r.slots = make([]ReqRec, spanRingSize)
-	for i := range r.slots {
-		r.slots[i].rec = r
-	}
-	return r
-}
-
-// Spans returns the request span recorder, created on first use. Nil
-// receiver → nil recorder.
-func (o *Observer) Spans() *SpanRecorder {
-	if o == nil {
-		return nil
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.spans == nil {
-		o.spans = newSpanRecorder(o.Trace, o.Metrics)
-	}
-	return o.spans
-}
-
-// Begin claims a record for one request on the given session lane and
-// stamps its start (which doubles as the PhaseRead mark). Returns nil —
-// and counts a drop — if the ring slot is still held by a request begun
-// spanRingSize requests ago. Nil receiver → nil record.
-func (r *SpanRecorder) Begin(session int) *ReqRec {
-	if r == nil {
-		return nil
-	}
-	q := &r.slots[r.next.Add(1)%spanRingSize]
-	if !q.inUse.CompareAndSwap(false, true) {
-		r.dropped.Inc()
-		return nil
-	}
-	q.session = int32(session)
-	q.tenant = -1
-	q.traceID = [16]byte{}
-	q.marks = [numPhases]time.Time{}
-	q.start = r.now()
-	q.marks[PhaseRead] = q.start
-	return q
-}
-
-// ReqRec is the in-flight record of one request. All methods are no-ops on
-// a nil record and none of them allocates; only Finish emits.
+// Every method on a nil *ReqRec (the unobserved service) is an
+// allocation-free no-op, and on an enabled record only the closing calls
+// allocate.
 type ReqRec struct {
-	rec     *SpanRecorder
-	inUse   atomic.Bool
+	s       *ServeObs
 	session int32
 	tenant  int32
 	traceID [16]byte
@@ -123,12 +49,37 @@ type ReqRec struct {
 	marks   [numPhases]time.Time
 }
 
+// Begin opens the session's next request: it clears the previous
+// request's marks and stamps the start, which doubles as the PhaseRead
+// mark.
+func (q *ReqRec) Begin() {
+	if q == nil {
+		return
+	}
+	q.tenant = -1
+	q.traceID = [16]byte{}
+	q.marks = [numPhases]time.Time{}
+	q.start = q.s.now()
+	q.marks[PhaseRead] = q.start
+}
+
+// Admit counts the frame just read as a request from tenant (the frame
+// Src) and stamps the beginning of its admit phase.
+func (q *ReqRec) Admit(tenant int) {
+	if q == nil {
+		return
+	}
+	q.s.requests.Inc()
+	q.tenant = int32(tenant)
+	q.marks[PhaseAdmit] = q.s.now()
+}
+
 // Mark stamps the beginning of phase p at the recorder's clock.
 func (q *ReqRec) Mark(p Phase) {
 	if q == nil || p >= numPhases {
 		return
 	}
-	q.marks[p] = q.rec.now()
+	q.marks[p] = q.s.now()
 }
 
 // MarkAfter stamps phase p at phase base's mark plus d. It covers the one
@@ -142,14 +93,6 @@ func (q *ReqRec) MarkAfter(p, base Phase, d time.Duration) {
 	q.marks[p] = q.marks[base].Add(d)
 }
 
-// SetTenant records the tenant (frame Src) the request belongs to.
-func (q *ReqRec) SetTenant(t int) {
-	if q == nil {
-		return
-	}
-	q.tenant = int32(t)
-}
-
 // SetTrace records the client's 16-byte trace id; it is surfaced on the
 // finished span's args so a trace id seen in a log line can be located on
 // the timeline.
@@ -160,25 +103,42 @@ func (q *ReqRec) SetTrace(id [16]byte) {
 	q.traceID = id
 }
 
-// Drop releases the record without emitting anything — the frame turned
-// out not to be a solve request, or the session died mid-read.
-func (q *ReqRec) Drop() {
+// Respond closes the request as answered. wait and run are the pool's
+// measured queue wait and job run time, kept in the tenant's SLO slot.
+func (q *ReqRec) Respond(wait, run time.Duration) {
 	if q == nil {
 		return
 	}
-	q.inUse.Store(false)
+	q.s.responses.Inc()
+	slot := q.s.tenants.Slot(int(q.tenant))
+	slot.Request()
+	slot.Respond(wait, run)
+	q.finish(OutcomeOK)
 }
 
-// Finish closes the record: it emits the outer request span plus one
-// nested span per marked phase (each phase ends where the next marked one
-// begins; the last ends now), then releases the slot. The emitting path
-// may allocate — it runs once per request, off the per-peel hotpath.
-func (q *ReqRec) Finish(outcome int64) {
+// Reject closes the request as refused (OutcomeReject) or failed
+// (OutcomeError) under code, counted in "serve.rejects_total" and
+// "serve.rejects_total.<code>". The registry lookup may allocate —
+// rejection is never a hot path.
+func (q *ReqRec) Reject(outcome int64, code string) {
 	if q == nil {
 		return
 	}
-	r := q.rec
-	end := r.now()
+	q.s.rejects.Inc()
+	q.s.reg.Counter("serve.rejects_total." + code).Inc()
+	slot := q.s.tenants.Slot(int(q.tenant))
+	slot.Request()
+	slot.Reject()
+	q.finish(outcome)
+}
+
+// finish observes the request latency (admit to now) and emits the outer
+// request span plus one nested span per marked phase (each phase ends
+// where the next marked one begins; the last ends now).
+func (q *ReqRec) finish(outcome int64) {
+	s := q.s
+	end := s.now()
+	s.requestUS.Observe(end.Sub(q.marks[PhaseAdmit]).Microseconds())
 	tid := int(q.session)
 	// traceLo is the low 8 bytes of the trace id, enough to correlate a
 	// span with a log line without string args.
@@ -186,7 +146,7 @@ func (q *ReqRec) Finish(outcome int64) {
 	for i := 8; i < 16; i++ {
 		traceLo = traceLo<<8 | int64(q.traceID[i])
 	}
-	r.tr.Complete("request", "request", PIDRequest, tid, q.start, end.Sub(q.start), []Arg{
+	s.tr.Complete("request", "request", PIDRequest, tid, q.start, end.Sub(q.start), []Arg{
 		{"tenant", int64(q.tenant)},
 		{"outcome", outcome},
 		{"trace_lo", traceLo},
@@ -203,8 +163,7 @@ func (q *ReqRec) Finish(outcome int64) {
 				break
 			}
 		}
-		r.tr.Complete("request", phaseNames[p], PIDRequest, tid, at, stop.Sub(at), nil)
+		s.tr.Complete("request", phaseNames[p], PIDRequest, tid, at, stop.Sub(at), nil)
 	}
-	r.finished.Inc()
-	q.inUse.Store(false)
+	s.spansFinished.Inc()
 }

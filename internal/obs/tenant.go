@@ -36,6 +36,12 @@ func (o *Observer) TenantSLO() *TenantObs {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	return o.tenantSLO()
+}
+
+// tenantSLO returns the per-tenant SLO view, created on first use. The
+// caller holds o.mu.
+func (o *Observer) tenantSLO() *TenantObs {
 	if o.tenants == nil {
 		o.tenants = &TenantObs{
 			ll:        list.New(),
@@ -92,7 +98,7 @@ func (t *TenantObs) Slot(tenant int) *TenantSlot {
 	return s
 }
 
-// Request counts one admitted solve request from the tenant.
+// Request counts one request from the tenant.
 func (s *TenantSlot) Request() {
 	if s == nil {
 		return

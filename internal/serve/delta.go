@@ -1,14 +1,11 @@
 package serve
 
 import (
-	"encoding/hex"
 	"fmt"
-	"net"
-	"time"
+	"log/slog"
 
 	"redistgo/internal/bipartite"
 	"redistgo/internal/kpbs"
-	"redistgo/internal/obs"
 	"redistgo/internal/wire"
 )
 
@@ -30,11 +27,10 @@ import (
 //
 // Bases are materialized lazily: registration stores only the request's
 // graph and parameters, and the first delta of a chain builds the warm
-// kpbs.Result — checked out of the solve cache when it holds one
-// (Checkout transfers the retained Result without re-solving), cold-built
-// otherwise. Sessions are serial, so delta solving runs on the session
-// goroutine: the hot paths are far cheaper than a queued cold solve, and
-// admission control still applies per request.
+// kpbs.Result with kpbs.NewResult. A delta takes the same request path as
+// a solve (Server.handle): its base lookup and edit check are its decode
+// step, and the materialization and repair are its pool job, so Workers
+// and QueueDepth bound deltas as they bound solves.
 
 // defaultMaxBases bounds a session's base registry when Config.MaxBases
 // is unset.
@@ -114,160 +110,60 @@ func (b *baseRegistry) remove(c *baseChain) {
 	}
 }
 
-// materialize builds the chain's warm Result on first use: checked out of
-// the solve cache when it retains this exact instance, cold-built
-// otherwise.
-func (c *baseChain) materialize(cache *kpbs.SolveCache) error {
+// materialize builds the chain's warm Result on its first delta.
+func (c *baseChain) materialize() error {
 	if c.res != nil {
 		return nil
 	}
 	var err error
-	if cache != nil {
-		c.res, _, err = cache.Checkout(c.g, c.k, c.beta, c.opts)
-	} else {
-		c.res, err = kpbs.NewResult(c.g, c.k, c.beta, c.opts)
-	}
+	c.res, err = kpbs.NewResult(c.g, c.k, c.beta, c.opts)
 	return err
 }
 
-// solveDeltaSafe runs the delta repair with the same panic isolation the
-// engine pool gives cold solves (engine.solveOne): deltas run on the
-// session goroutine, so a panic in the patch/replay hot paths must fail
-// the one request — via the solve-failed path, which drops the chain —
-// instead of crashing the daemon.
-func solveDeltaSafe(res *kpbs.Result, edits []kpbs.Edit) (sched *kpbs.Schedule, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			sched, err = nil, fmt.Errorf("delta solver panicked: %v", r)
-		}
-	}()
-	return res.SolveDelta(edits)
+// deltaJob repairs a chain's retained solve under one edit list on a pool
+// worker. The session waits for the result, so the chain is never touched
+// by two goroutines at once.
+type deltaJob struct {
+	chain *baseChain
+	edits []kpbs.Edit
 }
 
-// handleDelta runs one delta request through admit → repair → respond.
-// Like handleSolve it reports whether the session should continue: codec
-// violations drop the connection, refusals (unknown base, quota, bad
-// edits) keep it alive. Trace contexts behave exactly as on solves.
-func (s *Server) handleDelta(id int, conn net.Conn, f wire.Frame, rec *obs.ReqRec, bases *baseRegistry) bool {
-	start := time.Now()
-	rec.Mark(obs.PhaseAdmit)
-	rec.SetTenant(int(f.Src))
-	sp := s.so.Request(id)
-	slot := s.slo.Slot(int(f.Src))
+// Run implements engine.Job.
+func (j *deltaJob) Run() (*kpbs.Schedule, error) {
+	if err := j.chain.materialize(); err != nil {
+		return nil, err
+	}
+	return j.chain.res.SolveDelta(j.edits)
+}
 
+// decodeDelta decodes a MsgDeltaReq into r and loads the session's delta
+// job with it. A base this session does not retain, or an edit outside the
+// base's matrix, is refused at decode, so a bad edit list never reaches
+// the chain. The codec already checked edits against the protocol-wide
+// node bound.
+func (s *Server) decodeDelta(ss *session, r *decoded, f wire.Frame) error {
+	r.kind, r.tenant = "delta", f.Src
 	req, err := wire.DecodeDeltaReq(f.Payload)
 	if err != nil {
-		s.so.ProtocolError()
-		sp.Reject("bad-request")
-		slot.Reject()
-		rec.Finish(obs.OutcomeReject)
-		s.log.Debug("delta", "session", id, "tenant", f.Src, "outcome", "bad-request", "err", err.Error())
-		s.sendReject(conn, 0, wire.RejectBadRequest, err.Error())
-		return false
+		return err
 	}
-	slot.Request()
-	rec.SetTrace(req.Trace.ID)
-	var traceID string
-	if !req.Trace.Zero() {
-		traceID = hex.EncodeToString(req.Trace.ID[:])
-	}
-	logReq := func(outcome string) {
-		s.log.Debug("delta",
-			"session", id, "tenant", f.Src, "trace", traceID,
-			"base", req.Base, "edits", len(req.Edits),
-			"outcome", outcome)
-	}
-	reject := func(code string) {
-		sp.Reject(code)
-		slot.Reject()
-		rec.Finish(obs.OutcomeReject)
-		logReq(code)
-	}
-
-	// Admission mirrors handleSolve: the draining check and in-flight
-	// accounting share the mutex with Shutdown.
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		reject("shutting-down")
-		return s.sendReject(conn, req.ID, wire.RejectShuttingDown, "service is draining")
-	}
-	s.reqWG.Add(1)
-	s.mu.Unlock()
-	defer s.reqWG.Done()
-
-	if !s.global.Allow(1) {
-		reject("over-quota")
-		return s.sendReject(conn, req.ID, wire.RejectOverQuota, "service admission budget exhausted")
-	}
-	if !s.tenantLimiter(f.Src).Allow(1) {
-		reject("over-quota")
-		return s.sendReject(conn, req.ID, wire.RejectOverQuota,
-			fmt.Sprintf("tenant %d admission budget exhausted", f.Src))
-	}
-
-	chain := bases.lookup(req.Base)
+	r.id, r.trace = req.ID, req.Trace
+	r.attrs = [3]slog.Attr{slog.Uint64("base", req.Base), slog.Int("edits", len(req.Edits))}
+	chain := ss.bases.lookup(req.Base)
 	if chain == nil {
-		reject("unknown-base")
-		return s.sendReject(conn, req.ID, wire.RejectUnknownBase,
-			fmt.Sprintf("base schedule %d is not retained (never issued, superseded, or evicted); re-submit a full solve", req.Base))
+		r.refuse = wire.RejectUnknownBase
+		r.reason = fmt.Sprintf("base schedule %d is not retained (never issued, superseded, or evicted); re-submit a full solve", req.Base)
+		return nil
 	}
-	// The codec checked edits against the protocol-wide node bound; check
-	// them against the actual base instance before touching it, so a bad
-	// edit list cannot poison the chain.
 	for i, e := range req.Edits {
 		if e.L >= chain.g.LeftCount() || e.R >= chain.g.RightCount() {
-			reject("bad-request")
-			return s.sendReject(conn, req.ID, wire.RejectBadRequest,
-				fmt.Sprintf("edit %d cell (%d,%d) outside the base's %dx%d matrix",
-					i, e.L, e.R, chain.g.LeftCount(), chain.g.RightCount()))
+			r.refuse = wire.RejectBadRequest
+			r.reason = fmt.Sprintf("edit %d cell (%d,%d) outside the base's %dx%d matrix",
+				i, e.L, e.R, chain.g.LeftCount(), chain.g.RightCount())
+			return nil
 		}
 	}
-
-	rec.Mark(obs.PhaseSolve)
-	if err := chain.materialize(s.cache); err != nil {
-		bases.remove(chain)
-		reject("solve-failed")
-		return s.sendReject(conn, req.ID, wire.RejectSolveFailed, err.Error())
-	}
-	sched, err := solveDeltaSafe(chain.res, req.Edits)
-	if err != nil {
-		// A post-validation failure poisons the Result; drop the chain so
-		// the client's fallback cold solve starts a fresh lineage.
-		bases.remove(chain)
-		reject("solve-failed")
-		return s.sendReject(conn, req.ID, wire.RejectSolveFailed, err.Error())
-	}
-
-	rec.Mark(obs.PhaseEncode)
-	tc := req.Trace
-	if !tc.Zero() {
-		tc.TS = time.Since(start).Microseconds()
-	}
-	payload, err := wire.EncodeSolveResp(req.ID, sched, tc)
-	if err != nil {
-		// The solve succeeded, so chain.res already reflects the edited
-		// instance — but the chain is still keyed by the old base id. Drop
-		// it (like the solve-failed path) so a later delta against that id
-		// cannot silently run on top of these rejected edits; the client's
-		// fallback cold solve starts a fresh lineage.
-		bases.remove(chain)
-		reject("too-large")
-		return s.sendReject(conn, req.ID, wire.RejectTooLarge, err.Error())
-	}
-	rec.Mark(obs.PhaseWrite)
-	if err := wire.Write(conn, wire.Frame{Type: wire.MsgSolveResp, Dst: f.Src, Payload: payload}); err != nil {
-		sp.Reject("write-failed")
-		slot.Reject()
-		rec.Finish(obs.OutcomeError)
-		logReq("write-failed")
-		return false
-	}
-	bases.advance(chain, req.ID)
-	sp.Respond()
-	s.so.Timings(0, time.Since(start))
-	slot.Respond(0, time.Since(start))
-	rec.Finish(obs.OutcomeOK)
-	logReq("ok")
-	return true
+	ss.delta = deltaJob{chain: chain, edits: req.Edits}
+	r.job, r.chain = &ss.delta, chain
+	return nil
 }

@@ -9,15 +9,16 @@
 //     codecs (a malformed peer yields a typed *wire.ProtocolError and a
 //     metric bump, never a spin, panic or over-allocation);
 //   - internal/engine.Pool, the request-queue/solver-pool layer split out
-//     of the batch engine, for bounded-concurrency solving with
-//     backpressure (a full queue becomes RejectBusy);
+//     of the batch engine: every solve and every delta repair runs on its
+//     bounded workers, with backpressure (a full queue becomes RejectBusy);
 //   - internal/tokenbucket for admission control: one service-wide bucket
 //     plus one per tenant, refilled in requests per second.
 //
-// The request lifecycle is admit → queue → solve → respond → drain:
-// Shutdown stops admission (new requests are refused with
-// RejectShuttingDown), waits for every admitted request to be solved and
-// its response written, then tears the sessions down. Metrics flow
+// Solves and deltas share one request path — decode → admit → queue →
+// answer → record — and only the decode step and the pool job differ
+// between the two kinds. Shutdown drains: it stops admission (new
+// requests are refused with RejectShuttingDown), waits for every admitted
+// request to be answered, then tears the sessions down. Metrics flow
 // through internal/obs under "serve.*" and "engine.pool.*".
 package serve
 
@@ -33,6 +34,7 @@ import (
 	"sync"
 	"time"
 
+	"redistgo/internal/bipartite"
 	"redistgo/internal/engine"
 	"redistgo/internal/kpbs"
 	"redistgo/internal/obs"
@@ -47,10 +49,12 @@ type Config struct {
 	// ephemeral loopback port — explicitly bind a public interface to
 	// expose the service).
 	Addr string
-	// Workers bounds the solver pool; ≤ 0 selects GOMAXPROCS.
+	// Workers bounds the solver pool, which runs every solve and every
+	// delta repair; ≤ 0 selects GOMAXPROCS.
 	Workers int
-	// QueueDepth bounds how many admitted requests may wait for a solver;
-	// ≤ 0 selects 2×Workers. A full queue rejects with RejectBusy.
+	// QueueDepth bounds how many admitted requests, solves and deltas
+	// alike, may wait for a worker; ≤ 0 selects 2×Workers. A full queue
+	// rejects with RejectBusy.
 	QueueDepth int
 	// MaxSessions bounds concurrent client connections; excess connections
 	// are refused with RejectBusy and closed. 0 means unlimited.
@@ -72,8 +76,7 @@ type Config struct {
 	Shard kpbs.ShardMode
 	// CacheSize enables the content-addressed solve cache with that many
 	// entries: repeated solves of byte-identical instances (across all
-	// sessions) are served from the cache, and delta bases are checked out
-	// of it instead of being rebuilt. ≤ 0 disables the cache.
+	// sessions) are served from the cache. ≤ 0 disables the cache.
 	CacheSize int
 	// MaxBases bounds how many delta-base chains each session may keep
 	// alive at once (a chain advances by addressing the latest response id
@@ -86,8 +89,8 @@ type Config struct {
 	// SLO views). nil disables instrumentation.
 	Obs *obs.Observer
 	// Log receives the daemon's structured logs: lifecycle at Info,
-	// session open/close and per-request outcomes (trace id, tenant,
-	// algorithm, nodes, outcome) at Debug. nil discards everything.
+	// session open/close and per-request outcomes (kind, trace id, tenant,
+	// instance size or base, outcome) at Debug. nil discards everything.
 	Log *slog.Logger
 }
 
@@ -99,8 +102,6 @@ type Server struct {
 	pool   *engine.Pool
 	cache  *kpbs.SolveCache // nil when Config.CacheSize ≤ 0
 	so     *obs.ServeObs
-	spans  *obs.SpanRecorder
-	slo    *obs.TenantObs
 	log    *slog.Logger
 	global *tokenbucket.Limiter
 
@@ -158,8 +159,6 @@ func New(cfg Config) (*Server, error) {
 		ln:      ln,
 		pool:    engine.NewPool(engine.PoolOptions{Workers: cfg.Workers, QueueDepth: cfg.QueueDepth, Obs: cfg.Obs}),
 		so:      cfg.Obs.Serve(),
-		spans:   cfg.Obs.Spans(),
-		slo:     cfg.Obs.TenantSLO(),
 		log:     logger,
 		global:  global,
 		ctx:     ctx,
@@ -215,6 +214,19 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// session is one client connection. A session answers its requests
+// serially, so it keeps one request record, one job of each kind and one
+// result channel, and reuses them: queuing a request allocates nothing.
+type session struct {
+	id    int
+	conn  net.Conn
+	rec   *obs.ReqRec
+	bases *baseRegistry
+	solve solveJob
+	delta deltaJob
+	done  chan engine.Result
+}
+
 // session services one client connection serially: requests on a session
 // are answered in order, and concurrency comes from the number of
 // sessions (the solver pool multiplexes them onto Workers goroutines).
@@ -223,8 +235,13 @@ func (s *Server) acceptLoop() {
 func (s *Server) session(id int, conn net.Conn) {
 	defer s.sessionWG.Done()
 	br := bufio.NewReader(conn)
-	bases := newBaseRegistry(s.cfg.MaxBases)
-	s.so.SessionOpen(id)
+	ss := &session{
+		id:    id,
+		conn:  conn,
+		rec:   s.so.SessionOpen(id),
+		bases: newBaseRegistry(s.cfg.MaxBases),
+		done:  make(chan engine.Result, 1),
+	}
 	s.log.Debug("session open", "session", id, "remote", conn.RemoteAddr().String())
 	defer func() {
 		s.mu.Lock()
@@ -239,12 +256,11 @@ func (s *Server) session(id int, conn net.Conn) {
 			return
 		}
 		// The request record opens before the blocking read so the span's
-		// read phase covers the wire wait; frames that turn out not to be
-		// solve requests drop the record unemitted.
-		rec := s.spans.Begin(id)
+		// read phase covers the wire wait; a frame that turns out not to be
+		// a request is never recorded.
+		ss.rec.Begin()
 		f, err := wire.Read(br)
 		if err != nil {
-			rec.Drop()
 			if wire.IsProtocolError(err) {
 				// A malformed frame is diagnosable misbehavior, not a
 				// disconnect: count it and tell the peer before hanging up.
@@ -257,18 +273,12 @@ func (s *Server) session(id int, conn net.Conn) {
 		}
 		switch f.Type {
 		case wire.MsgDone:
-			rec.Drop()
 			return
-		case wire.MsgSolveReq:
-			if !s.handleSolve(id, conn, f, rec, bases) {
-				return
-			}
-		case wire.MsgDeltaReq:
-			if !s.handleDelta(id, conn, f, rec, bases) {
+		case wire.MsgSolveReq, wire.MsgDeltaReq:
+			if !s.handle(ss, f) {
 				return
 			}
 		default:
-			rec.Drop()
 			s.so.ProtocolError()
 			s.sendReject(conn, 0, wire.RejectBadRequest, "unexpected frame "+f.Type.String())
 			return
@@ -276,56 +286,58 @@ func (s *Server) session(id int, conn net.Conn) {
 	}
 }
 
-// handleSolve runs one request through admit → queue → solve → respond.
-// It reports whether the session should continue: codec violations drop
-// the connection, while refusals (quota, queue, size, shutdown) keep the
-// session alive so a throttled client can retry without re-dialing.
+// decoded is one decoded request: what the shared path needs to admit,
+// queue, answer and record it.
+type decoded struct {
+	kind   string // "solve" or "delta", the debug log message
+	tenant int32
+	id     uint64
+	trace  wire.TraceContext
+	job    engine.Job // the session's solve or delta job, loaded by decode
+	chain  *baseChain // the chain a delta extends; nil for a solve
+	// refuse, when non-zero, refuses the request at decode, before
+	// admission: an instance over MaxNodes, an unknown base, or an edit
+	// outside the base's matrix.
+	refuse wire.RejectCode
+	reason string
+	attrs  [3]slog.Attr // the kind's fields of the debug log line
+}
+
+// handle runs one solve or delta request through decode → admit → queue
+// → answer → record. Only the decode step and the pool job differ between
+// the two kinds. It reports whether the session should continue: codec
+// violations drop the connection, while refusals (size, unknown base,
+// quota, queue, shutdown) keep the session alive so a throttled client
+// can retry without re-dialing.
 //
 // A request carrying a CodecV2 trace context gets it echoed on the
 // response with TS replaced by the server's handling time in microseconds
 // (read-to-encode), so the client can split its round-trip latency into
 // server time and wire time. Untraced (CodecV1) requests get the exact
 // pre-trace-era V1 response bytes — the differential test pins that.
-func (s *Server) handleSolve(id int, conn net.Conn, f wire.Frame, rec *obs.ReqRec, bases *baseRegistry) bool {
+func (s *Server) handle(ss *session, f wire.Frame) bool {
 	start := time.Now()
-	rec.Mark(obs.PhaseAdmit)
-	rec.SetTenant(int(f.Src))
-	sp := s.so.Request(id)
-	slot := s.slo.Slot(int(f.Src))
+	ss.rec.Admit(int(f.Src))
+	// The pool is done with the job once the request is answered; drop its
+	// references so an idle session keeps no instance or evicted chain
+	// alive.
+	defer ss.releaseJobs()
 
-	req, err := wire.DecodeSolveReq(f.Payload)
+	var r decoded
+	var err error
+	if f.Type == wire.MsgSolveReq {
+		err = s.decodeSolve(ss, &r, f)
+	} else {
+		err = s.decodeDelta(ss, &r, f)
+	}
 	if err != nil {
 		s.so.ProtocolError()
-		sp.Reject("bad-request")
-		slot.Reject()
-		rec.Finish(obs.OutcomeReject)
-		s.log.Debug("request", "session", id, "tenant", f.Src, "outcome", "bad-request", "err", err.Error())
-		s.sendReject(conn, 0, wire.RejectBadRequest, err.Error())
+		s.refuse(ss, &r, wire.RejectBadRequest, err.Error())
 		return false
 	}
-	slot.Request()
-	rec.SetTrace(req.Trace.ID)
-	var traceID string // empty when the client sent no trace context
-	if !req.Trace.Zero() {
-		traceID = hex.EncodeToString(req.Trace.ID[:])
-	}
-	logReq := func(outcome string) {
-		s.log.Debug("request",
-			"session", id, "tenant", f.Src, "trace", traceID,
-			"algorithm", req.Algorithm, "n1", req.N1, "n2", req.N2,
-			"outcome", outcome)
-	}
-	reject := func(code string) {
-		sp.Reject(code)
-		slot.Reject()
-		rec.Finish(obs.OutcomeReject)
-		logReq(code)
-	}
-
-	if s.cfg.MaxNodes > 0 && (req.N1 > s.cfg.MaxNodes || req.N2 > s.cfg.MaxNodes) {
-		reject("too-large")
-		return s.sendReject(conn, req.ID, wire.RejectTooLarge,
-			fmt.Sprintf("instance %dx%d exceeds the configured limit %d per side", req.N1, req.N2, s.cfg.MaxNodes))
+	ss.rec.SetTrace(r.trace.ID)
+	if r.refuse != 0 {
+		return s.refuse(ss, &r, r.refuse, r.reason)
 	}
 
 	// Admission: the draining check and the in-flight accounting share the
@@ -334,76 +346,146 @@ func (s *Server) handleSolve(id int, conn net.Conn, f wire.Frame, rec *obs.ReqRe
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		reject("shutting-down")
-		return s.sendReject(conn, req.ID, wire.RejectShuttingDown, "service is draining")
+		return s.refuse(ss, &r, wire.RejectShuttingDown, "service is draining")
 	}
 	s.reqWG.Add(1)
 	s.mu.Unlock()
 	defer s.reqWG.Done()
 
 	if !s.global.Allow(1) {
-		reject("over-quota")
-		return s.sendReject(conn, req.ID, wire.RejectOverQuota, "service admission budget exhausted")
+		return s.refuse(ss, &r, wire.RejectOverQuota, "service admission budget exhausted")
 	}
 	if !s.tenantLimiter(f.Src).Allow(1) {
-		reject("over-quota")
-		return s.sendReject(conn, req.ID, wire.RejectOverQuota,
-			fmt.Sprintf("tenant %d admission budget exhausted", f.Src))
+		return s.refuse(ss, &r, wire.RejectOverQuota, fmt.Sprintf("tenant %d admission budget exhausted", f.Src))
 	}
 
-	opts := kpbs.Options{Algorithm: req.Algorithm, Shard: s.cfg.Shard, Obs: s.cfg.Obs}
-	inst := engine.Instance{G: req.Graph(), K: req.K, Beta: req.Beta, Opts: opts, Cache: s.cache}
-	rec.Mark(obs.PhaseQueue)
-	// The job context is Background on purpose: once admitted, a request
-	// is solved even while the server drains — that is the drain.
-	ch, err := s.pool.TrySubmit(context.Background(), inst)
-	switch {
+	ss.rec.Mark(obs.PhaseQueue)
+	// Once admitted, a request runs even while the server drains — that
+	// is the drain.
+	switch err := s.pool.TrySubmit(r.job, ss.done); {
 	case errors.Is(err, engine.ErrQueueFull):
-		reject("busy")
-		return s.sendReject(conn, req.ID, wire.RejectBusy, "solve queue full")
+		return s.refuse(ss, &r, wire.RejectBusy, "solve queue full")
 	case err != nil:
-		reject("shutting-down")
-		return s.sendReject(conn, req.ID, wire.RejectShuttingDown, err.Error())
+		return s.refuse(ss, &r, wire.RejectShuttingDown, err.Error())
 	}
-	res := <-ch // every admitted job delivers exactly one result
+	res := <-ss.done // every admitted job delivers exactly one result
 	// The queue→solve boundary happened on the pool worker's goroutine;
 	// place it from the measured wait rather than re-reading the clock.
-	rec.MarkAfter(obs.PhaseSolve, obs.PhaseQueue, res.Wait)
+	ss.rec.MarkAfter(obs.PhaseSolve, obs.PhaseQueue, res.Wait)
 	if res.Err != nil {
-		sp.Reject("solve-failed")
-		slot.Reject()
-		rec.Finish(obs.OutcomeError)
-		logReq("solve-failed")
-		return s.sendReject(conn, req.ID, wire.RejectSolveFailed, res.Err.Error())
+		// A delta that failed after patching poisons its chain's Result;
+		// drop the chain so the client's fallback solve starts a fresh
+		// lineage.
+		ss.bases.remove(r.chain)
+		return s.refuse(ss, &r, wire.RejectSolveFailed, res.Err.Error())
 	}
-	rec.Mark(obs.PhaseEncode)
-	tc := req.Trace
+	ss.rec.Mark(obs.PhaseEncode)
+	tc := r.trace
 	if !tc.Zero() {
 		tc.TS = time.Since(start).Microseconds()
 	}
-	payload, err := wire.EncodeSolveResp(req.ID, res.Schedule, tc)
+	payload, err := wire.EncodeSolveResp(r.id, res.Schedule, tc)
 	if err != nil {
-		reject("too-large")
-		return s.sendReject(conn, req.ID, wire.RejectTooLarge, err.Error())
+		// A delta's chain already reflects the edited instance but is still
+		// keyed by the old base id. Drop it, so a later delta against that
+		// id cannot silently run on top of these refused edits.
+		ss.bases.remove(r.chain)
+		return s.refuse(ss, &r, wire.RejectTooLarge, err.Error())
 	}
-	rec.Mark(obs.PhaseWrite)
-	if err := wire.Write(conn, wire.Frame{Type: wire.MsgSolveResp, Dst: f.Src, Payload: payload}); err != nil {
-		sp.Reject("write-failed")
-		slot.Reject()
-		rec.Finish(obs.OutcomeError)
-		logReq("write-failed")
+	ss.rec.Mark(obs.PhaseWrite)
+	if err := wire.Write(ss.conn, wire.Frame{Type: wire.MsgSolveResp, Dst: f.Src, Payload: payload}); err != nil {
+		ss.rec.Reject(obs.OutcomeError, "write-failed")
+		s.logRequest(ss, &r, "write-failed", err.Error())
 		return false
 	}
-	sp.Respond()
-	s.so.Timings(res.Wait, res.Solve)
-	slot.Respond(res.Wait, res.Solve)
-	rec.Finish(obs.OutcomeOK)
-	logReq("ok")
-	// The response id becomes addressable as a delta base under the options
-	// it was solved with, so a later base materialization — cache checkout
-	// or cold build — reproduces this exact solve.
-	bases.register(req.ID, inst.G, req.K, req.Beta, opts)
+	ss.rec.Respond(res.Wait, res.Solve)
+	s.logRequest(ss, &r, "ok", "")
+	if r.chain != nil {
+		ss.bases.advance(r.chain, r.id)
+	} else {
+		// The response id becomes addressable as a delta base under the
+		// options it was solved with, so the chain's first delta rebuilds
+		// this exact solve.
+		ss.bases.register(r.id, ss.solve.g, ss.solve.k, ss.solve.beta, ss.solve.opts)
+	}
 	return true
+}
+
+// refuse answers the request with a MsgReject under code, records the
+// outcome (a solve failure as an error, every other code as a refusal),
+// and reports whether the connection is still usable.
+func (s *Server) refuse(ss *session, r *decoded, code wire.RejectCode, reason string) bool {
+	outcome := int64(obs.OutcomeReject)
+	if code == wire.RejectSolveFailed {
+		outcome = obs.OutcomeError
+	}
+	ss.rec.Reject(outcome, code.String())
+	s.logRequest(ss, r, code.String(), reason)
+	return s.sendReject(ss.conn, r.id, code, reason)
+}
+
+// logRequest writes the request's debug log line; it costs nothing while
+// debug logging is off.
+func (s *Server) logRequest(ss *session, r *decoded, outcome, reason string) {
+	if !s.log.Enabled(context.Background(), slog.LevelDebug) {
+		return
+	}
+	var trace string // empty when the client sent no trace context
+	if !r.trace.Zero() {
+		trace = hex.EncodeToString(r.trace.ID[:])
+	}
+	s.log.Debug(r.kind, "session", ss.id, "tenant", r.tenant, "trace", trace, "id", r.id,
+		r.attrs[0], r.attrs[1], r.attrs[2], "outcome", outcome, "reason", reason)
+}
+
+// releaseJobs clears the session's jobs after a request.
+func (ss *session) releaseJobs() {
+	ss.solve, ss.delta = solveJob{}, deltaJob{}
+}
+
+// solveJob solves one full instance on a pool worker, through the solve
+// cache when the server has one.
+type solveJob struct {
+	cache *kpbs.SolveCache
+	g     *bipartite.Graph
+	k     int
+	beta  int64
+	opts  kpbs.Options
+}
+
+// Run implements engine.Job.
+func (j *solveJob) Run() (*kpbs.Schedule, error) {
+	if j.cache != nil {
+		sched, _, err := j.cache.GetOrSolve(j.g, j.k, j.beta, j.opts)
+		return sched, err
+	}
+	return kpbs.Solve(j.g, j.k, j.beta, j.opts)
+}
+
+// decodeSolve decodes a MsgSolveReq into r and loads the session's solve
+// job with it. An instance over Config.MaxNodes is refused at decode.
+func (s *Server) decodeSolve(ss *session, r *decoded, f wire.Frame) error {
+	r.kind, r.tenant = "solve", f.Src
+	req, err := wire.DecodeSolveReq(f.Payload)
+	if err != nil {
+		return err
+	}
+	r.id, r.trace = req.ID, req.Trace
+	r.attrs = [3]slog.Attr{slog.String("algorithm", req.Algorithm.String()), slog.Int("n1", req.N1), slog.Int("n2", req.N2)}
+	if s.cfg.MaxNodes > 0 && (req.N1 > s.cfg.MaxNodes || req.N2 > s.cfg.MaxNodes) {
+		r.refuse = wire.RejectTooLarge
+		r.reason = fmt.Sprintf("instance %dx%d exceeds the configured limit %d per side", req.N1, req.N2, s.cfg.MaxNodes)
+		return nil
+	}
+	ss.solve = solveJob{
+		cache: s.cache,
+		g:     req.Graph(),
+		k:     req.K,
+		beta:  req.Beta,
+		opts:  kpbs.Options{Algorithm: req.Algorithm, Shard: s.cfg.Shard, Obs: s.cfg.Obs},
+	}
+	r.job = &ss.solve
+	return nil
 }
 
 // tenantLimiter returns (creating on first use) the tenant's admission

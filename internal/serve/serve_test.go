@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"net"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"redistgo/internal/bipartite"
+	"redistgo/internal/engine"
 	"redistgo/internal/kpbs"
 	"redistgo/internal/obs"
 	"redistgo/internal/trafficgen"
@@ -173,7 +175,8 @@ func TestServeAnswersDenseEnvelope(t *testing.T) {
 // TestTraceRoundTrip: a traced request's 16-byte id comes back on the
 // response (TS rewritten to the server's handling time), the response
 // payload is CodecV2, and the per-request observability — spans, tenant
-// SLO slots, queue-wait/solve histograms — fills in behind it.
+// SLO slots, the pool's queue-wait and job histograms — fills in behind
+// it.
 func TestTraceRoundTrip(t *testing.T) {
 	o := obs.New()
 	s := newServer(t, Config{Obs: o})
@@ -223,9 +226,9 @@ func TestTraceRoundTrip(t *testing.T) {
 	var waitOK, solveOK bool
 	for _, h := range snap.Histograms {
 		switch h.Name {
-		case "serve.queue_wait_us":
+		case "engine.pool.queue_wait_us":
 			waitOK = h.Count == 1
-		case "serve.solve_us":
+		case "engine.pool.job_us":
 			solveOK = h.Count == 1
 		}
 	}
@@ -653,4 +656,194 @@ func TestNoGoroutineLeak(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+}
+
+// holdJob occupies a pool worker until release is closed.
+type holdJob struct {
+	started, release chan struct{}
+}
+
+func (j *holdJob) Run() (*kpbs.Schedule, error) {
+	close(j.started)
+	<-j.release
+	return &kpbs.Schedule{}, nil
+}
+
+// TestServeBusyQueuesAndRefuses: Workers and QueueDepth bound solves and
+// deltas alike. With the one worker held by a test job, a solve and then
+// a delta from one session wait in the one queue slot and are answered
+// once the worker frees, while the other session's solve and delta are
+// refused busy and its session, and chain, stay usable.
+func TestServeBusyQueuesAndRefuses(t *testing.T) {
+	o := obs.New()
+	s := newServer(t, Config{Workers: 1, QueueDepth: 1, Obs: o})
+	rng := rand.New(rand.NewSource(81))
+	da, db := newDeltaMatrix(rng, 8, 2, kpbs.GGP), newDeltaMatrix(rng, 8, 2, kpbs.OGGP)
+	ca, err := Dial(s.Addr(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ca.Close()
+	cb, err := Dial(s.Addr(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cb.Close()
+	if _, _, err := ca.Solve(da.request(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := cb.Solve(db.request(1)); err != nil {
+		t.Fatal(err)
+	}
+
+	expectBusy := func(what string, err error) {
+		t.Helper()
+		var rej *RejectError
+		if !errors.As(err, &rej) || rej.Code != wire.RejectBusy {
+			t.Fatalf("%s with the queue full: %v, want a %s reject", what, err, wire.RejectBusy)
+		}
+	}
+	aBase, bBase := uint64(1), uint64(1)
+	for round, queued := range []string{"solve", "delta"} {
+		hold := &holdJob{started: make(chan struct{}), release: make(chan struct{})}
+		held := make(chan engine.Result, 1)
+		if err := s.pool.TrySubmit(hold, held); err != nil {
+			t.Fatal(err)
+		}
+		<-hold.started
+
+		// Session A's request takes the one queue slot and waits there.
+		id := uint64(10 + round)
+		answered := make(chan []byte, 1)
+		failed := make(chan error, 1)
+		var solveReq wire.SolveRequest
+		var edits []kpbs.Edit
+		if queued == "solve" {
+			solveReq = da.request(id)
+		} else {
+			edits = da.edits(rng, 4)
+		}
+		go func() {
+			var raw []byte
+			var err error
+			if queued == "solve" {
+				_, raw, err = ca.Solve(solveReq)
+			} else {
+				_, raw, err = ca.SolveDelta(wire.DeltaRequest{ID: id, Base: aBase, Edits: edits})
+			}
+			if err != nil {
+				failed <- err
+				return
+			}
+			answered <- raw
+		}()
+		deadline := time.Now().Add(10 * time.Second)
+		for o.Metrics.Snapshot().Gauges["engine.pool.queue_depth"] < 1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("the queued %s never reached the pool queue", queued)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+
+		// The queue is full: session B's solve and delta are refused busy.
+		// The refused delta's edits never touch B's mirror.
+		_, _, err := cb.Solve(db.request(100 + id))
+		expectBusy("solve", err)
+		_, _, err = cb.SolveDelta(wire.DeltaRequest{ID: 200 + id, Base: bBase, Edits: []kpbs.Edit{{L: 0, R: 0, W: 1}}})
+		expectBusy("delta", err)
+		select {
+		case <-answered:
+			t.Fatalf("the queued %s was answered while the worker was held", queued)
+		case err := <-failed:
+			t.Fatalf("the queued %s: %v", queued, err)
+		default:
+		}
+
+		close(hold.release)
+		<-held
+		select {
+		case raw := <-answered:
+			if queued == "solve" {
+				verify(t, solveReq, raw)
+			} else {
+				da.verifyDelta(t, id, raw, wire.TraceContext{})
+			}
+			aBase = id
+		case err := <-failed:
+			t.Fatalf("the queued %s: %v", queued, err)
+		}
+
+		// B's session and chain survived the refusals.
+		bEdits := db.edits(rng, 3)
+		if _, raw, err := cb.SolveDelta(wire.DeltaRequest{ID: 300 + id, Base: bBase, Edits: bEdits}); err != nil {
+			t.Fatalf("delta after the busy refusals: %v", err)
+		} else {
+			db.verifyDelta(t, 300+id, raw, wire.TraceContext{})
+		}
+		bBase = 300 + id
+	}
+	if got := o.Metrics.Snapshot().Counters["serve.rejects_total.busy"]; got != 4 {
+		t.Errorf("rejects_total.busy = %d, want 4", got)
+	}
+}
+
+// TestServeRequestSpans: a traced solve and a traced delta each yield one
+// PIDRequest "request" span tree with a queue and a solve phase — the
+// delta runs on the pool like the solve — and the session lane of the
+// serve process carries no request span.
+func TestServeRequestSpans(t *testing.T) {
+	o := obs.New()
+	s := newServer(t, Config{Obs: o})
+	cl, err := Dial(s.Addr(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := newDeltaMatrix(rand.New(rand.NewSource(91)), 8, 2, kpbs.GGP)
+	req := d.request(1)
+	req.Trace = wire.TraceContext{ID: [16]byte{0x11, 15: 0x01}}
+	if _, _, err := cl.SolveFull(req); err != nil {
+		t.Fatal(err)
+	}
+	dreq := wire.DeltaRequest{ID: 2, Base: 1, Edits: d.edits(rand.New(rand.NewSource(92)), 3),
+		Trace: wire.TraceContext{ID: [16]byte{0x22, 15: 0x02}}}
+	if _, _, err := cl.SolveDeltaFull(dreq); err != nil {
+		t.Fatal(err)
+	}
+	cl.Close()
+	waitSessionsDrained(t, o)
+
+	var buf bytes.Buffer
+	if err := o.Trace.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			PID  int    `json:"pid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	// A request span is emitted just before its phases, so the PIDRequest
+	// events after one request span and before the next are its tree.
+	var trees []map[string]int
+	for _, e := range doc.TraceEvents {
+		switch {
+		case e.PID == obs.PIDServe && e.Name == "request":
+			t.Error("the serve process carries a request span")
+		case e.PID == obs.PIDRequest && e.Name == "request":
+			trees = append(trees, map[string]int{})
+		case e.PID == obs.PIDRequest && len(trees) > 0:
+			trees[len(trees)-1][e.Name]++
+		}
+	}
+	if len(trees) != 2 {
+		t.Fatalf("%d request span trees, want 2 (one solve, one delta)", len(trees))
+	}
+	for i, tree := range trees {
+		if tree["queue"] != 1 || tree["solve"] != 1 {
+			t.Errorf("request %d phases %v, want one queue and one solve", i+1, tree)
+		}
+	}
 }

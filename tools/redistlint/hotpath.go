@@ -19,12 +19,11 @@ import (
 //     plain value literals like T{...} live on the stack and are exempt),
 //   - function literals (closure environments escape and allocate),
 //   - append (grows its backing array when capacity runs out),
-//   - method calls on obs.Registry, obs.Observer or obs.SpanRecorder
-//     (handle lookups take a lock and a map read, view construction
-//     allocates, and SpanRecorder.Begin claims a ring slot; hot code must
-//     receive pre-resolved nil-safe handles — Counter/Gauge/Histogram, a
-//     view like SolverObs, or a claimed *ReqRec span handle, whose methods
-//     no-op when instrumentation is off — so observation never costs the
+//   - method calls on obs.Registry or obs.Observer (handle lookups take
+//     a lock and a map read, and view construction allocates; hot code
+//     must receive pre-resolved nil-safe handles — Counter/Gauge/Histogram,
+//     a view like SolverObs, or a session's *ReqRec, whose methods no-op
+//     when instrumentation is off — so observation never costs the
 //     disabled path anything).
 //
 // Arena-refill appends that are amortized-zero (capacity is retained
@@ -101,9 +100,9 @@ func scanHotpathBody(p *lintPackage, body *ast.BlockStmt, report func(n ast.Node
 // points are barred from hot paths (their handle types are fine).
 const obsPkgPath = "redistgo/internal/obs"
 
-// obsLookupReceiver reports the receiver type name ("Registry",
-// "Observer" or "SpanRecorder") when se selects a method on one of the
-// obs entry points, and "" otherwise. Handle and view types (Counter,
+// obsLookupReceiver reports the receiver type name ("Registry" or
+// "Observer") when se selects a method on one of the obs entry points,
+// and "" otherwise. Handle and view types (Counter,
 // Gauge, Histogram, SolverObs, ReqRec, …) are deliberately not matched:
 // their methods are the sanctioned nil-safe no-op path.
 func obsLookupReceiver(p *lintPackage, se *ast.SelectorExpr) string {
@@ -124,7 +123,7 @@ func obsLookupReceiver(p *lintPackage, se *ast.SelectorExpr) string {
 		return ""
 	}
 	switch obj.Name() {
-	case "Registry", "Observer", "SpanRecorder":
+	case "Registry", "Observer":
 		return obj.Name()
 	}
 	return ""

@@ -44,27 +44,24 @@ func (a *arena) hotJustified(c comm) {
 // meters exercises the observability rule: hot code may use pre-resolved
 // nil-safe handles and views but never the registry/observer entry points.
 type meters struct {
-	reg   *obs.Registry
-	o     *obs.Observer
-	ctr   *obs.Counter
-	so    *obs.SolverObs
-	spans *obs.SpanRecorder
-	rec   *obs.ReqRec
+	reg *obs.Registry
+	o   *obs.Observer
+	ctr *obs.Counter
+	so  *obs.SolverObs
+	rec *obs.ReqRec
 }
 
 //redistlint:hotpath
 func (m *meters) hotObsViolations(v int64) {
 	m.reg.Counter("peels").Inc() // want `obs\.Registry method call`
 	m.o.Solver("GGP")            // want `obs\.Observer method call`
-	m.spans.Begin(int(v))        // want `obs\.SpanRecorder method call`
 }
 
 //redistlint:hotpath
 func (m *meters) hotObsClean(v int64) {
 	// Handle and view methods are the sanctioned path: nil-safe no-ops
-	// when instrumentation is off, plain atomics when it is on. A claimed
-	// *ReqRec span handle may be marked in hot code — only claiming one
-	// (SpanRecorder.Begin) is barred.
+	// when instrumentation is off, plain atomics when it is on. A session's
+	// *ReqRec may be marked in hot code.
 	m.ctr.Add(v)
 	m.so.Peel(0, 1, 1, v, 2)
 	m.rec.Mark(obs.PhaseSolve)
