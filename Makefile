@@ -166,7 +166,7 @@ soak-obs-smoke:
 
 # The delta variant of soak-smoke: every client opens a base schedule,
 # then streams trafficgen edit batches against it as MsgDeltaReq frames
-# over the shared server solve cache, byte-verifying each delta response
+# on the chain its session retains, byte-verifying each delta response
 # against a local cold solve of its mirrored matrix. Clients also probe
 # never-issued base ids every 16th round and require RejectUnknownBase,
 # proving the reject/fallback path (fall back to a fresh full solve)
@@ -178,7 +178,7 @@ soak-obs-smoke:
 # no delta took reuse or rebuild, so the retained-solve engine is
 # exercised on the served path (shard auto, the daemon's default).
 soak-delta-smoke:
-	$(GO) run ./cmd/redist-soak -spawn -delta -clients 4 -requests 16 -n 10 -spawn-cache-size 8 -spawn-workers 1 -obs :0
+	$(GO) run ./cmd/redist-soak -spawn -delta -clients 4 -requests 16 -n 10 -spawn-workers 1 -obs :0
 
 # Short real fuzzing burst per target, on top of the seed corpora that
 # `make race` always replays: the solver, the batch and peeler

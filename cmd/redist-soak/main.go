@@ -2,9 +2,11 @@
 // tenant sessions and verifies every answer: each client re-solves its
 // instances locally and compares the server's raw MsgSolveResp payload
 // byte-for-byte against the local encoding (the codec is injective, so
-// equal bytes prove an identical schedule). Any divergence, protocol
-// error, or unclean shutdown exits nonzero — this is the end-to-end
-// correctness gate `make soak-smoke` runs in CI.
+// equal bytes prove an identical schedule), and checks that every verified
+// GGP/OGGP schedule costs between LB and 2·LB (the paper's Theorem 1). Any
+// divergence, schedule outside that bound, protocol error, or unclean
+// shutdown exits nonzero — this is the end-to-end correctness gate
+// `make soak-smoke` runs in CI.
 //
 //	redist-soak -spawn -clients 8 -requests 25          # self-contained
 //	redist-soak -addr 127.0.0.1:9090 -clients 4         # external daemon
@@ -33,6 +35,7 @@ import (
 	"redistgo/internal/kpbs"
 	"redistgo/internal/obs"
 	"redistgo/internal/obsflag"
+	"redistgo/internal/safemath"
 	"redistgo/internal/serve"
 	"redistgo/internal/tokenbucket"
 	"redistgo/internal/trafficgen"
@@ -52,6 +55,8 @@ func main() {
 // echoed in the response's trace context — their gap is the wire.
 type clientStats struct {
 	ok        int
+	bounded   int // verified schedules with LB ≤ cost ≤ 2·LB (Theorem 1)
+	unbounded int // verified schedules outside that bound
 	deltas    int // responses verified via the delta path (-delta)
 	fallbacks int // chains re-opened with a full solve after unknown-base
 	retries   int // refused sends resent unchanged (-delta)
@@ -80,7 +85,6 @@ func run(args []string, stdout io.Writer) (err error) {
 	spawnWorkers := fs.Int("spawn-workers", 0, "with -spawn: solver pool size; 0 means GOMAXPROCS")
 	tracectx := fs.Bool("tracectx", false, "attach a trace context to every request, verify the server echoes it, and print an end-of-run per-tenant SLO summary")
 	delta := fs.Bool("delta", false, "each client solves one base instance then streams delta requests against it, verifying every response byte-identical to a local cold solve of the edited instance")
-	spawnCacheSize := fs.Int("spawn-cache-size", 0, "with -spawn: retained solves in the server's content-addressed cache; 0 disables")
 	obsFlags := obsflag.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -113,7 +117,6 @@ func run(args []string, stdout io.Writer) (err error) {
 			GlobalRate: *spawnGlobalRate,
 			TenantRate: *spawnTenantRate,
 			Shard:      shardMode,
-			CacheSize:  *spawnCacheSize,
 			Obs:        observer,
 		})
 		if err != nil {
@@ -145,11 +148,13 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 	wg.Wait()
 
-	ok, deltas, fallbacks, retries, mismatches, traceErrs := 0, 0, 0, 0, 0, 0
+	ok, bounded, unbounded, deltas, fallbacks, retries, mismatches, traceErrs := 0, 0, 0, 0, 0, 0, 0, 0
 	rejects := map[string]int{}
 	var fatal error
 	for ci, st := range stats {
 		ok += st.ok
+		bounded += st.bounded
+		unbounded += st.unbounded
 		deltas += st.deltas
 		fallbacks += st.fallbacks
 		retries += st.retries
@@ -164,6 +169,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		}
 	}
 	fmt.Fprintf(stdout, "verified %d responses byte-identical, %d mismatches, rejects: %v\n", ok, mismatches, rejects)
+	fmt.Fprintf(stdout, "theorem 1: %d schedules within LB <= cost <= 2*LB, %d outside\n", bounded, unbounded)
 	var deltaPathErr error
 	if *delta {
 		fmt.Fprintf(stdout, "delta mode: %d delta responses verified against cold solves, %d full-solve fallbacks, %d refused sends retried\n", deltas, fallbacks, retries)
@@ -196,6 +202,9 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 	if traceErrs > 0 {
 		return fmt.Errorf("%d responses carried a wrong or missing trace context echo", traceErrs)
+	}
+	if unbounded > 0 {
+		return fmt.Errorf("%d GGP/OGGP schedules cost outside [LB, 2*LB]", unbounded)
 	}
 	if ok == 0 && len(rejects) == 0 {
 		return fmt.Errorf("no responses verified")
@@ -379,8 +388,23 @@ func soakClient(addr string, tenant int32, p soakParams) clientStats {
 			continue
 		}
 		st.ok++
+		st.checkBound(local, g, p.k, p.beta)
 	}
 	return st
+}
+
+// checkBound counts a verified GGP or OGGP schedule of g as within or
+// outside the paper's Theorem 1 bound, LB ≤ cost ≤ 2·LB, with LB
+// kpbs.LowerBound. The byte comparison only shows that the daemon serves
+// what the local solver computes; this shows that what both compute keeps
+// the bound.
+func (st *clientStats) checkBound(s *kpbs.Schedule, g *bipartite.Graph, k int, beta int64) {
+	lb := kpbs.LowerBound(g, k, beta)
+	if c := s.Cost(); lb <= c && c <= safemath.Mul(2, lb) {
+		st.bounded++
+	} else {
+		st.unbounded++
+	}
 }
 
 // soakDeltaClient runs one tenant's delta chain: a full solve opens the
@@ -482,6 +506,7 @@ func soakDeltaClient(addr string, tenant int32, p soakParams) clientStats {
 			return nil
 		}
 		st.ok++
+		st.checkBound(local, g, p.k, p.beta)
 		return nil
 	}
 	// openChain full-solves the current matrix, making the response id the

@@ -4,7 +4,7 @@ package kpbs
 
 // Allocation bounds of TestColdSolveAllocs, TestShardedSolveAllocs and
 // TestColdSolveBytes under -race, each under 10% above the count the test
-// logs there: 40–41 cold solves under ShardOff, 43 under ShardAuto, 216
+// logs there: 40–41 cold solves under ShardOff, 43 under ShardAuto, 220
 // sharded with 8 component workers, and 1,848,958 and 1,851,213 bytes a
 // cold solve under ShardOff and ShardAuto. An instrumented build does not
 // fuse slices.Grow's append(s, make(...)...) into one growth, so each

@@ -4,7 +4,7 @@ package kpbs
 
 // Allocation bounds of TestColdSolveAllocs, TestShardedSolveAllocs and
 // TestColdSolveBytes in the plain build, each under 10% above the count
-// the test logs: 36–37 cold solves under ShardOff, 39 under ShardAuto, 214
+// the test logs: 36–37 cold solves under ShardOff, 39 under ShardAuto, 218
 // sharded with 8 component workers, and 1,683,050 and 1,685,306 bytes a
 // cold solve under ShardOff and ShardAuto. structuralRebuildAllocs is the
 // exact count TestDeltaShardAutoRebuildAllocs pins for a structural

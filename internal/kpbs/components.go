@@ -9,6 +9,7 @@ import (
 
 	"redistgo/internal/bipartite"
 	"redistgo/internal/obs"
+	"redistgo/internal/safemath"
 )
 
 // Component sharding (Options.Shard). A perfect matching of the augmented
@@ -214,7 +215,9 @@ func shardFor(g *bipartite.Graph, mode ShardMode, sh *sharder) *sharder {
 }
 
 // solveSharded runs the component-sharded pipeline on g, split by sh:
-// every component solved on its own, then the cross-component pack.
+// every component solved on its own, then the cross-component pack. A
+// packed schedule outside the bound the monolithic solve keeps (keepsBound)
+// is dropped, and g is solved whole instead.
 func solveSharded(g *bipartite.Graph, sh *sharder, k int, beta int64, opts Options, so *obs.SolverObs) (*Schedule, error) {
 	so.Sharded(sh.nComp, sh.largestComponentEdges(), g.EdgeCount())
 	parts, err := solveComponents(g, sh, k, beta, opts, so)
@@ -227,7 +230,27 @@ func solveSharded(g *bipartite.Graph, sh *sharder, k int, beta int64, opts Optio
 	}
 	out := packComponents(parts, k, beta)
 	so.Packed(concat, len(out.Steps))
+	if !keepsBound(g, out, k, beta, opts.Algorithm) {
+		so.ShardFallback()
+		return solveWhole(g, k, beta, opts, so)
+	}
 	return out, nil
+}
+
+// keepsBound reports whether the schedule s of g keeps the paper's bound
+// for alg: cost ≤ 2·LowerBound for GGP and OGGP (Theorem 1), and at most
+// EtaS steps for MinSteps. Greedy has no bound. Each component's schedule
+// keeps the bound of its component, but component steps that do not fit k
+// together never share a packed step, so the pack can take more steps
+// than the whole graph needs (DESIGN.md §9).
+func keepsBound(g *bipartite.Graph, s *Schedule, k int, beta int64, alg Algorithm) bool {
+	switch alg {
+	case GGP, OGGP:
+		return s.Cost() <= safemath.Mul(2, LowerBound(g, k, beta))
+	case MinSteps:
+		return int64(len(s.Steps)) <= EtaS(g, k)
+	}
+	return true
 }
 
 // solveComponents solves every component on a bounded worker pool and
@@ -357,9 +380,9 @@ type packBin struct {
 // Cost: every bin's duration is the max of its members, ≤ their sum, and
 // the bin count is ≤ the step count, so the packed schedule never costs
 // more than concatenating the component schedules (each fusion of d1 ≥ d2
-// replaces d1+d2+2β with d1+β). That is the guarantee; the packed cost is
-// NOT guaranteed ≤ the monolithic solve's — see DESIGN.md §9 for the
-// counterexample.
+// replaces d1+d2+2β with d1+β). That is the pack's own guarantee; the
+// packed cost is NOT guaranteed ≤ the monolithic solve's, nor ≤ 2·LB, so
+// solveSharded checks it (keepsBound) — see DESIGN.md §9.
 //
 // A cursor per component keeps first fit from rescanning the bins a
 // component already fills: every bin below skip[c] holds a step of c, so

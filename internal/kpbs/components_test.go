@@ -216,6 +216,77 @@ func TestShardedStructuredWorkloads(t *testing.T) {
 	}
 }
 
+// TestShardFallbackKeepsBounds pins the smallest instance found on which
+// the cross-component pack breaks the paper's bounds: three dense 3×3
+// blocks at k = 5, β = 4. Every component step holds 3 communications and
+// no two fit one step, so the pack concatenates them: GGP packs 13 steps
+// costing 108, over 2·LB = 104, and MinSteps 9 steps, over ηs = 6. The
+// sharded solve must then return the monolithic schedule byte for byte
+// (GGP: cost 80 in 10 steps) and count one fallback, and so must a delta
+// base built on it.
+func TestShardFallbackKeepsBounds(t *testing.T) {
+	g, err := bipartite.FromMatrix([][]int64{
+		{5, 7, 9, 0, 0, 0, 0, 0, 0},
+		{9, 1, 5, 0, 0, 0, 0, 0, 0},
+		{8, 5, 7, 0, 0, 0, 0, 0, 0},
+		{0, 0, 0, 7, 1, 4, 0, 0, 0},
+		{0, 0, 0, 5, 5, 7, 0, 0, 0},
+		{0, 0, 0, 5, 5, 4, 0, 0, 0},
+		{0, 0, 0, 0, 0, 0, 1, 2, 5},
+		{0, 0, 0, 0, 0, 0, 8, 5, 1},
+		{0, 0, 0, 0, 0, 0, 8, 8, 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k, beta = 5, 4
+	if lb, es := LowerBound(g, k, beta), EtaS(g, k); lb != 52 || es != 6 {
+		t.Fatalf("LB = %d, ηs = %d, want 52 and 6", lb, es)
+	}
+	for _, tc := range []struct {
+		alg                     Algorithm
+		packedCost, packedSteps int64
+		wholeCost, wholeSteps   int64
+	}{
+		{GGP, 108, 13, 80, 10},
+		{MinSteps, 100, 9, 72, 6},
+	} {
+		parts, err := solveComponents(g, shardFor(g, ShardAuto, nil), k, beta, Options{Algorithm: tc.alg}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := packComponents(parts, k, beta); p.Cost() != tc.packedCost || int64(len(p.Steps)) != tc.packedSteps {
+			t.Fatalf("%v: pack costs %d in %d steps, want %d in %d", tc.alg, p.Cost(), len(p.Steps), tc.packedCost, tc.packedSteps)
+		}
+		off, err := Solve(g, k, beta, Options{Algorithm: tc.alg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if off.Cost() != tc.wholeCost || int64(len(off.Steps)) != tc.wholeSteps {
+			t.Fatalf("%v: monolith costs %d in %d steps, want %d in %d", tc.alg, off.Cost(), len(off.Steps), tc.wholeCost, tc.wholeSteps)
+		}
+		o := obs.New()
+		auto, err := Solve(g, k, beta, Options{Algorithm: tc.alg, Shard: ShardAuto, Obs: o})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if auto.String() != off.String() {
+			t.Fatalf("%v: ShardAuto schedule differs from the monolith:\n%s\nvs\n%s", tc.alg, auto, off)
+		}
+		if got := o.Metrics.Snapshot().Counters["solver.shard.fallbacks_total."+tc.alg.String()]; got != 1 {
+			t.Fatalf("%v: fallback counter reads %d, want 1", tc.alg, got)
+		}
+		// A delta base runs the same sharded solve, so it falls back too.
+		res, err := NewResult(g, k, beta, Options{Algorithm: tc.alg, Shard: ShardAuto})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Schedule().String() != off.String() {
+			t.Fatalf("%v: ShardAuto Result schedule differs from the monolith", tc.alg)
+		}
+	}
+}
+
 // TestShardedDeterministicAcrossWorkers pins the merge-by-component-id
 // guarantee: the schedule must be byte-identical whether one worker peels
 // every component or many race over the cursor.

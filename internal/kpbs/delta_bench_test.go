@@ -200,49 +200,6 @@ func BenchmarkDeltaSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveCache measures the content-addressed cache front end on
-// repeat solves of one dense instance: a hit is a hash plus a map probe,
-// against a full cold solve on the miss path.
-func BenchmarkSolveCache(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	mat := make([]int64, 64*64)
-	for i := range mat {
-		mat[i] = 1 + rng.Int63n(1<<10)
-	}
-	g := graphFromMatrix(b, mat, 64, 64)
-	for _, cached := range []bool{false, true} {
-		name := "solve"
-		if cached {
-			name = "cached"
-		}
-		b.Run(name, func(b *testing.B) {
-			cache := NewSolveCache(4, nil)
-			if cached {
-				if _, _, err := cache.GetOrSolve(g, 8, 8, Options{Algorithm: GGP}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if cached {
-					s, _, err := cache.GetOrSolve(g, 8, 8, Options{Algorithm: GGP})
-					if err != nil {
-						b.Fatal(err)
-					}
-					benchSink = len(s.Steps)
-				} else {
-					s, err := Solve(g, 8, 8, Options{Algorithm: GGP})
-					if err != nil {
-						b.Fatal(err)
-					}
-					benchSink = len(s.Steps)
-				}
-			}
-		})
-	}
-}
-
 var benchSink int
 
 func init() {

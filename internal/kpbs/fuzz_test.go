@@ -102,28 +102,26 @@ func FuzzSolve(f *testing.F) {
 			}
 		}
 		// The Pack post-pass must preserve feasibility.
-		s.Pack(k)
-		if err := s.Validate(g, k); err != nil {
+		packed := s.Clone()
+		packed.Pack(k)
+		if err := packed.Validate(g, k); err != nil {
 			t.Fatalf("pack broke schedule: %v", err)
 		}
 
-		// Sharded arm: component sharding must accept exactly the instances
-		// the monolith accepts and produce a feasible schedule whose cost
-		// stays within [LB, concatenation] — the packer's provable envelope.
-		// (Sharded cost may exceed the monolith's: see DESIGN.md §9.)
+		// Sharded arms: component sharding must accept exactly the instances
+		// the monolith accepts and keep the monolith's envelope
+		// (checkShardedArm).
 		sharded, err := Solve(g, k, beta, Options{Algorithm: alg, Shard: shardAlways})
 		if err != nil {
 			t.Fatalf("%v sharded solve rejected a valid instance: %v", alg, err)
 		}
-		if err := sharded.Validate(g, k); err != nil {
-			t.Fatalf("%v sharded: infeasible schedule: %v", alg, err)
+		checkShardedArm(t, "shardAlways", g, k, beta, alg, sharded, s)
+		auto, err := Solve(g, k, beta, Options{Algorithm: alg, Shard: ShardAuto})
+		if err != nil {
+			t.Fatalf("%v ShardAuto solve rejected a valid instance: %v", alg, err)
 		}
-		if sharded.Cost() < lb {
-			t.Fatalf("%v sharded cost %d < lower bound %d", alg, sharded.Cost(), lb)
-		}
-		if concat := componentConcatCost(t, g, k, beta, alg); sharded.Cost() > concat {
-			t.Fatalf("%v sharded cost %d exceeds concatenation bound %d", alg, sharded.Cost(), concat)
-		}
+		checkShardedArm(t, "ShardAuto", g, k, beta, alg, auto, s)
+		checkAutoArm(t, g, alg, auto, sharded, s)
 		// The component pool must be schedule-invariant in its worker count,
 		// and observation of a sharded solve must stay passive.
 		forceShardWorkers = 1
@@ -219,27 +217,77 @@ func FuzzPeelDifferential(f *testing.F) {
 				t.Fatalf("%v: %s engine diverged from auto:\n%s\nvs\n%s", alg, ec.name, pinned, inc)
 			}
 		}
-		// Sharded differential: the component-sharded path must stay
-		// feasible, respect the lower bound and the concatenation envelope,
-		// and — on connected graphs, where sharding degenerates to a single
-		// component — reproduce the monolith byte for byte.
+		// Sharded differential: both sharded arms must keep the monolith's
+		// envelope, and on connected graphs, where sharding degenerates to a
+		// single component, reproduce the monolith byte for byte.
 		sharded, err := Solve(g, k, beta, Options{Algorithm: alg, Shard: shardAlways})
 		if err != nil {
 			t.Fatalf("%v sharded: %v", alg, err)
 		}
-		if err := sharded.Validate(g, k); err != nil {
-			t.Fatalf("%v sharded: infeasible schedule: %v", alg, err)
+		checkShardedArm(t, "shardAlways", g, k, beta, alg, sharded, inc)
+		auto, err := Solve(g, k, beta, Options{Algorithm: alg, Shard: ShardAuto})
+		if err != nil {
+			t.Fatalf("%v ShardAuto: %v", alg, err)
 		}
-		if sharded.Cost() < lb {
-			t.Fatalf("%v sharded: cost %d < lower bound %d", alg, sharded.Cost(), lb)
-		}
-		if concat := componentConcatCost(t, g, k, beta, alg); sharded.Cost() > concat {
-			t.Fatalf("%v sharded: cost %d exceeds concatenation bound %d", alg, sharded.Cost(), concat)
-		}
+		checkShardedArm(t, "ShardAuto", g, k, beta, alg, auto, inc)
+		checkAutoArm(t, g, alg, auto, sharded, inc)
 		sh := newSharder()
 		sh.split(g)
 		if sh.nComp == 1 && sharded.String() != inc.String() {
 			t.Fatalf("%v: sharded diverged from monolith on a connected graph:\n%s\nvs\n%s", alg, sharded, inc)
 		}
 	})
+}
+
+// checkShardedArm checks the sharded schedule s of (g, k, β) against the
+// monolithic schedule whole of the same instance. s must be feasible, cost
+// at least LB, and for GGP and OGGP stay within the 2·LB + 2β the
+// unsharded arms assert. A sharded solve either keeps its packed schedule,
+// which then costs at most 2·LB (GGP, OGGP) or takes at most ηs steps
+// (MinSteps) and never costs more than the component schedules
+// concatenated, or falls back to whole byte for byte.
+func checkShardedArm(t *testing.T, arm string, g *bipartite.Graph, k int, beta int64, alg Algorithm, s, whole *Schedule) {
+	t.Helper()
+	if err := s.Validate(g, k); err != nil {
+		t.Fatalf("%v %s: infeasible schedule: %v", alg, arm, err)
+	}
+	lb := LowerBound(g, k, beta)
+	if s.Cost() < lb {
+		t.Fatalf("%v %s: cost %d < lower bound %d", alg, arm, s.Cost(), lb)
+	}
+	if alg == GGP || alg == OGGP {
+		if bound := safemath.Add(safemath.Mul(2, lb), safemath.Mul(2, beta)); s.Cost() > bound {
+			t.Fatalf("%v %s: cost %d > 2·LB+2β = %d", alg, arm, s.Cost(), bound)
+		}
+	}
+	if s.String() == whole.String() {
+		return
+	}
+	switch alg {
+	case GGP, OGGP:
+		if bound := safemath.Mul(2, lb); s.Cost() > bound {
+			t.Fatalf("%v %s: packed cost %d > 2·LB = %d was not replaced by the monolith", alg, arm, s.Cost(), bound)
+		}
+	case MinSteps:
+		if es := EtaS(g, k); int64(len(s.Steps)) > es {
+			t.Fatalf("%v %s: packed schedule takes %d steps > ηs = %d and was not replaced by the monolith", alg, arm, len(s.Steps), es)
+		}
+	}
+	if concat := componentConcatCost(t, g, k, beta, alg); s.Cost() > concat {
+		t.Fatalf("%v %s: cost %d exceeds concatenation bound %d", alg, arm, s.Cost(), concat)
+	}
+}
+
+// checkAutoArm requires the ShardAuto schedule auto of g to be the
+// shardAlways one on a graph of two or more components, and the monolithic
+// one otherwise.
+func checkAutoArm(t *testing.T, g *bipartite.Graph, alg Algorithm, auto, always, whole *Schedule) {
+	t.Helper()
+	want := whole
+	if !connected(g) {
+		want = always
+	}
+	if auto.String() != want.String() {
+		t.Fatalf("%v: ShardAuto diverged from the path its split selects:\n%s\nvs\n%s", alg, auto, want)
+	}
 }

@@ -23,8 +23,8 @@ func EtaD(g *bipartite.Graph, k int) int64 {
 	}
 	w := g.MaxNodeWeight()
 	var p int64
-	for _, e := range g.Edges() {
-		p = safemath.Add(p, e.Weight)
+	for i, m := 0, g.EdgeCount(); i < m; i++ {
+		p = safemath.Add(p, g.Edge(i).Weight)
 	}
 	p = ceilDiv(p, int64(k))
 	if p > w {

@@ -99,9 +99,10 @@ type Options struct {
 	// steps (components.go). ShardOff — the zero value — keeps the
 	// monolithic paper-verbatim path; ShardAuto shards only multi-component
 	// graphs. Sharded output is deterministic (byte-identical for any
-	// worker count) and never costlier than concatenating the component
-	// schedules, but carries no monolith-relative guarantee beyond the
-	// per-component approximation bounds — see DESIGN.md §9.
+	// worker count) and keeps the paper's bounds: a packed schedule that
+	// costs more than 2·LowerBound (GGP, OGGP) or takes more than EtaS
+	// steps (MinSteps) is replaced by the monolithic solve — see DESIGN.md
+	// §9.
 	Shard ShardMode
 	// Obs attaches the observability layer: per-solve metrics and per-peel
 	// trace events (step index, matching size, bottleneck weight, residual
@@ -140,17 +141,26 @@ func Solve(g *bipartite.Graph, k int, beta int64, opts Options) (*Schedule, erro
 	if sh := shardFor(g, opts.Shard, nil); sh != nil {
 		s, err = solveSharded(g, sh, k, beta, opts, so)
 	} else {
-		set, nb := edgeSet{g: g}, newNumbering(g)
-		nb.number(set)
-		var whole Schedule
-		_, whole, err = solveSet(set, nb, k, beta, opts, new(setScratch), new(denormArena), so)
-		s = &whole
+		s, err = solveWhole(g, k, beta, opts, so)
 	}
 	if err != nil {
 		return nil, err
 	}
 	finish(s, k, opts.Pack, so)
 	return s, nil
+}
+
+// solveWhole schedules all of g at once with fresh buffers: the monolithic
+// path of Solve, and the fallback of a sharded solve whose pack breaks the
+// paper's bound (solveSharded).
+func solveWhole(g *bipartite.Graph, k int, beta int64, opts Options, so *obs.SolverObs) (*Schedule, error) {
+	set, nb := edgeSet{g: g}, newNumbering(g)
+	nb.number(set)
+	_, s, err := solveSet(set, nb, k, beta, opts, new(setScratch), new(denormArena), so)
+	if err != nil {
+		return nil, err
+	}
+	return &s, nil
 }
 
 // solveSet schedules the edge set s, whose nodes nb has numbered, with the

@@ -22,7 +22,6 @@ type Observer struct {
 	mu      sync.Mutex
 	solvers map[string]*solverMetrics
 	deltas  map[string]*deltaMetrics
-	cache   *CacheObs
 	engine  *EngineObs
 	cluster *ClusterObs
 	pool    *PoolObs
@@ -63,13 +62,15 @@ type solverMetrics struct {
 	solveUS   *Histogram
 
 	// Component-sharding metrics (kpbs Options.Shard): how many solves
-	// took the sharded path, the component-count distribution, how
-	// dominant the largest component is, and how much the cross-component
-	// packer compressed the concatenated step lists.
-	shardSolves *Counter
-	components  *Histogram
-	largestPct  *Gauge
-	packEffPct  *Gauge
+	// took the sharded path, how many of those fell back to the whole
+	// graph, the component-count distribution, how dominant the largest
+	// component is, and how much the cross-component packer compressed
+	// the concatenated step lists.
+	shardSolves    *Counter
+	shardFallbacks *Counter
+	components     *Histogram
+	largestPct     *Gauge
+	packEffPct     *Gauge
 }
 
 func (o *Observer) solverMetrics(alg string) *solverMetrics {
@@ -90,10 +91,11 @@ func (o *Observer) solverMetrics(alg string) *solverMetrics {
 		matchSize: o.Metrics.Histogram("solver.peel_matching_size."+alg, SizeBuckets),
 		solveUS:   o.Metrics.Histogram("solver.solve_us."+alg, DurationBuckets),
 
-		shardSolves: o.Metrics.Counter("solver.shard.solves_total." + alg),
-		components:  o.Metrics.Histogram("solver.shard.components."+alg, SizeBuckets),
-		largestPct:  o.Metrics.Gauge("solver.shard.largest_component_pct." + alg),
-		packEffPct:  o.Metrics.Gauge("solver.shard.pack_efficiency_pct." + alg),
+		shardSolves:    o.Metrics.Counter("solver.shard.solves_total." + alg),
+		shardFallbacks: o.Metrics.Counter("solver.shard.fallbacks_total." + alg),
+		components:     o.Metrics.Histogram("solver.shard.components."+alg, SizeBuckets),
+		largestPct:     o.Metrics.Gauge("solver.shard.largest_component_pct." + alg),
+		packEffPct:     o.Metrics.Gauge("solver.shard.pack_efficiency_pct." + alg),
 	}
 	o.solvers[alg] = m
 	return m
@@ -198,6 +200,16 @@ func (s *SolverObs) Packed(concatSteps, packedSteps int) {
 		{"steps_concat", int64(concatSteps)},
 		{"steps_packed", int64(packedSteps)},
 	})
+}
+
+// ShardFallback records that a sharded solve's packed schedule broke the
+// paper's bound, so the whole graph was solved instead.
+func (s *SolverObs) ShardFallback() {
+	if s == nil {
+		return
+	}
+	s.m.shardFallbacks.Inc()
+	s.tr.Instant("solver", "shard fallback", PIDSolver, s.tid, nil)
 }
 
 // Component opens the observation of one component's peel inside a

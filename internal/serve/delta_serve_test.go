@@ -94,22 +94,18 @@ func (d *deltaMatrix) verifyDelta(t *testing.T, id uint64, raw []byte, tc wire.T
 // TestServeDeltaChain is the serve-side acceptance for delta solving: a
 // solve opens a chain, every subsequent delta names the latest response
 // id, and each response is byte-identical to a cold solve of the edited
-// instance — with and without the solve cache, for both algorithms.
+// instance, for both algorithms.
 func TestServeDeltaChain(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		alg  kpbs.Algorithm
-		cfg  Config
 	}{
-		{"ggp", kpbs.GGP, Config{}},
-		{"oggp", kpbs.OGGP, Config{}},
-		{"ggp-cached", kpbs.GGP, Config{CacheSize: 8}},
+		{"ggp", kpbs.GGP},
+		{"oggp", kpbs.OGGP},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := obs.New()
-			cfg := tc.cfg
-			cfg.Obs = o
-			s := newServer(t, cfg)
+			s := newServer(t, Config{Obs: o})
 			cl, err := Dial(s.Addr(), 1)
 			if err != nil {
 				t.Fatal(err)
@@ -151,6 +147,49 @@ func TestServeDeltaChain(t *testing.T) {
 				t.Errorf("responses_total = %d, want 7", got)
 			}
 		})
+	}
+}
+
+// TestServeRepeatIsZeroEditDelta: a client that repeats one
+// redistribution sends a delta with no edits against its latest response
+// id. Each answer is the base schedule under the new id, the chain re-keys
+// to that id, and every repeat takes the reuse path: the first builds the
+// chain's Result (one more solve), and the later ones peel nothing.
+func TestServeRepeatIsZeroEditDelta(t *testing.T) {
+	o := obs.New()
+	s := newServer(t, Config{Obs: o})
+	cl, err := Dial(s.Addr(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	d := newDeltaMatrix(rand.New(rand.NewSource(81)), 10, 3, kpbs.GGP)
+	req := d.request(1)
+	if _, raw, err := cl.Solve(req); err != nil {
+		t.Fatal(err)
+	} else {
+		verify(t, req, raw)
+	}
+	peels := func() int64 { return o.Metrics.Snapshot().Counters["solver.peels_total.GGP"] }
+	var afterFirst int64
+	for id := uint64(2); id <= 4; id++ {
+		_, raw, err := cl.SolveDelta(wire.DeltaRequest{ID: id, Base: id - 1})
+		if err != nil {
+			t.Fatalf("repeat %d: %v", id-1, err)
+		}
+		d.verifyDelta(t, id, raw, wire.TraceContext{})
+		var rej *RejectError
+		if _, _, err := cl.SolveDelta(wire.DeltaRequest{ID: 99, Base: id - 1}); !errors.As(err, &rej) || rej.Code != wire.RejectUnknownBase {
+			t.Fatalf("repeat %d: the superseded base %d answered %v, want %s", id-1, id-1, err, wire.RejectUnknownBase)
+		}
+		if id == 2 {
+			afterFirst = peels()
+		} else if got := peels(); got != afterFirst {
+			t.Fatalf("repeat %d: peels rose from %d to %d", id-1, afterFirst, got)
+		}
+	}
+	if got := o.Metrics.Snapshot().Counters["solver.delta.requests_total.GGP.reuse"]; got != 3 {
+		t.Fatalf("reuse path taken %d times, want 3", got)
 	}
 }
 
@@ -410,50 +449,6 @@ func TestBaseRegistryReleasesSlots(t *testing.T) {
 	}
 	if r.lookup(3) == nil {
 		t.Fatal("chain 3 should survive the removal")
-	}
-}
-
-// TestServeCacheHit: with the solve cache on, a repeat of an identical
-// instance is answered from the cache (hit counter, byte-identical), and a
-// delta on it is answered byte-identically too.
-func TestServeCacheHit(t *testing.T) {
-	o := obs.New()
-	s := newServer(t, Config{CacheSize: 4, Obs: o})
-	cl, err := Dial(s.Addr(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	rng := rand.New(rand.NewSource(61))
-	d := newDeltaMatrix(rng, 10, 2, kpbs.GGP)
-
-	first := d.request(1)
-	_, raw1, err := cl.Solve(first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second := d.request(2)
-	_, raw2, err := cl.Solve(second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Identical instances, different request ids: the payloads differ only
-	// in the id header; both must match their local cold solves.
-	verify(t, first, raw1)
-	verify(t, second, raw2)
-	snap := o.Metrics.Snapshot()
-	if got := snap.Counters["solver.cache.hits_total"]; got != 1 {
-		t.Errorf("cache hits = %d, want 1", got)
-	}
-	if got := snap.Counters["solver.cache.misses_total"]; got != 1 {
-		t.Errorf("cache misses = %d, want 1", got)
-	}
-
-	edits := d.edits(rng, 4)
-	if _, raw, err := cl.SolveDelta(wire.DeltaRequest{ID: 3, Base: 2, Edits: edits}); err != nil {
-		t.Fatal(err)
-	} else {
-		d.verifyDelta(t, 3, raw, wire.TraceContext{})
 	}
 }
 

@@ -34,7 +34,6 @@ import (
 	"sync"
 	"time"
 
-	"redistgo/internal/bipartite"
 	"redistgo/internal/engine"
 	"redistgo/internal/kpbs"
 	"redistgo/internal/obs"
@@ -74,10 +73,6 @@ type Config struct {
 	MaxNodes int
 	// Shard is the kpbs sharding mode of every served solve.
 	Shard kpbs.ShardMode
-	// CacheSize enables the content-addressed solve cache with that many
-	// entries: repeated solves of byte-identical instances (across all
-	// sessions) are served from the cache. ≤ 0 disables the cache.
-	CacheSize int
 	// MaxBases bounds how many delta-base chains each session may keep
 	// alive at once (a chain advances by addressing the latest response id
 	// of its lineage). Inserting beyond the bound evicts the least recently
@@ -100,7 +95,6 @@ type Server struct {
 	cfg    Config
 	ln     net.Listener
 	pool   *engine.Pool
-	cache  *kpbs.SolveCache // nil when Config.CacheSize ≤ 0
 	so     *obs.ServeObs
 	log    *slog.Logger
 	global *tokenbucket.Limiter
@@ -129,21 +123,15 @@ func New(cfg Config) (*Server, error) {
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
-	mkBucket := func(rate, burst float64) (*tokenbucket.Limiter, error) {
-		if rate <= 0 {
-			return nil, nil // nil limiter admits everything
-		}
-		if burst <= 0 {
-			burst = rate
-			if burst < 1 {
-				burst = 1
-			}
-		}
-		return tokenbucket.New(rate, burst)
-	}
-	global, err := mkBucket(cfg.GlobalRate, cfg.GlobalBurst)
+	global, err := admissionBucket(cfg.GlobalRate, cfg.GlobalBurst)
 	if err != nil {
 		return nil, fmt.Errorf("serve: global admission bucket: %w", err)
+	}
+	// Tenant buckets are built lazily, on a tenant's first request, so the
+	// tenant rate and burst are checked here: a pair that tokenbucket
+	// refuses fails New instead of reaching a session.
+	if _, err := admissionBucket(cfg.TenantRate, cfg.TenantBurst); err != nil {
+		return nil, fmt.Errorf("serve: tenant admission bucket: %w", err)
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -166,9 +154,6 @@ func New(cfg Config) (*Server, error) {
 		tenants: map[int32]*tokenbucket.Limiter{},
 		conns:   map[net.Conn]struct{}{},
 		done:    make(chan struct{}),
-	}
-	if cfg.CacheSize > 0 {
-		s.cache = kpbs.NewSolveCache(cfg.CacheSize, cfg.Obs)
 	}
 	s.log.Info("listening", "addr", s.Addr())
 	s.acceptWG.Add(1)
@@ -222,7 +207,7 @@ type session struct {
 	conn  net.Conn
 	rec   *obs.ReqRec
 	bases *baseRegistry
-	solve solveJob
+	solve engine.Instance
 	delta deltaJob
 	done  chan engine.Result
 }
@@ -406,7 +391,7 @@ func (s *Server) handle(ss *session, f wire.Frame) bool {
 		// The response id becomes addressable as a delta base under the
 		// options it was solved with, so the chain's first delta rebuilds
 		// this exact solve.
-		ss.bases.register(r.id, ss.solve.g, ss.solve.k, ss.solve.beta, ss.solve.opts)
+		ss.bases.register(r.id, ss.solve.G, ss.solve.K, ss.solve.Beta, ss.solve.Opts)
 	}
 	return true
 }
@@ -440,26 +425,7 @@ func (s *Server) logRequest(ss *session, r *decoded, outcome, reason string) {
 
 // releaseJobs clears the session's jobs after a request.
 func (ss *session) releaseJobs() {
-	ss.solve, ss.delta = solveJob{}, deltaJob{}
-}
-
-// solveJob solves one full instance on a pool worker, through the solve
-// cache when the server has one.
-type solveJob struct {
-	cache *kpbs.SolveCache
-	g     *bipartite.Graph
-	k     int
-	beta  int64
-	opts  kpbs.Options
-}
-
-// Run implements engine.Job.
-func (j *solveJob) Run() (*kpbs.Schedule, error) {
-	if j.cache != nil {
-		sched, _, err := j.cache.GetOrSolve(j.g, j.k, j.beta, j.opts)
-		return sched, err
-	}
-	return kpbs.Solve(j.g, j.k, j.beta, j.opts)
+	ss.solve, ss.delta = engine.Instance{}, deltaJob{}
 }
 
 // decodeSolve decodes a MsgSolveReq into r and loads the session's solve
@@ -477,15 +443,27 @@ func (s *Server) decodeSolve(ss *session, r *decoded, f wire.Frame) error {
 		r.reason = fmt.Sprintf("instance %dx%d exceeds the configured limit %d per side", req.N1, req.N2, s.cfg.MaxNodes)
 		return nil
 	}
-	ss.solve = solveJob{
-		cache: s.cache,
-		g:     req.Graph(),
-		k:     req.K,
-		beta:  req.Beta,
-		opts:  kpbs.Options{Algorithm: req.Algorithm, Shard: s.cfg.Shard, Obs: s.cfg.Obs},
+	ss.solve = engine.Instance{
+		G:    req.Graph(),
+		K:    req.K,
+		Beta: req.Beta,
+		Opts: kpbs.Options{Algorithm: req.Algorithm, Shard: s.cfg.Shard, Obs: s.cfg.Obs},
 	}
 	r.job = &ss.solve
 	return nil
+}
+
+// admissionBucket builds an admission bucket of rate requests per second;
+// a burst ≤ 0 selects one second of rate, at least 1. A rate ≤ 0 disables
+// the bucket: the nil limiter admits everything.
+func admissionBucket(rate, burst float64) (*tokenbucket.Limiter, error) {
+	if rate <= 0 {
+		return nil, nil
+	}
+	if burst <= 0 {
+		burst = max(rate, 1)
+	}
+	return tokenbucket.New(rate, burst)
 }
 
 // tenantLimiter returns (creating on first use) the tenant's admission
@@ -498,19 +476,9 @@ func (s *Server) tenantLimiter(tenant int32) *tokenbucket.Limiter {
 	defer s.mu.Unlock()
 	l, ok := s.tenants[tenant]
 	if !ok {
-		burst := s.cfg.TenantBurst
-		if burst <= 0 {
-			burst = s.cfg.TenantRate
-			if burst < 1 {
-				burst = 1
-			}
-		}
-		// Config validated the rate is positive via New's mkBucket contract;
-		// a construction error here would be a programming error, so fall
-		// back to admitting rather than crashing the session.
-		if nl, err := tokenbucket.New(s.cfg.TenantRate, burst); err == nil {
-			l = nl
-		}
+		// New built a bucket from the same rate and burst, so this one
+		// cannot fail.
+		l, _ = admissionBucket(s.cfg.TenantRate, s.cfg.TenantBurst)
 		s.tenants[tenant] = l
 		s.so.Tenants(len(s.tenants))
 	}

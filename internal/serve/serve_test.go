@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"net"
 	"runtime"
@@ -341,6 +342,30 @@ func TestGlobalQuota(t *testing.T) {
 	}
 	if got := o.Metrics.Snapshot().Counters["serve.rejects_total.over-quota"]; got != 1 {
 		t.Errorf("rejects_total.over-quota = %d, want 1", got)
+	}
+}
+
+// TestNewRefusesNonFiniteRates: New refuses a NaN or infinite admission
+// rate or burst, global or per tenant, instead of starting with that limit
+// switched off. Tenant buckets are built on a tenant's first request, so
+// the tenant pair is checked by New too.
+func TestNewRefusesNonFiniteRates(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"global rate NaN", Config{GlobalRate: nan}},
+		{"global burst NaN", Config{GlobalRate: 10, GlobalBurst: nan}},
+		{"global rate +Inf", Config{GlobalRate: inf}},
+		{"tenant rate NaN", Config{TenantRate: nan}},
+		{"tenant burst NaN", Config{TenantRate: 10, TenantBurst: nan}},
+		{"tenant rate +Inf", Config{TenantRate: inf}},
+	} {
+		if s, err := New(tc.cfg); err == nil {
+			_ = s.Shutdown(context.Background())
+			t.Errorf("%s: New accepted the config", tc.name)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ package tokenbucket
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,13 +45,15 @@ type Limiter struct {
 }
 
 // New returns a limiter of rate bytes/s with the given burst capacity in
-// bytes. The bucket starts full. Rate and burst must be positive.
+// bytes. The bucket starts full. Rate and burst must be positive and
+// finite: a NaN passes no comparison, so a NaN bucket would admit
+// everything.
 func New(rate, burst float64) (*Limiter, error) {
-	if rate <= 0 {
-		return nil, fmt.Errorf("tokenbucket: rate must be positive, got %g", rate)
+	if !(rate > 0) || math.IsInf(rate, 1) {
+		return nil, fmt.Errorf("tokenbucket: rate must be positive and finite, got %g", rate)
 	}
-	if burst <= 0 {
-		return nil, fmt.Errorf("tokenbucket: burst must be positive, got %g", burst)
+	if !(burst > 0) || math.IsInf(burst, 1) {
+		return nil, fmt.Errorf("tokenbucket: burst must be positive and finite, got %g", burst)
 	}
 	l := &Limiter{
 		rate:   rate,

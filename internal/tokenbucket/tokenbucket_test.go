@@ -1,6 +1,7 @@
 package tokenbucket
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -43,6 +44,30 @@ func TestNewRejectsBadParameters(t *testing.T) {
 	}
 	if _, err := New(1, 0); err == nil {
 		t.Fatal("zero burst accepted")
+	}
+}
+
+// TestNewRejectsNonFinite: a NaN or infinite rate or burst is refused. A
+// NaN passes both "≤ 0" checks, and the limiter it built admitted every
+// request.
+func TestNewRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name        string
+		rate, burst float64
+	}{
+		{"nan rate", nan, 1},
+		{"nan burst", 1, nan},
+		{"nan both", nan, nan},
+		{"inf rate", inf, 1},
+		{"inf burst", 1, inf},
+		{"inf both", inf, inf},
+		{"-inf rate", math.Inf(-1), 1},
+		{"-inf burst", 1, math.Inf(-1)},
+	} {
+		if _, err := New(tc.rate, tc.burst); err == nil {
+			t.Errorf("%s: New(%g, %g) accepted", tc.name, tc.rate, tc.burst)
+		}
 	}
 }
 

@@ -139,15 +139,6 @@ func SolveDelta(prev *SolveResult, edits []EditCell) (*Schedule, error) {
 	return kpbs.SolveDelta(prev, edits)
 }
 
-// SolveCache is a bounded content-addressed LRU of solves: repeat
-// instances are served without running the solver, concurrent misses of
-// one instance coalesce into a single solve, and delta chains can check
-// warm bases out of it (DESIGN.md §13.3).
-type SolveCache = kpbs.SolveCache
-
-// NewSolveCache builds a solve cache bounded to capacity entries.
-func NewSolveCache(capacity int) *SolveCache { return kpbs.NewSolveCache(capacity, nil) }
-
 // SolveWRGP runs the plain Weight-Regular Graph Peeling algorithm
 // (paper §4.1) on a weight-regular balanced graph with unbounded k and no
 // setup delay. bottleneck selects OGGP's matching rule.
